@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -84,9 +85,12 @@ def _resolve(args, config, name, cast=float):
         return given
     if name in config:
         try:
-            return cast(config[name])
+            value = cast(config[name])
         except ValueError:
             raise CliError("config value for %s is not a %s" % (name, cast.__name__))
+        if not math.isfinite(value):
+            raise CliError("config value for %s is not finite: %r" % (name, config[name]))
+        return value
     return _DEFAULTS[name]
 
 
@@ -130,17 +134,25 @@ def _parse_weights(text: str, mrf: HlMrf):
     if not lines or lines[0].strip() != WEIGHTS_HEADER:
         raise CliError("weights file must start with %r" % WEIGHTS_HEADER)
     weights = np.array(mrf.weights, dtype=float)
-    for raw in lines[1:]:
+    for lineno, raw in enumerate(lines[1:], 2):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split("\t")
         if len(fields) < 2:
-            raise CliError("malformed weights line: %r" % raw)
-        tid = int(fields[0])
+            raise CliError("weights line %d: malformed: %r" % (lineno, raw))
+        try:
+            tid = int(fields[0])
+            weight = float(fields[1])
+        except ValueError:
+            raise CliError(
+                "weights line %d: expected a template id and a number: %r" % (lineno, raw)
+            )
         if not 0 <= tid < len(weights):
-            raise CliError("weights file references unknown template %d" % tid)
-        weights[tid] = float(fields[1])
+            raise CliError("weights line %d: unknown template %d" % (lineno, tid))
+        if not math.isfinite(weight):
+            raise CliError("weights line %d: weight is not finite: %r" % (lineno, fields[1]))
+        weights[tid] = weight
     return weights
 
 

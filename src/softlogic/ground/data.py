@@ -38,19 +38,45 @@ class PredicateDef:
 
 
 class DataSet:
-    """Typed universe, predicate declarations, and the observation map."""
+    """Typed universe, predicate declarations, and the observation map.
+
+    Types are defined through `define_type` and observations added through
+    `add_observation`, which keep the lookup structures beside them: a
+    member set and a sorted tuple per type, and the nonzero observations
+    indexed by predicate.
+    """
 
     def __init__(self, universe=None, predicates=(), observations=None, functionals=None):
-        self.universe: dict[str, tuple[str, ...]] = {
-            t: tuple(cs) for t, cs in (universe or {}).items()
-        }
+        self.universe: dict[str, tuple[str, ...]] = {}
+        self._members: dict[str, frozenset[str]] = {}
+        self._sorted: dict[str, tuple[str, ...]] = {}
+        for type_name, constants in (universe or {}).items():
+            self.define_type(type_name, constants)
         self.predicates: dict[str, PredicateDef] = {p.name: p for p in predicates}
         self.observations: dict[GroundAtom, float] = {}
+        self._nonzero: dict[str, list] | None = None
         # Functionally defined predicates: name -> fn(*constants) -> [0, 1].
         # They behave as closed predicates whose values are computed on use.
         self.functionals: dict[str, callable] = dict(functionals or {})
         for atom, value in (observations or {}).items():
             self.add_observation(atom, value)
+
+    def define_type(self, name: str, constants):
+        """Declare a type with its constants, in the order given."""
+        constants = tuple(constants)
+        if name in self.universe:
+            raise DataError("type %s defined twice" % name)
+        members = frozenset(constants)
+        if len(members) != len(constants):
+            raise DataError("type %s lists a constant twice" % name)
+        self.universe[name] = constants
+        self._members[name] = members
+        self._sorted[name] = tuple(sorted(constants))
+
+    def has_constant(self, type_name: str, constant: str) -> bool:
+        """Whether a constant is declared with a type (False for unknown types)."""
+        members = self._members.get(type_name)
+        return members is not None and constant in members
 
     def add_observation(self, atom: GroundAtom, value: float):
         pred = self.predicates.get(atom.predicate)
@@ -59,13 +85,26 @@ class DataSet:
         if len(atom.args) != pred.arity:
             raise DataError("%s takes %d arguments" % (pred.name, pred.arity))
         for arg, type_name in zip(atom.args, pred.arg_types):
-            if arg not in self.universe.get(type_name, ()):
+            if not self.has_constant(type_name, arg):
                 raise DataError(
                     'constant "%s" is not declared with type %s' % (arg, type_name)
                 )
         if not 0.0 <= value <= 1.0:
             raise DataError("observed value %r for %s outside [0, 1]" % (value, atom))
         self.observations[atom] = float(value)
+        self._nonzero = None
+
+    def nonzero_args(self, predicate: str) -> list:
+        """Sorted argument tuples of a predicate's nonzero observations."""
+        if self._nonzero is None:
+            index: dict[str, list] = {}
+            for atom, value in self.observations.items():
+                if value != 0.0:
+                    index.setdefault(atom.predicate, []).append(atom.args)
+            for args in index.values():
+                args.sort()
+            self._nonzero = index
+        return self._nonzero.get(predicate, [])
 
     def register_functional(self, name: str, arg_types, fn):
         self.predicates[name] = PredicateDef(name, tuple(arg_types), closed=True)
@@ -73,9 +112,9 @@ class DataSet:
 
     def constants_of(self, type_name: str) -> tuple[str, ...]:
         """Constants of a type in lexicographic (grounding) order."""
-        if type_name not in self.universe:
+        if type_name not in self._sorted:
             raise DataError("unknown type %s" % type_name)
-        return tuple(sorted(self.universe[type_name]))
+        return self._sorted[type_name]
 
     def atoms_of(self, predicate: str):
         """All well-typed ground atoms of one predicate, in grounding order."""
@@ -152,11 +191,10 @@ def load_data(text: str) -> DataSet:
                     pos += 1
                     constants.append(expect("STRING", "a quoted constant").value)
             expect("RBRACE", "'}'")
-            if name in data.universe:
-                fail("type %s defined twice" % name, name_tok)
-            if len(set(constants)) != len(constants):
-                fail("type %s lists a constant twice" % name, name_tok)
-            data.universe[name] = tuple(constants)
+            try:
+                data.define_type(name, constants)
+            except DataError as exc:
+                fail(str(exc), name_tok)
             continue
         if tok.kind != "LPAREN":
             fail("expected '=' or '(' after %s" % name)

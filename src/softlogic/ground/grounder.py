@@ -3,9 +3,14 @@
 Each rule is applied under every consistent substitution of constants for
 its variables. Weighted rules emit hinge potentials, unweighted rules emit
 hard constraints, and observed atoms are folded into the linear functions'
-constant terms. Enumeration order is deterministic: predicates first, then
-lexicographic constant order, so grounding the same inputs twice yields
-byte-identical models.
+constant terms. Output order is deterministic: rules in program order, and
+each rule's groundings in lexicographic order of their substitution
+(variables by name, then constants), so grounding the same inputs twice
+yields byte-identical models.
+
+Type membership is a set lookup, domains are sorted once per rule and the
+nonzero observations are indexed once per data set, so grounding costs time
+linear in the observations plus the groundings it emits.
 """
 
 from __future__ import annotations
@@ -105,7 +110,7 @@ def _infer_domains(atoms, data, location):
             )
         for arg, type_name in zip(atom.args, pred.arg_types):
             if isinstance(arg, Constant):
-                if arg.value not in data.universe.get(type_name, ()):
+                if not data.has_constant(type_name, arg.value):
                     raise GroundingError(
                         'constant "%s" does not have type %s' % (arg.value, type_name),
                         *location,
@@ -148,28 +153,19 @@ class _JoinEnumerator:
 
     def __init__(self, data: DataSet, domains, atoms, prune: bool, location):
         self.data = data
-        self.domains = domains
+        self.domains = domains  # name -> sorted tuple, the enumeration order
+        self.members = {name: frozenset(pool) for name, pool in domains.items()}
         self.atoms = atoms  # list of (Atom, negated_in_clause)
         self.prune = prune
         self.location = location
-        self._nonzero_cache: dict[str, list] = {}
         self._bucket_cache: dict[tuple, dict] = {}
-
-    def _nonzero_args(self, predicate):
-        if predicate not in self._nonzero_cache:
-            self._nonzero_cache[predicate] = sorted(
-                atom.args
-                for atom, value in self.data.observations.items()
-                if atom.predicate == predicate and value != 0.0
-            )
-        return self._nonzero_cache[predicate]
 
     def _bucket_index(self, predicate, position):
         """Nonzero observations of a predicate grouped by one argument."""
         key = (predicate, position)
         if key not in self._bucket_cache:
             buckets: dict[str, list] = {}
-            for args in self._nonzero_args(predicate):
+            for args in self.data.nonzero_args(predicate):
                 buckets.setdefault(args[position], []).append(args)
             self._bucket_cache[key] = buckets
         return self._bucket_cache[key]
@@ -185,7 +181,7 @@ class _JoinEnumerator:
 
     def _cost(self, atom, negated, bound):
         if self._indexable(atom, negated):
-            nnz = len(self._nonzero_args(atom.predicate))
+            nnz = len(self.data.nonzero_args(atom.predicate))
             for position, arg in enumerate(atom.args):
                 fixed = isinstance(arg, Constant) or (
                     isinstance(arg, Variable) and arg.name in bound
@@ -223,7 +219,7 @@ class _JoinEnumerator:
             else:
                 current = subst.get(arg.name, new.get(arg.name))
                 if current is None:
-                    if value not in self.domains[arg.name]:
+                    if value not in self.members[arg.name]:
                         return None
                     new[arg.name] = value
                 elif current != value:
@@ -237,7 +233,7 @@ class _JoinEnumerator:
                     return self._bucket_index(atom.predicate, position).get(arg.value, ())
                 if arg.name in subst:
                     return self._bucket_index(atom.predicate, position).get(subst[arg.name], ())
-            return self._nonzero_args(atom.predicate)
+            return self.data.nonzero_args(atom.predicate)
         slots = []
         for arg in atom.args:
             if isinstance(arg, Constant):
@@ -318,10 +314,13 @@ def ground_logical_rule(rule, data, index=None, rule_id=0, prune=False, location
     enumerator = _JoinEnumerator(
         data, domains, [(lit.atom, lit.negated) for lit in regular], prune, location
     )
+    # The join order depends on the data; sorting makes the output order
+    # lexicographic in the substitution whatever plan the join chose.
+    groundings = sorted(tuple(sorted(s.items())) for s in enumerator.substitutions())
     out = []
-    for subst in enumerator.substitutions():
+    for sub in groundings:
+        subst = dict(sub)
         linfun = _fold_literal_values(rule.literals, data, index, subst, location)
-        sub = tuple(sorted(subst.items()))
         origin = _origin(rule_id, sub)
         if rule.weight is not None:
             if prune and (not linfun.terms or _hinge_box_max(linfun) <= 0.0):
@@ -462,13 +461,13 @@ def ground_arithmetic_rule(rule, data, index=None, rule_id=0, prune=False, locat
     for select in rule.selects:
         _check_select_closed(select, data, set(domains), location)
 
+    sum_pools = {name: sorted(sum_domains[name]) for name in sorted(sum_domains)}
     free_vars = sorted(domains)
     out = []
     for combo in itertools.product(*(domains[v] for v in free_vars)):
         subst = dict(zip(free_vars, combo))
         candidates = {}
-        for name in sorted(sum_domains):
-            pool = sorted(sum_domains[name])
+        for name, pool in sum_pools.items():
             if name in selects:
                 clause = selects[name].clause
                 pool = [

@@ -15,6 +15,7 @@ subproblems are plain projections.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -43,6 +44,9 @@ class SolveOptions:
     trace: object = None  # callable(iteration, primal, dual, objective)
 
     def __post_init__(self):
+        for name in ("rho", "eps_abs", "eps_rel", "activation_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ModelError("%s must be finite, got %r" % (name, getattr(self, name)))
         if self.rho <= 0:
             raise ModelError("rho must be positive")
         if self.eps_abs <= 0 or self.eps_rel <= 0:
@@ -240,6 +244,13 @@ class _Group:
             else:
                 self.local[rows] = proj
 
+    def violation(self, consensus):
+        if self.kind != "constraint":
+            return 0.0
+        lv = np.einsum("ij,ij->i", self.coeffs, consensus[self.idx]) + self.offsets
+        gap = np.abs(lv) if self.extra is Relation.EQ else np.maximum(lv, 0.0)
+        return float(gap.max(initial=0.0))
+
     def energy(self, consensus):
         if self.kind != "hinge":
             return 0.0
@@ -324,6 +335,10 @@ class _CompiledModel:
     def energy(self, y):
         return self.constant_energy + sum(g.energy(y) for g in self.groups)
 
+    def max_violation(self, y):
+        """Largest hard-constraint violation at ``y`` (0 without constraints)."""
+        return max((g.violation(y) for g in self.groups), default=0.0)
+
 
 def _run_admm(compiled: _CompiledModel, opts: SolveOptions, initial=None):
     n = compiled.n
@@ -406,10 +421,19 @@ def _run_admm(compiled: _CompiledModel, opts: SolveOptions, initial=None):
                 best_primal = primal
                 last_improvement = it
             elif it - last_improvement >= _STALL_WINDOW and primal > eps_pri:
-                diag.infeasible = True
+                violation = compiled.max_violation(y)
+                diag.infeasible = violation > eps_pri
                 diag.message = (
-                    "primal residual stalled at %.3g for %d iterations; "
-                    "the hard constraints may be infeasible" % (primal, _STALL_WINDOW)
+                    "primal residual stalled at %.3g for %d iterations; largest "
+                    "hard-constraint violation %.3g %s the primal tolerance %.3g%s"
+                    % (
+                        primal,
+                        _STALL_WINDOW,
+                        violation,
+                        "exceeds" if diag.infeasible else "is within",
+                        eps_pri,
+                        "; the hard constraints may be infeasible" if diag.infeasible else "",
+                    )
                 )
                 break
         else:

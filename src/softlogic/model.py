@@ -213,6 +213,8 @@ class HlMrf:
                 "weight vector length %d != template count %d"
                 % (self.weights.size, len(self.templates))
             )
+        if not np.all(np.isfinite(self.weights)):
+            raise ModelError("template weights must be finite")
         if np.any(self.weights < 0):
             raise ModelError("template weights must be nonnegative")
         counts = [0] * len(self.templates)

@@ -4,7 +4,10 @@ import itertools
 
 import numpy as np
 
+from softlogic.ground import GroundingError
 from softlogic.infer import SolveOptions
+from softlogic.lang.ast import CoeffNumber, Constant, LangError
+from softlogic.lang.parser import normalize_logical
 from softlogic.model import (
     GroundAtom,
     HingePotential,
@@ -179,3 +182,189 @@ def oracle_subproblem(pot, weight, z, rho):
     upper = max(weight / rho, max(lz, 0.0) / norm2) + 1.0
     s, _ = golden_section(value, 0.0, upper)
     return z - s * a
+
+
+# -- brute-force reference grounder ------------------------------------------
+
+
+def _reference_domains(atoms, data, location):
+    """Variable name -> sorted constants of every type it takes, checked."""
+    types = {}
+    for atom in atoms:
+        pred = data.predicates.get(atom.predicate)
+        if pred is None:
+            raise GroundingError("unknown predicate %s" % atom.predicate, *location)
+        if len(atom.args) != pred.arity:
+            raise GroundingError(
+                "%s takes %d arguments, rule supplies %d"
+                % (atom.predicate, pred.arity, len(atom.args)),
+                *location,
+            )
+        for arg, type_name in zip(atom.args, pred.arg_types):
+            if isinstance(arg, Constant):
+                if arg.value not in data.universe[type_name]:
+                    raise GroundingError(
+                        'constant "%s" does not have type %s' % (arg.value, type_name),
+                        *location,
+                    )
+            else:
+                types.setdefault(arg.name, []).append(type_name)
+    return {
+        name: sorted(set.intersection(*(set(data.universe[t]) for t in ts)))
+        for name, ts in types.items()
+    }
+
+
+def _reference_value(data, atom):
+    if atom in data.observations:
+        return data.observations[atom]
+    return 0.0 if data.predicates[atom.predicate].closed else None
+
+
+def _reference_substitutions(domains):
+    names = sorted(domains)
+    for combo in itertools.product(*(domains[n] for n in names)):
+        yield tuple(zip(names, combo))
+
+
+def _reference_atom(atom, subst):
+    args = tuple(a.value if isinstance(a, Constant) else subst[a.name] for a in atom.args)
+    return GroundAtom(atom.predicate, args)
+
+
+def _reference_origin(rule_id, sub):
+    return "rule %d {%s}" % (rule_id, ", ".join("%s=%s" % kv for kv in sub))
+
+
+def _reference_hard(linfun, relation, origin, prune, location):
+    """The constraint a hard grounding emits, or None when pruned away."""
+    if not linfun.terms:
+        value = linfun.offset
+        if (abs(value) if relation is Relation.EQ else value) > 1e-9:
+            raise GroundingError(
+                "hard rule is violated by the observations alone (%s)" % origin, *location
+            )
+        if prune:
+            return None
+    return LinearConstraint(linfun, relation)
+
+
+def _reference_useful(linfun, prune):
+    box_max = linfun.offset + sum(c for _, c in linfun.terms if c > 0)
+    return not prune or (linfun.terms and box_max > 0.0)
+
+
+def _reference_logical(rule, rule_id, data, index, prune, location):
+    if rule.literals is None:
+        rule = normalize_logical(rule)
+    domains = _reference_domains([lit.atom for lit in rule.literals], data, location)
+    potentials, constraints = [], []
+    for sub in _reference_substitutions(domains):
+        subst = dict(sub)
+        atoms = [_reference_atom(lit.atom, subst) for lit in rule.literals]
+        if prune and any(
+            lit.negated
+            and data.predicates[atom.predicate].closed
+            and _reference_value(data, atom) == 0.0
+            for lit, atom in zip(rule.literals, atoms)
+        ):
+            continue  # a closed atom at 0 satisfies the clause outright
+        offset, terms = 1.0, []
+        for lit, atom in zip(rule.literals, atoms):
+            value = _reference_value(data, atom)
+            if value is not None:
+                offset -= (1.0 - value) if lit.negated else value
+            elif lit.negated:
+                offset -= 1.0
+                terms.append((index[atom], 1.0))
+            else:
+                terms.append((index[atom], -1.0))
+        linfun = LinearFunction(terms, offset)
+        origin = _reference_origin(rule_id, sub)
+        if rule.weight is None:
+            con = _reference_hard(linfun, Relation.LEQ, origin, prune, location)
+            constraints += [con] if con is not None else []
+        elif _reference_useful(linfun, prune):
+            exponent = 2 if rule.squared else 1
+            potentials.append(HingePotential(linfun, exponent, rule_id, origin))
+    return potentials, constraints
+
+
+def _reference_arithmetic(rule, rule_id, data, index, prune, location):
+    """Arithmetic rules with numeric coefficients and no sum variables."""
+    atoms = [t.atom for t in rule.lhs + rule.rhs if t.atom is not None]
+    domains = _reference_domains(atoms, data, location)
+    potentials, constraints = [], []
+    for sub in _reference_substitutions(domains):
+        subst = dict(sub)
+        offset, terms = 0.0, []
+        for sign, side in ((1.0, rule.lhs), (-1.0, rule.rhs)):
+            for term in side:
+                if term.coeff is not None and not isinstance(term.coeff, CoeffNumber):
+                    raise NotImplementedError("reference grounder: numeric coefficients only")
+                coeff = sign * (term.coeff.value if term.coeff is not None else 1.0)
+                if term.atom is None:
+                    offset += coeff
+                    continue
+                atom = _reference_atom(term.atom, subst)
+                value = _reference_value(data, atom)
+                if value is not None:
+                    offset += coeff * value
+                else:
+                    terms.append((index[atom], coeff))
+        linfun = LinearFunction(terms, offset)
+        if rule.relation == ">=":
+            linfun = linfun.negated()
+        origin = _reference_origin(rule_id, sub)
+        if rule.weight is None:
+            relation = Relation.EQ if rule.relation == "=" else Relation.LEQ
+            con = _reference_hard(linfun, relation, origin, prune, location)
+            constraints += [con] if con is not None else []
+            continue
+        funs = [linfun, linfun.negated()] if rule.relation == "=" else [linfun]
+        exponent = 2 if rule.squared else 1
+        potentials += [
+            HingePotential(fun, exponent, rule_id, origin)
+            for fun in funs
+            if _reference_useful(fun, prune)
+        ]
+    return potentials, constraints
+
+
+def reference_ground_program(program, data, prune=False):
+    """Brute-force grounder to check `ground_program` against.
+
+    Every rule is grounded over the full product of its variables' sorted
+    typed domains (variables by name), with no join plan, observation index
+    or membership set: types are read from ``data.universe`` and values
+    from ``data.observations``. With ``prune``, a grounding is dropped when
+    a negated closed atom is 0, a hinge can never be active on the unit
+    box, or a hard grounding has no free atom. Covers logical rules without
+    comparisons and arithmetic rules without sum variables; functional
+    predicates are not supported.
+    """
+    labels = []
+    for name in sorted(data.predicates):
+        pred = data.predicates[name]
+        if not pred.closed:
+            domains = [sorted(data.universe[t]) for t in pred.arg_types]
+            labels += [GroundAtom(name, combo) for combo in itertools.product(*domains)]
+    index = {atom: i for i, atom in enumerate(labels)}
+    observed = {i: data.observations[a] for i, a in enumerate(labels) if a in data.observations}
+
+    potentials, constraints, templates, weights, errors = [], [], [], [], []
+    spans = program.spans or [(None, None)] * len(program.rules)
+    for rule_id, (rule, span) in enumerate(zip(program.rules, spans)):
+        ground = _reference_logical if rule.kind == "logical" else _reference_arithmetic
+        try:
+            pots, cons = ground(rule, rule_id, data, index, prune, span)
+        except LangError as exc:
+            errors.append(str(exc))
+            pots, cons = [], []
+        potentials += pots
+        constraints += cons
+        templates.append(TemplateInfo(" ".join(rule.render().split()), len(pots)))
+        weights.append(rule.weight if rule.weight is not None else 0.0)
+    if errors:
+        raise GroundingError("; ".join(errors))
+    return HlMrf(VariableTable(labels, observed), potentials, constraints, templates, weights)

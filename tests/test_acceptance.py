@@ -238,6 +238,35 @@ def test_criterion_05_linear_scaling_shape():
     report(5, "wall time is linear in potentials+constraints", ok, "R2 %.4f, %.0fs" % (r2, total))
 
 
+def _front_end_seconds(n_users):
+    """Best of two timings of load_data plus pruned grounding on n observations."""
+    from softlogic.ground import ground_program
+
+    names = ["p%06d" % i for i in range(n_users)]
+    data_text = "".join(
+        ['Person = {%s}\n' % ", ".join('"%s"' % p for p in names),
+         "Opinion(Person) (closed)\nLiberal(Person)\n"]
+        + ['Opinion("%s") = %g\n' % (p, (i % 97 + 1) / 100.0) for i, p in enumerate(names)]
+    )
+    program = parse_program("0.5 : Opinion(U) -> Liberal(U)\n")
+    best = np.inf
+    for _ in range(2):
+        t0 = time.perf_counter()
+        mrf = ground_program(program, load_data(data_text), prune=True)
+        best = min(best, time.perf_counter() - t0)
+    assert len(mrf.potentials) == n_users
+    return best
+
+
+def test_front_end_linear_scaling():
+    # Four times the observations may cost at most eight times the load and
+    # ground time; a per-observation scan of a type or of the observations
+    # (quadratic) gives sixteen.
+    small, large = _front_end_seconds(5000), _front_end_seconds(20000)
+    ratio = large / small
+    assert ratio <= 8.0, "load+ground %.3fs -> %.3fs, ratio %.1f" % (small, large, ratio)
+
+
 def test_criterion_06_subproblem_exactness():
     rng = np.random.default_rng(606)
     worst = 0.0

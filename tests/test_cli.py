@@ -165,6 +165,30 @@ class TestConfig:
         assert code == 1 and "key = value" in err
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_config_value_names_key(self, fixture_paths, tmp_path, capsys, value):
+        program, data = fixture_paths
+        config = tmp_path / "bad.conf"
+        config.write_text("eps-abs = %s\n" % value)
+        code, _, err = run(
+            capsys, "--config", config, "infer", "--program", program, "--data", data
+        )
+        assert code == 1 and "eps_abs" in err and "finite" in err
+
+
+class TestWeightsFile:
+    @pytest.mark.parametrize(
+        "line", ["0\tnan\tsource", "0\tinf\tsource", "zero\t1.0\tsource", "0\tabc\tsource"]
+    )
+    def test_bad_number_names_line(self, fixture_paths, tmp_path, capsys, line):
+        program, data = fixture_paths
+        weights = tmp_path / "weights.txt"
+        weights.write_text("# softlogic-weights v1\n# comment\n%s\n" % line)
+        code, _, err = run(
+            capsys, "infer", "--program", program, "--data", data, "--weights", weights
+        )
+        assert code == 1 and "weights line 3" in err
+
 class TestLearnCommand:
     def test_mle_writes_versioned_weights(self, fixture_paths, tmp_path, capsys):
         program, data = fixture_paths

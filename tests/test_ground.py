@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from softlogic.ground import (
     DataError,
@@ -15,6 +16,8 @@ from softlogic.ground import (
 )
 from softlogic.lang import parse_program
 from softlogic.model import GroundAtom, Relation
+
+from helpers import reference_ground_program
 
 DOCUMENT_DATA = """
 Document = {"d1", "d2"}
@@ -415,3 +418,86 @@ class TestGroundProgram:
                 ]
             )
             assert observed.energy(y_obs) == pytest.approx(free.energy(y_free))
+
+
+# -- differential check against the brute-force reference grounder ----------
+
+CONSTANTS = ("a", "b", "c", "d")
+PREDICATES = (("P", ("T1",)), ("Q", ("T1", "T2")), ("R", ("T2", "T2")), ("S", ("T2",)))
+RULE_POOL = (
+    "0.7 : P(A) & Q(A, B) -> S(B)",
+    "0.5 : Q(B, A) -> R(A, A) ^2",
+    "1.2 : R(A, B) & R(B, C) -> R(A, C)",
+    "0.4 : !P(A)",
+    "0.9 : S(B) & !Q(A, B) -> P(A)",
+    "Q(A, B) -> S(B) .",
+    "!R(A, B) | Q(B, A) .",
+    '0.3 : Q("a", B) -> S(B)',
+    '0.8 : R(A, "c") & P(A) -> S(A)',
+    "P(A) + S(A) <= 1 .",
+    "0.6 : P(A) + S(A) >= 1 ^2",
+    "0.5 : Q(A, B) = R(B, B)",
+    "S(A) + 2 R(A, A) <= 2 .",
+)
+
+
+@st.composite
+def grounding_cases(draw):
+    """(data text, expected load error or None, program text)."""
+    types = {}
+    for name in ("T1", "T2"):
+        members = draw(st.lists(st.sampled_from(CONSTANTS), min_size=1, max_size=4, unique=True))
+        types[name] = members  # drawn order, so the loader has to sort
+    lines = ["%s = {%s}" % (t, ", ".join('"%s"' % c for c in cs)) for t, cs in types.items()]
+    for name, arg_types in PREDICATES:
+        closed = " (closed)" if draw(st.booleans()) else ""
+        lines.append("%s(%s)%s" % (name, ", ".join(arg_types), closed))
+    observations = []
+    for _ in range(draw(st.integers(0, 12))):
+        name, arg_types = draw(st.sampled_from(PREDICATES))
+        args = [draw(st.sampled_from(types[t])) for t in arg_types]
+        observations.append((name, args, draw(st.sampled_from([0.0, 0.25, 1.0]))))
+    error = None
+    if observations and draw(st.integers(0, 4)) == 0:
+        # One constant outside its argument's type: of the other type, or of none.
+        k = draw(st.integers(0, len(observations) - 1))
+        name, args, value = observations[k]
+        position = draw(st.integers(0, len(args) - 1))
+        type_name = dict(PREDICATES)[name][position]
+        outside = [c for c in CONSTANTS + ("e",) if c not in types[type_name]]
+        args[position] = draw(st.sampled_from(outside))
+        error = '%d:1: constant "%s" is not declared with type %s' % (
+            len(lines) + k + 1, args[position], type_name,
+        )
+    for name, args, value in observations:
+        lines.append("%s(%s) = %g" % (name, ", ".join('"%s"' % c for c in args), value))
+    rules = draw(st.lists(st.sampled_from(RULE_POOL), min_size=1, max_size=4))
+    return "\n".join(lines) + "\n", error, "\n".join(rules) + "\n"
+
+
+def _ground_or_error(grounder, program, data, prune):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # constant potentials when not pruning
+        try:
+            return grounder(program, data, prune=prune).to_json()
+        except GroundingError as exc:
+            return "GroundingError: %s" % exc
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=grounding_cases(), prune=st.booleans())
+def test_grounding_matches_brute_force_reference(case, prune):
+    data_text, load_error, program_text = case
+    if load_error is not None:
+        with pytest.raises(DataError) as err:
+            load_data(data_text)
+        assert str(err.value) == load_error
+        return
+    data = load_data(data_text)
+    # The drawn program, then every rule of the pool on its own, so that each
+    # example exercises each rule whatever errors the others raise.
+    for text in [program_text, *RULE_POOL]:
+        program = parse_program(text)
+        assert _ground_or_error(ground_program, program, data, prune) == _ground_or_error(
+            reference_ground_program, program, data, prune
+        ), text

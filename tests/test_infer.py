@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from softlogic import logic
+from softlogic.ground import ground_program, load_data
 from softlogic.infer import (
     AdmmBlock,
     AdmmState,
@@ -14,6 +15,7 @@ from softlogic.infer import (
     solve_map_lazy,
     solve_potential_subproblem,
 )
+from softlogic.lang import parse_program
 from softlogic.model import (
     HingePotential,
     LinearConstraint,
@@ -21,6 +23,7 @@ from softlogic.model import (
     ModelError,
     Relation,
 )
+from softlogic.synth import SynthNetworkSpec, generate_network
 
 from helpers import (
     TIGHT,
@@ -337,6 +340,32 @@ class TestSolveMap:
         _, diag = solve_map(mrf, SolveOptions(max_iter=4000))
         assert diag.infeasible
         assert "infeasible" in diag.message
+
+    def test_feasible_stall_not_reported_infeasible(self):
+        # The opposing-rule program on a 20-user network is feasible, yet at
+        # eps 1e-8 its primal residual stops improving for the stall window.
+        data_text, _ = generate_network(SynthNetworkSpec(n_users=20, seed=1))
+        program = parse_program(
+            "0.5 : Opinion(U) -> Liberal(U)\n"
+            "0.5 : !Opinion(U) -> Conservative(U)\n"
+            "0.9 : Liberal(A) & Edge1(A, B) -> Liberal(B)\n"
+            "0.9 : Conservative(A) & Edge1(A, B) -> Conservative(B)\n"
+            "Liberal(U) + Conservative(U) = 1 .\n"
+        )
+        mrf = ground_program(program, load_data(data_text), prune=True)
+        y, diag = solve_map(mrf, SolveOptions(eps_abs=1e-8, eps_rel=1e-8))
+        assert not diag.converged
+        assert not diag.infeasible
+        assert "stalled" in diag.message and "infeasible" not in diag.message
+        assert mrf.check_feasible(y, tol=1e-9)[0]
+
+    @pytest.mark.parametrize(
+        "field", ["rho", "eps_abs", "eps_rel", "activation_threshold"]
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_options_rejected(self, field, bad):
+        with pytest.raises(ModelError, match="finite"):
+            SolveOptions(**{field: bad})
 
     def test_extra_linear_terms(self):
         # minimize w*max(y,0)^2 + c*y with c=-1: optimum at y = 1/(2w) capped

@@ -133,6 +133,18 @@ class TestValidation:
         with pytest.raises(ModelError):
             make_mrf([hinge([(0, 1.0)], 0.0)], weights=[-1.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ModelError, match="finite"):
+            make_mrf([hinge([(0, 1.0)], 0.0)], weights=[bad])
+        mrf = make_mrf([hinge([(0, 1.0)], 0.0)], weights=[1.0])
+        with pytest.raises(ModelError, match="finite"):
+            mrf.with_weights([bad])
+        doc = mrf.to_dict()
+        doc["templates"][0]["weight"] = bad
+        with pytest.raises(ModelError, match="finite"):
+            HlMrf.from_json(json.dumps(doc))
+
     def test_bad_exponent_rejected(self):
         with pytest.raises(ModelError):
             HingePotential(LinearFunction([(0, 1.0)], 0.0), exponent=3)
