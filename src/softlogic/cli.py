@@ -219,29 +219,30 @@ def _clauses_from_model(mrf: HlMrf):
     """Interpret a linear clause-only model as weighted disjunctions."""
     if mrf.constraints:
         raise CliError("round requires a model without hard constraints")
+    rows = mrf.potential_rows
     clauses = []
-    table = mrf.table
-    for pot in mrf.potentials:
-        if pot.exponent != 1:
+    for j, pot in enumerate(mrf.potentials):
+        if rows.exponent[j] != 1:
             raise CliError("round requires linear (unsquared) potentials")
-        lf = pot.linfun.fold_observed(table)
-        box_max = lf.offset + sum(c for _, c in lf.terms if c > 0)
-        if box_max <= 1e-12 or not lf.terms:
+        positions, coeffs, offset = rows.row(j)
+        coeffs = coeffs.tolist()
+        box_max = offset + sum(c for c in coeffs if c > 0)
+        if box_max <= 1e-12 or not coeffs:
             # Constantly satisfied (or constant) after folding: contributes a
             # fixed score to every assignment, so it cannot steer rounding.
             continue
         pos, neg = [], []
-        for idx, coeff in lf.terms:
-            position = table.free_position(idx)
+        for position, coeff in zip(positions.tolist(), coeffs):
             if coeff == -1.0:
                 pos.append(position)
             elif coeff == 1.0:
                 neg.append(position)
             else:
                 raise CliError("potential %s is not clause-shaped" % (pot.origin or "?"))
-        if abs(lf.offset - (1.0 - len(neg))) > 1e-9:
+        if abs(offset - (1.0 - len(neg))) > 1e-9:
             raise CliError("potential %s is not clause-shaped" % (pot.origin or "?"))
-        clauses.append(logic.Clause(tuple(pos), tuple(neg), mrf.potential_weight(pot)))
+        weight = float(mrf.weights[rows.template_id[j]])
+        clauses.append(logic.Clause(tuple(pos), tuple(neg), weight))
     return clauses
 
 

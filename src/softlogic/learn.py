@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .infer import SolveOptions, solve_map
-from .model import HlMrf, ModelError, Relation
+from .model import HlMrf, ModelError
 
 
 class UnsupportedStructureError(ModelError):
@@ -102,18 +102,6 @@ def perceptron_train(
 # -- maximum pseudolikelihood ------------------------------------------------
 
 
-def _folded_potentials(mrf: HlMrf):
-    """Potentials with observations folded, mapped to free positions."""
-    table = mrf.table
-    out = []
-    for pot in mrf.potentials:
-        lf = pot.linfun.fold_observed(table)
-        positions = np.array([table.free_position(i) for i, _ in lf.terms], dtype=np.intp)
-        coeffs = np.array([c for _, c in lf.terms])
-        out.append((positions, coeffs, lf.offset, pot.exponent, pot.template_id))
-    return out
-
-
 def _partition_variables(mrf: HlMrf):
     """Split free variables into unconstrained singletons and simplex blocks.
 
@@ -121,30 +109,23 @@ def _partition_variables(mrf: HlMrf):
     ``sum of free variables = 1`` with unit coefficients, pairwise disjoint
     and not mixed with any other constraint; anything else is rejected.
     """
-    table = mrf.table
-    owner = {}
-    blocks = []
-    for con in mrf.constraints:
-        lf = con.linfun.fold_observed(table)
-        positions = [table.free_position(i) for i, _ in lf.terms]
-        if not positions:
-            continue
-        if (
-            con.relation is not Relation.EQ
-            or any(c != 1.0 for _, c in lf.terms)
-            or lf.offset != -1.0
-        ):
-            raise UnsupportedStructureError(
-                "pseudolikelihood supports only disjoint sum-to-one equality blocks"
-            )
-        for p in positions:
-            if p in owner:
-                raise UnsupportedStructureError(
-                    "variable participates in more than one hard constraint"
-                )
-            owner[p] = len(blocks)
-        blocks.append(tuple(positions))
-    singletons = [p for p in range(mrf.n_free) if p not in owner]
+    rows = mrf.constraint_rows
+    active = rows.arity > 0
+    if (
+        np.any(active & ~rows.is_eq)
+        or np.any(rows.coeffs != 1.0)
+        or np.any(rows.offsets[active] != -1.0)
+    ):
+        raise UnsupportedStructureError(
+            "pseudolikelihood supports only disjoint sum-to-one equality blocks"
+        )
+    owners = np.bincount(rows.positions, minlength=mrf.n_free)
+    if np.any(owners > 1):
+        raise UnsupportedStructureError(
+            "variable participates in more than one hard constraint"
+        )
+    blocks = [tuple(rows.row(k)[0].tolist()) for k in np.flatnonzero(active)]
+    singletons = np.flatnonzero(owners == 0).tolist()
     return singletons, blocks
 
 
@@ -166,72 +147,54 @@ def mple_log_and_gradient(
     if quadrature < 2:
         raise ModelError("quadrature needs at least two points")
     mrf = instance.mrf
-    n_templates = len(mrf.templates)
     truth = instance.truth
-    potentials = _folded_potentials(mrf)
+    rows = mrf.potential_rows
     singletons, blocks = _partition_variables(mrf)
 
-    touching = [[] for _ in range(mrf.n_free)]
-    for j, (positions, *_rest) in enumerate(potentials):
-        for p in positions:
-            touching[p].append(j)
-
-    def potential_values(j, assignments):
-        """phi_j over the rows of ``assignments`` (n_points x n_free slice)."""
-        positions, coeffs, offset, exponent, _ = potentials[j]
-        lin = assignments[:, positions] @ coeffs + offset
-        hinge = np.maximum(lin, 0.0)
-        return hinge if exponent == 1 else hinge * hinge
+    # A conditional varies a few variables away from the truth; only the
+    # potentials touching them change, each by coeff * (value - truth).
+    lin_truth = rows.values(truth)
+    phi_truth = rows.hinges(lin_truth)
+    by_position = np.argsort(rows.positions, kind="stable")
+    starts = np.searchsorted(rows.positions[by_position], np.arange(mrf.n_free + 1))
 
     log_pl = 0.0
-    grad = np.zeros(n_templates)
+    grad = np.zeros(len(mrf.templates))
     grid = np.linspace(0.0, 1.0, quadrature)
     rng = np.random.default_rng(seed)
 
-    def accumulate(var_positions, states, log_weights=None, quad_grid=None):
-        """One conditional: states are full assignments varying var_positions."""
+    def accumulate(var_positions, values, quad_grid=None):
+        """One conditional; ``values`` holds one column per varied position."""
         nonlocal log_pl
-        js = sorted({j for p in var_positions for j in touching[p]})
-        energies = np.zeros(states.shape[0])
-        phi = {}
-        for j in js:
-            values = potential_values(j, states)
-            phi[j] = values
-            energies += weights[potentials[j][4]] * values
-        truth_row = truth[np.newaxis, :]
-        truth_energy = 0.0
-        phi_truth = {}
-        for j in js:
-            v = potential_values(j, truth_row)[0]
-            phi_truth[j] = v
-            truth_energy += weights[potentials[j][4]] * v
+        terms = np.concatenate([by_position[starts[p] : starts[p + 1]] for p in var_positions])
+        varied = rows.positions[terms]
+        at = np.searchsorted(var_positions, varied)  # var_positions is ascending
+        moves = (values[:, at] - truth[varied]) * rows.coeffs[terms]
+        js, local = np.unique(rows.term_row[terms], return_inverse=True)
+        if len(var_positions) > 1:
+            # A potential may touch several variables of a block.
+            moves = moves @ (local[:, None] == np.arange(js.size))
+        phi = rows.hinges(lin_truth[js] + moves, js)
+        w = weights[rows.template_id[js]]
+        energies = phi @ w
 
-        shift = energies.min() if energies.size else 0.0
+        shift = energies.min()
         density = np.exp(-(energies - shift))
         if quad_grid is not None:
             z_shifted = np.trapezoid(density, quad_grid)
-            expect = lambda f: np.trapezoid(f * density, quad_grid) / z_shifted
+            expected = np.trapezoid(phi * density[:, None], quad_grid, axis=0) / z_shifted
         else:
             z_shifted = density.mean()
-            expect = lambda f: (f * density).mean() / z_shifted
-        log_z = np.log(z_shifted) - shift
-        log_pl += -truth_energy - log_z
-        for j in js:
-            tid = potentials[j][4]
-            grad[tid] += expect(phi[j]) - phi_truth[j]
+            expected = (phi * density[:, None]).mean(axis=0) / z_shifted
+        log_pl += -float(w @ phi_truth[js]) - (np.log(z_shifted) - shift)
+        np.add.at(grad, rows.template_id[js], expected - phi_truth[js])
 
-    base = np.tile(truth, (quadrature, 1))
     for p in singletons:
-        states = base.copy()
-        states[:, p] = grid
-        accumulate((p,), states, quad_grid=grid)
+        accumulate(np.array([p]), grid[:, None], quad_grid=grid)
 
     for block in blocks:
-        k = len(block)
-        samples = rng.dirichlet(np.ones(k), size=block_samples)
-        states = np.tile(truth, (block_samples, 1))
-        states[:, list(block)] = samples
-        accumulate(block, states)
+        samples = rng.dirichlet(np.ones(len(block)), size=block_samples)
+        accumulate(np.array(block), samples)
 
     return log_pl, grad / _grounding_scale(mrf)
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import simplex_maximize
 from .model import LinearFunction
 
 MAX_BRUTEFORCE_VARS = 20
@@ -188,6 +187,9 @@ def lcr_inner_lp(clause: Clause, mu) -> float:
     mu = list(map(float, mu))
     if len(mu) != k:
         raise ClauseError("expected %d pseudomarginals, got %d" % (k, len(mu)))
+    for m in mu:
+        if not 0.0 <= m <= 1.0:
+            raise ClauseError("pseudomarginal %r outside [0, 1]" % (m,))
     if k == 0:
         return 0.0
 
@@ -207,8 +209,14 @@ def lcr_inner_lp(clause: Clause, mu) -> float:
     rows.append([1.0] * len(states))
     rhs.append(1.0)
 
-    _, value = simplex_maximize(c, np.array(rows), np.array(rhs))
-    return value
+    # Imported here: scipy.optimize is slow to import and nothing else in
+    # the library needs it.
+    from scipy.optimize import linprog
+
+    result = linprog(-c, A_eq=np.array(rows), b_eq=np.array(rhs), method="highs")
+    if result.status != 0:
+        raise ClauseError("inner LP failed: %s" % result.message)
+    return float(-result.fun)
 
 
 def lcr_compact_value(clause: Clause, mu) -> float:

@@ -8,7 +8,9 @@ carries the weight of its template.
 
 from __future__ import annotations
 
+import copy
 import enum
+import itertools
 import json
 import warnings
 from dataclasses import dataclass
@@ -74,13 +76,18 @@ class VariableTable:
     def free_position(self, index: int) -> int:
         return self._free_position[index]
 
-    def full_values(self, y: np.ndarray) -> np.ndarray:
-        """Expand a free assignment into a value per table index."""
+    def free_assignment(self, y) -> np.ndarray:
+        """``y`` as a float array, checked to hold one value per free variable."""
         y = np.asarray(y, dtype=float)
         if y.shape != (self.n_free,):
             raise ModelError(
                 "assignment has shape %s, expected (%d,)" % (y.shape, self.n_free)
             )
+        return y
+
+    def full_values(self, y: np.ndarray) -> np.ndarray:
+        """Expand a free assignment into a value per table index."""
+        y = self.free_assignment(y)
         values = np.empty(self.size, dtype=float)
         values[list(self.free_indices)] = y
         for idx, v in self.observed.items():
@@ -105,9 +112,6 @@ class LinearFunction:
             (idx, c) for idx, c in sorted(merged.items()) if c != 0.0
         )
         self.offset = float(offset)
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(idx for idx, _ in self.terms)
 
     def value(self, values) -> float:
         return self.offset + sum(c * values[i] for i, c in self.terms)
@@ -159,9 +163,6 @@ class HingePotential:
         if self.exponent not in (1, 2):
             raise ModelError("hinge exponent must be 1 or 2, got %r" % (self.exponent,))
 
-    def value(self, values) -> float:
-        return max(self.linfun.value(values), 0.0) ** self.exponent
-
 
 class Relation(enum.Enum):
     EQ = "eq"
@@ -175,10 +176,6 @@ class LinearConstraint:
     linfun: LinearFunction
     relation: Relation = Relation.LEQ
 
-    def violation(self, values) -> float:
-        v = self.linfun.value(values)
-        return abs(v) if self.relation is Relation.EQ else max(v, 0.0)
-
 
 @dataclass(frozen=True)
 class TemplateInfo:
@@ -188,12 +185,128 @@ class TemplateInfo:
     groundings: int = 0
 
 
+def _index_array(values, message: str) -> np.ndarray:
+    try:
+        array = np.array(values, dtype=np.intp)
+    except OverflowError:
+        raise ModelError("%s (index too large)" % message) from None
+    if not np.array_equal(array, values):
+        raise ModelError("%s (index not an integer)" % message)
+    return array
+
+
+class FoldedRows:
+    """Linear functions over the free assignment, observations folded in.
+
+    Row ``r`` is ``offsets[r] + coeffs[s] @ y[positions[s]]`` with
+    ``s = slice(indptr[r], indptr[r + 1])`` (CSR form); ``positions`` index
+    the free assignment. Free terms keep their order, and observed terms are
+    added into the offset in term order, exactly as
+    ``LinearFunction.fold_observed`` does. Rows left with no free term are
+    constants and still count.
+    """
+
+    def __init__(self, functions, table: VariableTable, kind: str):
+        self.size = len(functions)
+        lengths = np.fromiter((len(lf.terms) for lf in functions), np.intp, self.size)
+        terms = list(itertools.chain.from_iterable(lf.terms for lf in functions))
+        indices = _index_array([i for i, _ in terms], "%s references unknown variable" % kind)
+        coeffs = np.array([c for _, c in terms], dtype=float)
+        offsets = np.fromiter((lf.offset for lf in functions), float, self.size)
+        term_row = np.repeat(np.arange(self.size), lengths)
+        unknown = (indices < 0) | (indices >= table.size)
+        if unknown.any():
+            t = unknown.argmax()
+            raise ModelError(
+                "%s %d references unknown variable %d" % (kind, term_row[t], indices[t])
+            )
+
+        free_position = np.full(table.size, -1, dtype=np.intp)
+        free_position[list(table.free_indices)] = np.arange(table.n_free)
+        observed_value = np.zeros(table.size)
+        observed_value[list(table.observed)] = list(table.observed.values())
+        positions = free_position[indices]
+        observed = positions < 0
+        rank = np.arange(indices.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        for k in np.unique(rank[observed]):
+            # A row has one term of each rank, so this adds each row's
+            # observed terms one at a time, in order.
+            at = observed & (rank == k)
+            offsets[term_row[at]] += coeffs[at] * observed_value[indices[at]]
+
+        self.term_row = term_row[~observed]
+        self.positions = positions[~observed]
+        self.coeffs = coeffs[~observed]
+        self.offsets = offsets
+        self.arity = np.bincount(self.term_row, minlength=self.size)
+        self.indptr = np.concatenate(([0], np.cumsum(self.arity)))
+
+    def values(self, y) -> np.ndarray:
+        """Every row's value at the free assignment ``y``."""
+        terms = self.coeffs * y[self.positions]
+        return self.offsets + np.bincount(self.term_row, terms, minlength=self.size)
+
+    def row(self, r):
+        """``(positions, coeffs, offset)`` of row ``r``."""
+        s = slice(self.indptr[r], self.indptr[r + 1])
+        return self.positions[s], self.coeffs[s], self.offsets[r]
+
+    def padded(self, rows, arity: int):
+        """Positions and coeffs of ``rows``, all of one arity, as 2-D arrays."""
+        at = self.indptr[rows][:, None] + np.arange(arity)
+        return self.positions[at], self.coeffs[at]
+
+
+class PotentialRows(FoldedRows):
+    """Folded hinge potentials with their exponents and template ids."""
+
+    def __init__(self, potentials, table):
+        super().__init__([p.linfun for p in potentials], table, "potential")
+        self.exponent = np.fromiter((p.exponent for p in potentials), np.intp, self.size)
+        self.template_id = _index_array(
+            [p.template_id for p in potentials], "potential references unknown template"
+        )
+
+    def hinges(self, values, rows=slice(None)) -> np.ndarray:
+        """``(max{v, 0})^p`` of row values; ``rows`` picks the exponents (last axis)."""
+        h = np.maximum(values, 0.0)
+        return np.where(self.exponent[rows] == 2, h * h, h)
+
+
+class ConstraintRows(FoldedRows):
+    """Folded hard constraints with their relations."""
+
+    def __init__(self, constraints, table):
+        super().__init__([c.linfun for c in constraints], table, "constraint")
+        self.is_eq = np.fromiter((c.relation is Relation.EQ for c in constraints), bool, self.size)
+
+    def violations(self, values) -> np.ndarray:
+        return np.where(self.is_eq, np.abs(values), np.maximum(values, 0.0))
+
+
+def _checked_weights(weights, n_templates: int) -> np.ndarray:
+    weights = np.asarray(weights, dtype=float).copy()
+    weights.flags.writeable = False
+    if weights.shape != (n_templates,):
+        raise ModelError(
+            "weight vector length %d != template count %d" % (weights.size, n_templates)
+        )
+    if not np.all(np.isfinite(weights)):
+        raise ModelError("template weights must be finite")
+    if np.any(weights < 0):
+        raise ModelError("template weights must be nonnegative")
+    return weights
+
+
 class HlMrf:
     """A ground hinge-loss MRF.
 
     Immutable after construction; shares structure freely across threads.
     The density itself is never normalized here -- only the energy is
     exposed, which is all MAP inference and the implemented learners need.
+    Construction folds the observations once into ``potential_rows`` and
+    ``constraint_rows``; everything that evaluates the model reads those,
+    and ``with_weights`` copies share them.
     """
 
     def __init__(self, table, potentials=(), constraints=(), templates=(), weights=None):
@@ -203,25 +316,19 @@ class HlMrf:
         self.templates: tuple[TemplateInfo, ...] = tuple(templates)
         if weights is None:
             weights = np.zeros(len(self.templates))
-        self.weights = np.asarray(weights, dtype=float).copy()
-        self.weights.flags.writeable = False
+        self.weights = _checked_weights(weights, len(self.templates))
+        self.constraint_rows = ConstraintRows(self.constraints, table)
+        self.potential_rows = PotentialRows(self.potentials, table)
         self._validate()
 
     def _validate(self):
-        if self.weights.shape != (len(self.templates),):
+        template_id = self.potential_rows.template_id
+        unknown = (template_id < 0) | (template_id >= len(self.templates))
+        if unknown.any():
             raise ModelError(
-                "weight vector length %d != template count %d"
-                % (self.weights.size, len(self.templates))
+                "potential references unknown template %d" % template_id[unknown.argmax()]
             )
-        if not np.all(np.isfinite(self.weights)):
-            raise ModelError("template weights must be finite")
-        if np.any(self.weights < 0):
-            raise ModelError("template weights must be nonnegative")
-        counts = [0] * len(self.templates)
         for pot in self.potentials:
-            if not 0 <= pot.template_id < len(self.templates):
-                raise ModelError("potential references unknown template %d" % pot.template_id)
-            counts[pot.template_id] += 1
             if not pot.linfun.terms:
                 # Degenerate groundings are kept (they contribute 0) so that
                 # modeling bugs stay visible.
@@ -229,53 +336,49 @@ class HlMrf:
                     "potential with constant linear function (%s)" % (pot.origin or "unknown"),
                     stacklevel=3,
                 )
+        counts = np.bincount(template_id, minlength=len(self.templates))
         for tid, info in enumerate(self.templates):
             if info.groundings != counts[tid]:
                 raise ModelError(
                     "template %d records %d groundings but has %d potentials"
                     % (tid, info.groundings, counts[tid])
                 )
-        for i, con in enumerate(self.constraints):
-            for idx, _ in con.linfun.terms:
-                if not 0 <= idx < self.table.size:
-                    raise ModelError("constraint %d references unknown variable %d" % (i, idx))
-        for pot in self.potentials:
-            for idx, _ in pot.linfun.terms:
-                if not 0 <= idx < self.table.size:
-                    raise ModelError("potential references unknown variable %d" % idx)
 
     @property
     def n_free(self) -> int:
         return self.table.n_free
 
     def with_weights(self, weights) -> "HlMrf":
-        """Copy of this model with a new template weight vector."""
-        return HlMrf(self.table, self.potentials, self.constraints, self.templates, weights)
+        """Copy of this model with a new template weight vector.
 
-    def potential_weight(self, pot: HingePotential) -> float:
-        return float(self.weights[pot.template_id])
+        The copy shares the structure and its folded rows; only the weights
+        are checked.
+        """
+        model = copy.copy(self)
+        model.weights = _checked_weights(weights, len(self.templates))
+        return model
+
+    def _hinges(self, y) -> np.ndarray:
+        rows = self.potential_rows
+        return rows.hinges(rows.values(self.table.free_assignment(y)))
 
     def energy(self, y) -> float:
         """Total weighted hinge loss ``sum_j w_j (max{l_j, 0})^p_j``."""
-        values = self.table.full_values(y)
-        return float(
-            sum(self.weights[p.template_id] * p.value(values) for p in self.potentials)
-        )
+        return float(self.weights[self.potential_rows.template_id] @ self._hinges(y))
 
     def template_features(self, y) -> np.ndarray:
         """Per-template sums of unweighted potential values."""
-        values = self.table.full_values(y)
-        phi = np.zeros(len(self.templates))
-        for pot in self.potentials:
-            phi[pot.template_id] += pot.value(values)
-        return phi
+        return np.bincount(
+            self.potential_rows.template_id, self._hinges(y), minlength=len(self.templates)
+        )
 
     def check_feasible(self, y, tol: float = 1e-9):
         """Return (feasible, violated) for the hard constraints at ``y``."""
         if tol < 0:
             raise ModelError("tolerance must be nonnegative")
-        values = self.table.full_values(y)
-        violated = [c for c in self.constraints if c.violation(values) > tol]
+        rows = self.constraint_rows
+        gaps = rows.violations(rows.values(self.table.free_assignment(y)))
+        violated = [self.constraints[k] for k in np.flatnonzero(gaps > tol)]
         return (not violated, violated)
 
     # -- serialization ---------------------------------------------------

@@ -184,6 +184,69 @@ def oracle_subproblem(pot, weight, z, rho):
     return z - s * a
 
 
+def reference_mple(instance, weights, quadrature=257, block_samples=1000, seed=0):
+    """Log pseudolikelihood and gradient, each conditional over full assignments.
+
+    Every conditional copies the whole truth once per quadrature point or
+    sample and re-evaluates each touching potential on those copies. Only
+    models of disjoint sum-to-one blocks and singletons are supported.
+    """
+    mrf = instance.mrf
+    table = mrf.table
+    truth = instance.truth
+    weights = np.asarray(weights, dtype=float)
+    folded = []
+    for pot in mrf.potentials:
+        lf = pot.linfun.fold_observed(table)
+        positions = np.array([table.free_position(i) for i, _ in lf.terms], dtype=np.intp)
+        coeffs = np.array([c for _, c in lf.terms])
+        folded.append((positions, coeffs, lf.offset, pot.exponent, pot.template_id))
+    blocks = []
+    for con in mrf.constraints:
+        lf = con.linfun.fold_observed(table)
+        if lf.terms:
+            blocks.append(tuple(table.free_position(i) for i, _ in lf.terms))
+    in_block = {p for block in blocks for p in block}
+    singletons = [p for p in range(mrf.n_free) if p not in in_block]
+
+    def phi(j, states):
+        positions, coeffs, offset, exponent, _ = folded[j]
+        return np.maximum(states[:, positions] @ coeffs + offset, 0.0) ** exponent
+
+    log_pl = 0.0
+    grad = np.zeros(len(mrf.templates))
+
+    def conditional(varied, states, quad_grid=None):
+        nonlocal log_pl
+        js = [j for j, f in enumerate(folded) if set(f[0].tolist()) & set(varied)]
+        energies = sum((weights[folded[j][4]] * phi(j, states) for j in js), np.zeros(len(states)))
+        truth_phi = {j: phi(j, truth[None, :])[0] for j in js}
+        shift = energies.min()
+        density = np.exp(-(energies - shift))
+        if quad_grid is not None:
+            z = np.trapezoid(density, quad_grid)
+            expect = lambda f: np.trapezoid(f * density, quad_grid) / z
+        else:
+            z = density.mean()
+            expect = lambda f: (f * density).mean() / z
+        log_pl += -sum(weights[folded[j][4]] * truth_phi[j] for j in js) - (np.log(z) - shift)
+        for j in js:
+            grad[folded[j][4]] += expect(phi(j, states)) - truth_phi[j]
+
+    grid = np.linspace(0.0, 1.0, quadrature)
+    for p in singletons:
+        states = np.tile(truth, (quadrature, 1))
+        states[:, p] = grid
+        conditional((p,), states, quad_grid=grid)
+    rng = np.random.default_rng(seed)
+    for block in blocks:
+        states = np.tile(truth, (block_samples, 1))
+        states[:, list(block)] = rng.dirichlet(np.ones(len(block)), size=block_samples)
+        conditional(block, states)
+    counts = np.array([max(t.groundings, 1) for t in mrf.templates], dtype=float)
+    return log_pl, grad / counts
+
+
 # -- brute-force reference grounder ------------------------------------------
 
 

@@ -18,7 +18,7 @@ from softlogic.learn import (
 )
 from softlogic.model import ModelError
 
-from helpers import TIGHT, eq, hinge, leq, make_mrf
+from helpers import TIGHT, eq, hinge, leq, make_mrf, reference_mple
 
 
 class TestTrainingInstance:
@@ -219,6 +219,50 @@ class TestMple:
         inst = TrainingInstance(mrf, np.array([0.5, 0.5, 0.5]))
         with pytest.raises(UnsupportedStructureError):
             mple_log_and_gradient(inst, np.array([]))
+
+    def test_matches_full_assignment_reference(self):
+        # Each conditional only moves the potentials touching the varied
+        # variables; the reference re-evaluates every touching potential on
+        # full copies of the truth. Models mix singletons, sum-to-one
+        # blocks, observed variables and potentials spanning a block.
+        rng = np.random.default_rng(2718)
+        for _ in range(25):
+            n = int(rng.integers(4, 9))
+            order = rng.permutation(n)
+            observed = {int(i): float(rng.uniform()) for i in order[: rng.integers(0, 3)]}
+            free = [int(i) for i in order[len(observed):]]
+            blocks, rest = [], list(free)
+            while len(rest) >= 2 and rng.random() < 0.6:
+                size = int(rng.integers(2, min(3, len(rest)) + 1))
+                blocks.append(sorted(rest[:size]))
+                rest = rest[size:]
+            pots = []
+            for _ in range(int(rng.integers(2, 9))):
+                if blocks and rng.random() < 0.3:
+                    idx = np.array(blocks[int(rng.integers(len(blocks)))][:2])
+                else:
+                    idx = rng.choice(n, size=int(rng.integers(1, min(3, n) + 1)), replace=False)
+                pots.append(
+                    hinge(
+                        list(zip(idx.tolist(), rng.uniform(-1, 1, size=idx.size))),
+                        float(rng.uniform(-0.5, 0.8)),
+                        exponent=int(rng.integers(1, 3)),
+                        template=int(rng.integers(0, 3)),
+                    )
+                )
+            cons = [eq([(i, 1.0) for i in block], -1.0) for block in blocks]
+            mrf = make_mrf(pots, cons, weights=[1.0, 1.0, 1.0], n=n, observed=observed)
+            values = dict(zip(free, rng.uniform(0, 1, size=len(free))))
+            for block in blocks:
+                values.update(zip(block, rng.dirichlet(np.ones(len(block)))))
+            truth = np.array([values[i] for i in mrf.table.free_indices])
+            inst = TrainingInstance(mrf, truth)
+            w = rng.uniform(0.2, 2.0, size=3)
+            sizes = dict(quadrature=65, block_samples=200, seed=int(rng.integers(100)))
+            log_pl, grad = mple_log_and_gradient(inst, w, **sizes)
+            ref_log_pl, ref_grad = reference_mple(inst, w, **sizes)
+            assert log_pl == pytest.approx(ref_log_pl, rel=1e-10, abs=1e-10)
+            np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-10)
 
 
 class TestSeparationOracle:

@@ -236,6 +236,11 @@ class TestInnerLp:
         with pytest.raises(ClauseError):
             lcr_inner_lp(Clause((0, 1, 2, 3, 4), ()), [0.5] * 5)
 
+    @pytest.mark.parametrize("mu", [[1.5, 0.4], [0.3, -0.1], [float("nan"), 0.5]])
+    def test_out_of_range_pseudomarginal_rejected(self, mu):
+        with pytest.raises(ClauseError, match="outside"):
+            lcr_inner_lp(Clause((0, 1), (), 1.0), mu)
+
 
 class TestPolish:
     def test_never_decreases_objective(self):

@@ -1,19 +1,23 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from softlogic.model import (
     GroundAtom,
     HingePotential,
     HlMrf,
+    LinearConstraint,
     LinearFunction,
     ModelError,
+    Relation,
     TemplateInfo,
     VariableTable,
 )
 
-from helpers import eq, hinge, leq, make_mrf, random_mrf
+from helpers import batch_energy, batch_feasible, eq, hinge, leq, make_mrf, random_mrf
 
 
 class TestLinearFunction:
@@ -145,6 +149,18 @@ class TestValidation:
         with pytest.raises(ModelError, match="finite"):
             HlMrf.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "field, index", [("variable", 10**30), ("template", 10**30), ("template", 0.5)]
+    )
+    def test_bad_index_in_json_rejected(self, field, index):
+        doc = make_mrf([hinge([(0, 1.0)], 0.0)], weights=[1.0]).to_dict()
+        if field == "variable":
+            doc["potentials"][0]["linfun"]["terms"][0][0] = index
+        else:
+            doc["potentials"][0]["template"] = index
+        with pytest.raises(ModelError, match="unknown " + field):
+            HlMrf.from_json(json.dumps(doc))
+
     def test_bad_exponent_rejected(self):
         with pytest.raises(ModelError):
             HingePotential(LinearFunction([(0, 1.0)], 0.0), exponent=3)
@@ -186,3 +202,86 @@ class TestSerialization:
         doc = json.loads(make_mrf([hinge([(0, 1.0)], 0.0)], weights=[1.0]).to_json())
         assert doc["format"] == "softlogic-ground-model"
         assert doc["version"] == 1
+
+
+unit = st.floats(0.0, 1.0)
+coeff = st.floats(-2.0, 2.0).filter(lambda c: c != 0.0)
+
+
+@st.composite
+def folded_models(draw):
+    """A model over free and observed variables, with its free assignment.
+
+    Some rows touch only observed variables, so they fold to constants.
+    """
+    n = draw(st.integers(2, 6))
+    observed = draw(st.dictionaries(st.integers(0, n - 1), unit, max_size=n - 1))
+
+    def linfun():
+        indices = draw(st.lists(st.integers(0, n - 1), max_size=4, unique=True))
+        return LinearFunction([(i, draw(coeff)) for i in indices], draw(st.floats(-1.5, 1.5)))
+
+    n_templates = draw(st.integers(1, 3))
+    potentials = [
+        HingePotential(
+            linfun(), draw(st.sampled_from([1, 2])), draw(st.integers(0, n_templates - 1))
+        )
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    constraints = [
+        LinearConstraint(linfun(), draw(st.sampled_from([Relation.EQ, Relation.LEQ])))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    counts = np.bincount([p.template_id for p in potentials], minlength=n_templates)
+    table = VariableTable([GroundAtom("v", (str(i),)) for i in range(n)], observed)
+    templates = [TemplateInfo("t%d" % t, int(c)) for t, c in enumerate(counts)]
+    weights = draw(st.lists(st.floats(0.0, 5.0), min_size=n_templates, max_size=n_templates))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        mrf = HlMrf(table, potentials, constraints, templates, weights)
+    y = np.array(draw(st.lists(unit, min_size=mrf.n_free, max_size=mrf.n_free)))
+    return mrf, y
+
+
+def reference_features(mrf, y):
+    """Per-template sums, from the scalar energy of one-hot weightings."""
+    features = []
+    for t in range(len(mrf.templates)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            one_hot = HlMrf(mrf.table, mrf.potentials, mrf.constraints, mrf.templates,
+                            np.eye(len(mrf.templates))[t])
+        features.append(batch_energy(one_hot, y[None, :])[0])
+    return np.array(features)
+
+
+class TestFoldedRowsMatchScalarOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(folded_models(), st.lists(st.floats(0.0, 5.0), min_size=3, max_size=3))
+    def test_energy_features_feasibility(self, case, new_weights):
+        mrf, y = case
+        close = dict(rel=1e-12, abs=1e-12)
+        assert mrf.energy(y) == pytest.approx(batch_energy(mrf, y[None, :])[0], **close)
+        np.testing.assert_allclose(
+            mrf.template_features(y), reference_features(mrf, y), rtol=1e-12, atol=1e-12
+        )
+        values = mrf.table.full_values(y)
+        tol = 1e-9
+        feasible, violated = mrf.check_feasible(y, tol)
+        assert feasible == batch_feasible(mrf, y[None, :], tol)[0]
+        assert violated == [
+            c for c in mrf.constraints
+            if (abs if c.relation is Relation.EQ else lambda v: max(v, 0.0))(c.linfun.value(values))
+            > tol
+        ]
+
+        weights = np.array(new_weights[: len(mrf.templates)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no structure re-validation, no repeated warnings
+            copy = mrf.with_weights(weights)
+        assert copy.potential_rows is mrf.potential_rows
+        assert copy.constraint_rows is mrf.constraint_rows
+        np.testing.assert_array_equal(copy.weights, weights)
+        assert copy.energy(y) == pytest.approx(batch_energy(copy, y[None, :])[0], **close)
+        np.testing.assert_array_equal(copy.template_features(y), mrf.template_features(y))
+        assert copy.check_feasible(y, tol) == (feasible, violated)
