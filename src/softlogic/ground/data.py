@@ -17,6 +17,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..lang.ast import LangError
 from ..lang.lexer import tokenize
 from ..model import GroundAtom
@@ -37,13 +39,48 @@ class PredicateDef:
         return len(self.arg_types)
 
 
+class Coding:
+    """A data set's constants as integer codes and its observations as arrays.
+
+    A constant's code is its rank in the sorted union of all types'
+    constants, so code order is string order. ``types`` maps each type to
+    its constants' codes, ascending. ``observed`` maps each predicate with
+    observations to an argument-code matrix, rows in lexicographic order,
+    and the matching value vector.
+    """
+
+    def __init__(self, data: "DataSet"):
+        self.constants: list[str] = sorted(set().union(*data.universe.values()))
+        self.code: dict[str, int] = {c: k for k, c in enumerate(self.constants)}
+        code = self.code
+        self.types = {
+            name: np.array([code[c] for c in data.constants_of(name)], dtype=np.intp)
+            for name in data.universe
+        }
+        grouped: dict[str, tuple[list, list]] = {}
+        for atom, value in data.observations.items():
+            args, values = grouped.setdefault(atom.predicate, ([], []))
+            args.append([code[a] for a in atom.args])
+            values.append(value)
+        self.observed: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for name, (args, values) in grouped.items():
+            codes = np.array(args, dtype=np.intp).reshape(len(args), len(args[0]))
+            order = np.lexsort(codes.T[::-1])
+            self.observed[name] = (codes[order], np.array(values)[order])
+
+    def type_codes(self, name: str) -> np.ndarray:
+        if name not in self.types:
+            raise DataError("unknown type %s" % name)
+        return self.types[name]
+
+
 class DataSet:
     """Typed universe, predicate declarations, and the observation map.
 
     Types are defined through `define_type` and observations added through
     `add_observation`, which keep the lookup structures beside them: a
-    member set and a sorted tuple per type, and the nonzero observations
-    indexed by predicate.
+    member set and a sorted tuple per type, and the integer `coding` that
+    grounding reads, rebuilt on first use after a change.
     """
 
     def __init__(self, universe=None, predicates=(), observations=None, functionals=None):
@@ -54,7 +91,7 @@ class DataSet:
             self.define_type(type_name, constants)
         self.predicates: dict[str, PredicateDef] = {p.name: p for p in predicates}
         self.observations: dict[GroundAtom, float] = {}
-        self._nonzero: dict[str, list] | None = None
+        self._coding: Coding | None = None
         # Functionally defined predicates: name -> fn(*constants) -> [0, 1].
         # They behave as closed predicates whose values are computed on use.
         self.functionals: dict[str, callable] = dict(functionals or {})
@@ -72,6 +109,7 @@ class DataSet:
         self.universe[name] = constants
         self._members[name] = members
         self._sorted[name] = tuple(sorted(constants))
+        self._coding = None
 
     def has_constant(self, type_name: str, constant: str) -> bool:
         """Whether a constant is declared with a type (False for unknown types)."""
@@ -92,19 +130,13 @@ class DataSet:
         if not 0.0 <= value <= 1.0:
             raise DataError("observed value %r for %s outside [0, 1]" % (value, atom))
         self.observations[atom] = float(value)
-        self._nonzero = None
+        self._coding = None
 
-    def nonzero_args(self, predicate: str) -> list:
-        """Sorted argument tuples of a predicate's nonzero observations."""
-        if self._nonzero is None:
-            index: dict[str, list] = {}
-            for atom, value in self.observations.items():
-                if value != 0.0:
-                    index.setdefault(atom.predicate, []).append(atom.args)
-            for args in index.values():
-                args.sort()
-            self._nonzero = index
-        return self._nonzero.get(predicate, [])
+    def coding(self) -> Coding:
+        """The integer coding of the constants and observations, built on first use."""
+        if self._coding is None:
+            self._coding = Coding(self)
+        return self._coding
 
     def register_functional(self, name: str, arg_types, fn):
         self.predicates[name] = PredicateDef(name, tuple(arg_types), closed=True)

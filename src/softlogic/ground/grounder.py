@@ -2,22 +2,44 @@
 
 Each rule is applied under every consistent substitution of constants for
 its variables. Weighted rules emit hinge potentials, unweighted rules emit
-hard constraints, and observed atoms are folded into the linear functions'
-constant terms. Output order is deterministic: rules in program order, and
-each rule's groundings in lexicographic order of their substitution
-(variables by name, then constants), so grounding the same inputs twice
-yields byte-identical models.
+hard constraints, and observed atoms are folded into the constant terms.
+Output order is deterministic: rules in program order, and each rule's
+groundings in lexicographic order of their substitution (variables by name,
+then constants), so grounding the same inputs twice yields byte-identical
+models.
 
-Type membership is a set lookup, domains are sorted once per rule and the
-nonzero observations are indexed once per data set, so grounding costs time
-linear in the observations plus the groundings it emits.
+Logical rules are grounded set at a time, bottom up, as in Tuffy and in
+PSL's database grounding. `DataSet.coding` gives every constant an integer
+code, its rank in the sorted union of all constants, so code order is
+string order, and keeps each predicate's observations as an argument-code
+matrix and a value vector. A rule's substitutions are a join over those
+arrays: with pruning, a negated closed atom contributes only its nonzero
+observations, joined on sorted integer keys, and every other variable
+ranges over its typed domain; a `np.lexsort` of the code columns then
+gives the lexicographic order. Each literal's ground atoms are looked up
+set at a time too (observations by sorted keys, open atoms' table indices
+as mixed-radix codes over the sorted type constants, functional predicates
+once per distinct atom), and the offsets, the merged terms and the prune
+test are array expressions.
+
+Arithmetic rules and select clauses are grounded one substitution at a
+time. Both kinds of rule return a `GroundRules`, the rule's rows, and
+`ground_program` concatenates those rows into the model with
+`HlMrf.from_rows`. `GroundRule`, `HingePotential` and `LinearConstraint`
+objects and origin strings are built only when something reads them.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from ..lang import BUILTIN_COEFFICIENTS
 from ..lang.ast import (
@@ -38,16 +60,18 @@ from ..lang.ast import (
 )
 from ..lang.parser import normalize_logical
 from ..model import (
+    ConstraintRows,
     GroundAtom,
     HingePotential,
     HlMrf,
     LinearConstraint,
     LinearFunction,
+    PotentialRows,
     Relation,
     TemplateInfo,
     VariableTable,
 )
-from .data import DataSet
+from .data import DataError, DataSet
 
 
 class GroundingError(LangError):
@@ -68,36 +92,161 @@ class GroundRule:
     constraints: tuple[LinearConstraint, ...] = ()
 
 
-def build_variable_table(data: DataSet):
-    """Index the base atoms of open predicates; returns (table, atom -> index).
+class _Rows(NamedTuple):
+    """Linear functions in CSR form over table indices."""
+
+    indices: np.ndarray
+    coeffs: np.ndarray
+    arity: np.ndarray
+    offsets: np.ndarray
+
+
+class GroundRules(Sequence):
+    """The groundings of one rule as rows; each `GroundRule` is built on access.
+
+    Grounding ``k`` substitutes ``constants[codes[k]]`` for the variables
+    ``names``. Its potentials (``exponent`` set) or constraints (with
+    ``relation``) are the ``rows`` with ``row_ground == k``.
+    """
+
+    def __init__(self, rule_id, names, codes, constants, rows: _Rows, row_ground,
+                 exponent=None, relation=Relation.LEQ):
+        self.rule_id = rule_id
+        self.names = tuple(names)
+        self.codes = codes
+        self.constants = constants
+        self.rows = rows
+        self.row_ground = row_ground
+        self.exponent = exponent
+        self.relation = relation
+
+    @classmethod
+    def from_functions(cls, rule_id, names, coding, groundings, exponent=None,
+                       relation=Relation.LEQ):
+        """Rows of ``(constants, [LinearFunction, ...])`` groundings, in order."""
+        codes = np.array(
+            [[coding.code[c] for c in combo] for combo, _ in groundings], dtype=np.intp
+        ).reshape(len(groundings), len(names))
+        funs = [(k, f) for k, (_, fs) in enumerate(groundings) for f in fs]
+        rows = _Rows(
+            np.array([i for _, f in funs for i, _ in f.terms], dtype=np.intp),
+            np.array([c for _, f in funs for _, c in f.terms], dtype=float),
+            np.array([len(f.terms) for _, f in funs], dtype=np.intp),
+            np.array([f.offset for _, f in funs], dtype=float),
+        )
+        row_ground = np.array([k for k, _ in funs], dtype=np.intp)
+        return cls(rule_id, names, codes, coding.constants, rows, row_ground, exponent, relation)
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.rows.offsets)
+
+    def substitution(self, k) -> tuple[tuple[str, str], ...]:
+        return tuple(zip(self.names, (self.constants[c] for c in self.codes[k].tolist())))
+
+    def origin(self, row) -> str:
+        return _origin(self.rule_id, self.substitution(self.row_ground[row]))
+
+    @functools.cached_property
+    def _indptr(self):
+        return np.concatenate(([0], np.cumsum(self.rows.arity))).tolist()
+
+    def _function(self, row) -> LinearFunction:
+        a, b = self._indptr[row], self._indptr[row + 1]
+        terms = zip(self.rows.indices[a:b].tolist(), self.rows.coeffs[a:b].tolist())
+        return LinearFunction(terms, self.rows.offsets[row])
+
+    def __len__(self):
+        return len(self.codes)
+
+    def __getitem__(self, k):
+        k = range(len(self))[k]
+        sub = self.substitution(k)
+        first, last = np.searchsorted(self.row_ground, [k, k + 1]).tolist()
+        funs = [self._function(r) for r in range(first, last)]
+        if self.exponent is None:
+            constraints = tuple(LinearConstraint(f, self.relation) for f in funs)
+            return GroundRule(self.rule_id, sub, constraints=constraints)
+        origin = _origin(self.rule_id, sub)
+        potentials = tuple(HingePotential(f, self.exponent, self.rule_id, origin) for f in funs)
+        return GroundRule(self.rule_id, sub, potentials=potentials)
+
+    def __eq__(self, other):
+        if isinstance(other, (list, tuple, GroundRules)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+
+class _Layout:
+    """A data set's variable table and where each open atom sits in it.
 
     Closed and functional predicates never become model variables: their
     values are constants folded into linear functions at grounding time.
     Open atoms with an explicit observation enter the table as observed.
     """
-    labels = []
-    for name in sorted(data.predicates):
-        pred = data.predicates[name]
-        if pred.closed or name in data.functionals:
-            continue
-        labels.extend(data.atoms_of(name))
-    index = {atom: i for i, atom in enumerate(labels)}
-    observed = {}
-    for i, atom in enumerate(labels):
-        value = data.observed_value(atom)
-        if value is not None:
-            observed[i] = value
-    return VariableTable(labels, observed), index
+
+    def __init__(self, data: DataSet):
+        self.data = data
+        self.coding = data.coding()
+        self.radix = max(1, len(self.coding.constants))
+        self.base: dict[str, int] = {}
+        labels = []
+        for name in sorted(data.predicates):
+            if data.predicates[name].closed or name in data.functionals:
+                continue
+            self.base[name] = len(labels)
+            labels.extend(data.atoms_of(name))
+        observed = {}
+        for name in self.base:
+            if name in self.coding.observed:
+                codes, values = self.coding.observed[name]
+                observed.update(zip(self.indices(name, codes).tolist(), values.tolist()))
+        self.table = VariableTable(labels, observed)
+        self.free_position = np.full(self.table.size, -1, dtype=np.intp)
+        self.free_position[list(self.table.free_indices)] = np.arange(self.table.n_free)
+
+    def indices(self, predicate, args) -> np.ndarray:
+        """Table indices of open atoms (rows of argument codes).
+
+        `DataSet.atoms_of` is a product over sorted type constants, so an
+        atom's index is the mixed-radix number of its constants' ranks.
+        """
+        index = np.zeros(len(args), dtype=np.intp)
+        for position, type_name in enumerate(self.data.predicates[predicate].arg_types):
+            constants = self.coding.types[type_name]
+            index = index * len(constants) + np.searchsorted(constants, args[:, position])
+        return index + self.base[predicate]
+
+    def values(self, predicate, args) -> np.ndarray:
+        """Observed value of each atom (rows of argument codes); NaN if unobserved."""
+        closed = self.data.predicates[predicate].closed
+        values = np.full(len(args), 0.0 if closed else np.nan)
+        if predicate in self.coding.observed:
+            codes, observed = self.coding.observed[predicate]
+            at, found = _find(*_keys(self.radix, codes, args))
+            values[found] = observed[at[found]]
+        return values
+
+    @functools.cached_property
+    def index(self) -> dict[GroundAtom, int]:
+        return {atom: i for i, atom in enumerate(self.table.labels)}
 
 
-def _hinge_box_max(linfun: LinearFunction) -> float:
-    """Largest value of the linear function over the unit box."""
-    return linfun.offset + sum(c for _, c in linfun.terms if c > 0)
+def build_variable_table(data: DataSet):
+    """Index the base atoms of open predicates; returns (table, atom -> index)."""
+    layout = _Layout(data)
+    return layout.table, layout.index
 
 
 def _infer_domains(atoms, data, location):
-    """Variable name -> sorted candidate constants over all atom positions."""
-    domains: dict[str, set] = {}
+    """Variable name -> ascending codes of its candidate constants.
+
+    A variable ranges over the constants of every type it takes.
+    """
+    coding = data.coding()
+    domains: dict[str, np.ndarray] = {}
     for atom in atoms:
         pred = data.predicates.get(atom.predicate)
         if pred is None:
@@ -116,12 +265,11 @@ def _infer_domains(atoms, data, location):
                         *location,
                     )
             elif isinstance(arg, Variable):
-                pool = set(data.constants_of(type_name))
+                pool = coding.type_codes(type_name)
                 if arg.name in domains:
-                    domains[arg.name] &= pool
-                else:
-                    domains[arg.name] = pool
-    return {name: tuple(sorted(pool)) for name, pool in domains.items()}
+                    pool = np.intersect1d(domains[arg.name], pool, assume_unique=True)
+                domains[arg.name] = pool
+    return domains
 
 
 def _ground_term(term, subst):
@@ -142,161 +290,189 @@ def _comparison_value(comp: ComparisonAtom, subst) -> float:
     return 1.0 if left != right else 0.0
 
 
-class _JoinEnumerator:
-    """Backtracking enumeration of consistent substitutions.
+def _origin(rule_id, substitution):
+    inside = ", ".join("%s=%s" % (k, v) for k, v in substitution)
+    return "rule %d {%s}" % (rule_id, inside)
 
-    Atoms are bound one at a time, cheapest first. When pruning is enabled,
-    a closed atom that appears negated in the clause only needs its nonzero
-    observations (a zero there satisfies the ground clause outright), which
-    is what makes blocking-style rules cheap to ground.
+
+# -- logical rules: set-at-a-time joins over integer codes ------------------
+
+
+def _keys(radix, *matrices):
+    """Integer keys of the rows of equal-width code matrices, in row order.
+
+    Rows pack into one int64 each in mixed radix when that cannot
+    overflow; otherwise they are ranked together.
     """
-
-    def __init__(self, data: DataSet, domains, atoms, prune: bool, location):
-        self.data = data
-        self.domains = domains  # name -> sorted tuple, the enumeration order
-        self.members = {name: frozenset(pool) for name, pool in domains.items()}
-        self.atoms = atoms  # list of (Atom, negated_in_clause)
-        self.prune = prune
-        self.location = location
-        self._bucket_cache: dict[tuple, dict] = {}
-
-    def _bucket_index(self, predicate, position):
-        """Nonzero observations of a predicate grouped by one argument."""
-        key = (predicate, position)
-        if key not in self._bucket_cache:
-            buckets: dict[str, list] = {}
-            for args in self.data.nonzero_args(predicate):
-                buckets.setdefault(args[position], []).append(args)
-            self._bucket_cache[key] = buckets
-        return self._bucket_cache[key]
-
-    def _indexable(self, atom, negated):
-        pred = self.data.predicates[atom.predicate]
-        return (
-            self.prune
-            and negated
-            and pred.closed
-            and atom.predicate not in self.data.functionals
-        )
-
-    def _cost(self, atom, negated, bound):
-        if self._indexable(atom, negated):
-            nnz = len(self.data.nonzero_args(atom.predicate))
-            for position, arg in enumerate(atom.args):
-                fixed = isinstance(arg, Constant) or (
-                    isinstance(arg, Variable) and arg.name in bound
-                )
-                if fixed:
-                    buckets = self._bucket_index(atom.predicate, position)
-                    return max(1, nnz // max(1, len(buckets)))
-            return nnz
-        cost = 1
-        for arg in atom.args:
-            if isinstance(arg, Variable) and arg.name not in bound:
-                cost *= len(self.domains[arg.name])
-        return cost
-
-    def _order(self):
-        remaining = list(range(len(self.atoms)))
-        bound: set[str] = set()
-        order = []
-        while remaining:
-            best = min(
-                remaining, key=lambda i: (self._cost(*self.atoms[i], bound), i)
-            )
-            order.append(best)
-            remaining.remove(best)
-            bound |= {a.name for a in self.atoms[best][0].args if isinstance(a, Variable)}
-        return order
-
-    def _match(self, atom, args, subst):
-        """Try binding one ground tuple; returns newly bound names or None."""
-        new = {}
-        for arg, value in zip(atom.args, args):
-            if isinstance(arg, Constant):
-                if arg.value != value:
-                    return None
-            else:
-                current = subst.get(arg.name, new.get(arg.name))
-                if current is None:
-                    if value not in self.members[arg.name]:
-                        return None
-                    new[arg.name] = value
-                elif current != value:
-                    return None
-        return new
-
-    def _candidates(self, atom, negated, subst):
-        if self._indexable(atom, negated):
-            for position, arg in enumerate(atom.args):
-                if isinstance(arg, Constant):
-                    return self._bucket_index(atom.predicate, position).get(arg.value, ())
-                if arg.name in subst:
-                    return self._bucket_index(atom.predicate, position).get(subst[arg.name], ())
-            return self.data.nonzero_args(atom.predicate)
-        slots = []
-        for arg in atom.args:
-            if isinstance(arg, Constant):
-                slots.append((arg.value,))
-            elif arg.name in subst:
-                slots.append((subst[arg.name],))
-            else:
-                slots.append(self.domains[arg.name])
-        return itertools.product(*slots)
-
-    def substitutions(self):
-        order = self._order()
-        subst: dict[str, str] = {}
-
-        def recurse(depth):
-            if depth == len(order):
-                yield dict(subst)
-                return
-            atom, negated = self.atoms[order[depth]]
-            for args in self._candidates(atom, negated, subst):
-                new = self._match(atom, args, subst)
-                if new is None:
-                    continue
-                subst.update(new)
-                yield from recurse(depth + 1)
-                for name in new:
-                    del subst[name]
-
-        if not self.atoms:
-            yield {}
-        else:
-            yield from recurse(0)
+    width = matrices[0].shape[1]
+    if radix**width < 2**63:
+        keys = []
+        for rows in matrices:
+            key = np.zeros(len(rows), dtype=np.int64)
+            for column in rows.T:
+                key = key * radix + column
+            keys.append(key)
+        return keys
+    _, rank = np.unique(np.concatenate(matrices), axis=0, return_inverse=True)
+    return np.split(rank.ravel(), np.cumsum([len(m) for m in matrices[:-1]]))
 
 
-def _fold_literal_values(literals, data, index, subst, location):
-    """Build the clause's distance-to-satisfaction function for one grounding."""
-    offset = 1.0
-    terms = []
+def _find(sorted_keys, keys):
+    """Where each key sits in ``sorted_keys``, and whether it is there."""
+    at = np.searchsorted(sorted_keys, keys)
+    found = at < len(sorted_keys)
+    found[found] = sorted_keys[at[found]] == keys[found]
+    return at, found
+
+
+def _join(left, right, radix):
+    """Natural join of two ``(variable names, code matrix)`` relations."""
+    lnames, lrows = left
+    rnames, rrows = right
+    shared = [v for v in rnames if v in lnames]
+    lkeys, rkeys = _keys(
+        radix,
+        lrows[:, [lnames.index(v) for v in shared]],
+        rrows[:, [rnames.index(v) for v in shared]],
+    )
+    order = np.argsort(rkeys, kind="stable")
+    rkeys = rkeys[order]
+    first = np.searchsorted(rkeys, lkeys, "left")
+    counts = np.searchsorted(rkeys, lkeys, "right") - first
+    lpick = np.repeat(np.arange(len(lrows)), counts)
+    rpick = order[np.arange(lpick.size) + np.repeat(first - np.cumsum(counts) + counts, counts)]
+    extra = [k for k, v in enumerate(rnames) if v not in lnames]
+    names = lnames + tuple(rnames[k] for k in extra)
+    return names, np.hstack([lrows[lpick], rrows[rpick][:, extra]])
+
+
+def _substitutions(literals, domains, layout, prune):
+    """Consistent substitutions as a code matrix, variables by name, rows sorted.
+
+    With pruning, a negated closed atom that is 0 satisfies the ground
+    clause outright, so such an atom contributes only its nonzero
+    observations; every other variable ranges over its domain.
+    """
+    data, coding = layout.data, layout.coding
+    relations = []
     for lit in literals:
-        if isinstance(lit.atom, ComparisonAtom):
-            value = _comparison_value(lit.atom, subst)
-            offset -= (1.0 - value) if lit.negated else value
+        atom = lit.atom
+        pred = data.predicates[atom.predicate]
+        if not (prune and lit.negated and pred.closed and atom.predicate not in data.functionals):
             continue
-        gatom = _ground_atom(lit.atom, subst)
-        value = data.observed_value(gatom)
-        if value is not None:
-            offset -= (1.0 - value) if lit.negated else value
-        elif lit.negated:
-            offset -= 1.0
-            terms.append((index[gatom], 1.0))
-        else:
-            terms.append((index[gatom], -1.0))
-    return LinearFunction(terms, offset)
+        codes, values = coding.observed.get(
+            atom.predicate, (np.zeros((0, pred.arity), dtype=np.intp), np.zeros(0))
+        )
+        keep = values != 0.0
+        columns: dict[str, int] = {}
+        for position, arg in enumerate(atom.args):
+            column = codes[:, position]
+            if isinstance(arg, Constant):
+                keep &= column == coding.code[arg.value]
+            elif arg.name in columns:
+                keep &= column == codes[:, columns[arg.name]]
+            else:
+                columns[arg.name] = position
+                keep &= _find(domains[arg.name], column)[1]
+        relations.append((tuple(columns), codes[keep][:, list(columns.values())]))
+
+    names, rows = (), np.zeros((1, 0), dtype=np.intp)
+    while relations:
+        # Smallest relation first, then those that share a bound variable.
+        best = min(
+            range(len(relations)),
+            key=lambda k: (bool(names) and not set(relations[k][0]) & set(names),
+                           len(relations[k][1]), k),
+        )
+        names, rows = _join((names, rows), relations.pop(best), layout.radix)
+    ordered = sorted(domains)
+    for name in ordered:
+        if name not in names:
+            names, rows = _join((names, rows), ((name,), domains[name][:, None]), layout.radix)
+    rows = rows[:, [names.index(v) for v in ordered]]
+    if ordered:
+        rows = rows[np.lexsort(rows.T[::-1])]
+    return rows
 
 
-def ground_logical_rule(rule, data, index=None, rule_id=0, prune=False, location=(None, None)):
-    """All groundings of one logical rule.
+def _atom_args(atom, names, subs, coding):
+    """Argument codes of an atom under each substitution."""
+    columns = [
+        np.full(len(subs), coding.code[arg.value], dtype=np.intp)
+        if isinstance(arg, Constant)
+        else subs[:, names.index(arg.name)]
+        for arg in atom.args
+    ]
+    return np.stack(columns, axis=1) if columns else np.zeros((len(subs), 0), dtype=np.intp)
+
+
+def _functional_values(layout, predicate, args):
+    """Values of a functional predicate, one call per distinct atom.
+
+    Returns the values and the first row whose value lies outside [0, 1]
+    with its error (or None); such values read as 0.
+    """
+    (keys,) = _keys(layout.radix, args)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    fn = layout.data.functionals[predicate]
+    constants = layout.coding.constants
+    distinct = [float(fn(*(constants[c] for c in row))) for row in args[first].tolist()]
+    values = np.array(distinct, dtype=float)[inverse.ravel()]
+    bad = ~((values >= 0.0) & (values <= 1.0))
+    if not bad.any():
+        return values, None
+    row = int(bad.argmax())
+    value = distinct[inverse.ravel()[row]]
+    error = DataError("functional predicate %s returned %r" % (predicate, value))
+    values[bad] = 0.0
+    return values, (row, error)
+
+
+def _comparison_values(comp, names, subs, coding):
+    """1.0 where the two sides of ``!=`` differ, else 0.0."""
+    sides = [
+        subs[:, names.index(t.name)] if isinstance(t, Variable) else t.value
+        for t in (comp.left, comp.right)
+    ]
+    if all(isinstance(side, str) for side in sides):
+        return np.full(len(subs), 1.0 if sides[0] != sides[1] else 0.0)
+    # A constant outside the universe differs from every substituted constant.
+    left, right = (coding.code.get(s, -1) if isinstance(s, str) else s for s in sides)
+    return (left != right).astype(float)
+
+
+def _merge_terms(index, coeff, n):
+    """CSR terms of ``n`` rows from per-literal columns (index -1: no term).
+
+    As in `LinearFunction`, each row's terms are sorted by variable index,
+    duplicates summed and zero coefficients dropped.
+    """
+    width = len(index)
+    index = np.stack(index, axis=1).ravel() if width else np.zeros(0, dtype=np.intp)
+    coeff = np.stack(coeff, axis=1).ravel() if width else np.zeros(0)
+    row = np.repeat(np.arange(n), width)
+    present = index >= 0
+    row, index, coeff = row[present], index[present], coeff[present]
+    order = np.lexsort((index, row))
+    row, index, coeff = row[order], index[order], coeff[order]
+    start = np.ones(row.size, dtype=bool)
+    start[1:] = (row[1:] != row[:-1]) | (index[1:] != index[:-1])
+    starts = np.flatnonzero(start)
+    coeff = np.add.reduceat(coeff, starts) if starts.size else coeff
+    row, index = row[starts], index[starts]
+    nonzero = coeff != 0.0
+    row, index, coeff = row[nonzero], index[nonzero], coeff[nonzero]
+    return index, coeff, np.bincount(row, minlength=n)
+
+
+def ground_logical_rule(rule, data, layout=None, rule_id=0, prune=False, location=(None, None)):
+    """All groundings of one logical rule, as a `GroundRules`.
 
     Weighted rules yield one hinge potential per grounding (squared when the
     rule is), unweighted rules yield one `<= 0` hard constraint.
     """
-    if index is None:
-        _, index = build_variable_table(data)
+    if layout is None:
+        layout = _Layout(data)
     if rule.literals is None:
         rule = normalize_logical(rule)
     regular = [lit for lit in rule.literals if isinstance(lit.atom, Atom)]
@@ -311,39 +487,60 @@ def ground_logical_rule(rule, data, index=None, rule_id=0, prune=False, location
                     *location,
                 )
 
-    enumerator = _JoinEnumerator(
-        data, domains, [(lit.atom, lit.negated) for lit in regular], prune, location
-    )
-    # The join order depends on the data; sorting makes the output order
-    # lexicographic in the substitution whatever plan the join chose.
-    groundings = sorted(tuple(sorted(s.items())) for s in enumerator.substitutions())
-    out = []
-    for sub in groundings:
-        subst = dict(sub)
-        linfun = _fold_literal_values(rule.literals, data, index, subst, location)
-        origin = _origin(rule_id, sub)
-        if rule.weight is not None:
-            if prune and (not linfun.terms or _hinge_box_max(linfun) <= 0.0):
-                continue
-            pot = HingePotential(linfun, 2 if rule.squared else 1, rule_id, origin)
-            out.append(GroundRule(rule_id, sub, potentials=(pot,)))
+    coding = layout.coding
+    names = tuple(sorted(domains))
+    subs = _substitutions(regular, domains, layout, prune)
+    n = len(subs)
+    offsets = np.ones(n)
+    term_index, term_coeff = [], []
+    errors = []  # (row, literal position, error): the first in grounding order is raised
+    for position, lit in enumerate(rule.literals):
+        if isinstance(lit.atom, ComparisonAtom):
+            truth = _comparison_values(lit.atom, names, subs, coding)
+            offsets -= (1.0 - truth) if lit.negated else truth
+            continue
+        atom = lit.atom
+        args = _atom_args(atom, names, subs, coding)
+        if atom.predicate in data.functionals:
+            values, error = _functional_values(layout, atom.predicate, args)
+            if error is not None:
+                errors.append((error[0], position, error[1]))
         else:
-            if not linfun.terms:
-                if linfun.offset > 1e-9:
-                    raise GroundingError(
-                        "hard rule is violated by the observations alone (%s)" % origin,
-                        *location,
-                    )
-                if prune:
-                    continue
-            con = LinearConstraint(linfun, Relation.LEQ)
-            out.append(GroundRule(rule_id, sub, constraints=(con,)))
-    return out
+            values = layout.values(atom.predicate, args)
+        free = np.isnan(values)
+        offsets -= np.where(free, float(lit.negated), (1.0 - values) if lit.negated else values)
+        index = np.full(n, -1, dtype=np.intp)
+        if free.any():  # only open atoms can be unobserved
+            index[free] = layout.indices(atom.predicate, args[free])
+        term_index.append(index)
+        term_coeff.append(np.where(free, 1.0 if lit.negated else -1.0, 0.0))
 
+    indices, coeffs, arity = _merge_terms(term_index, term_coeff, n)
+    if rule.weight is not None:
+        keep = np.ones(n, dtype=bool)
+        if prune:
+            term_row = np.repeat(np.arange(n), arity)
+            positive = np.bincount(term_row, np.maximum(coeffs, 0.0), minlength=n)
+            keep = (arity > 0) & (offsets + positive > 0.0)
+    else:
+        violated = (arity == 0) & (offsets > 1e-9)
+        if violated.any():
+            row = int(violated.argmax())
+            origin = _origin(rule_id, tuple(zip(names, (coding.constants[c] for c in subs[row]))))
+            errors.append((row, len(rule.literals), GroundingError(
+                "hard rule is violated by the observations alone (%s)" % origin, *location
+            )))
+        keep = arity > 0 if prune else np.ones(n, dtype=bool)
+    if errors:
+        raise min(errors, key=lambda e: e[:2])[2]
 
-def _origin(rule_id, substitution):
-    inside = ", ".join("%s=%s" % (k, v) for k, v in substitution)
-    return "rule %d {%s}" % (rule_id, inside)
+    kept_terms = np.repeat(keep, arity)
+    rows = _Rows(indices[kept_terms], coeffs[kept_terms], arity[keep], offsets[keep])
+    exponent = None if rule.weight is None else (2 if rule.squared else 1)
+    return GroundRules(
+        rule_id, names, subs[keep], coding.constants, rows,
+        np.arange(len(rows.offsets)), exponent,
+    )
 
 
 # -- arithmetic rules ------------------------------------------------------
@@ -406,6 +603,11 @@ def _check_select_closed(select, data, rule_vars, location):
     walk(select.clause)
 
 
+def _hinge_box_max(linfun: LinearFunction) -> float:
+    """Largest value of the linear function over the unit box."""
+    return linfun.offset + sum(c for _, c in linfun.terms if c > 0)
+
+
 class _ZeroCardinalityDivision(ArithmeticError):
     pass
 
@@ -435,18 +637,23 @@ def _eval_coeff(node, cards, location):
     raise GroundingError("cannot evaluate coefficient %r" % (node,), *location)
 
 
-def ground_arithmetic_rule(rule, data, index=None, rule_id=0, prune=False, location=(None, None)):
-    """All groundings of one arithmetic rule.
+def ground_arithmetic_rule(rule, data, layout=None, rule_id=0, prune=False, location=(None, None)):
+    """All groundings of one arithmetic rule, as a `GroundRules`.
 
     Sum variables expand to sums over their select-filtered candidates with
     the coefficient distributed across the summands; hard rules become
     equality/inequality constraints and weighted rules become one (for
     inequalities) or two (for equalities) hinge potentials per grounding.
     """
-    if index is None:
-        _, index = build_variable_table(data)
+    if layout is None:
+        layout = _Layout(data)
+    index = layout.index
+    constants = layout.coding.constants
     atoms = [t.atom for t in rule.lhs + rule.rhs if t.atom is not None]
-    domains = _infer_domains(atoms, data, location)
+    domains = {
+        name: [constants[c] for c in codes.tolist()]
+        for name, codes in _infer_domains(atoms, data, location).items()
+    }
     sum_domains = {}
     for atom in atoms:
         pred = data.predicates[atom.predicate]
@@ -463,7 +670,7 @@ def ground_arithmetic_rule(rule, data, index=None, rule_id=0, prune=False, locat
 
     sum_pools = {name: sorted(sum_domains[name]) for name in sorted(sum_domains)}
     free_vars = sorted(domains)
-    out = []
+    out = []  # (constants of the free variables, linear functions emitted)
     for combo in itertools.product(*(domains[v] for v in free_vars)):
         subst = dict(zip(free_vars, combo))
         candidates = {}
@@ -525,40 +732,65 @@ def ground_arithmetic_rule(rule, data, index=None, rule_id=0, prune=False, locat
         linfun = LinearFunction(lin_terms, offset)
         if rule.relation == ">=":
             linfun = linfun.negated()
-        sub = tuple(sorted(subst.items()))
-        origin = _origin(rule_id, sub)
 
         if rule.weight is None:
-            relation = Relation.EQ if rule.relation == "=" else Relation.LEQ
             if not linfun.terms:
                 violated = (
-                    abs(linfun.offset) > 1e-9
-                    if relation is Relation.EQ
-                    else linfun.offset > 1e-9
+                    abs(linfun.offset) > 1e-9 if rule.relation == "=" else linfun.offset > 1e-9
                 )
                 if violated:
                     raise GroundingError(
-                        "hard rule is violated by the observations alone (%s)" % origin,
+                        "hard rule is violated by the observations alone (%s)"
+                        % _origin(rule_id, tuple(sorted(subst.items()))),
                         *location,
                     )
                 if prune:
                     continue
-            out.append(
-                GroundRule(rule_id, sub, constraints=(LinearConstraint(linfun, relation),))
-            )
+            out.append((combo, [linfun]))
         else:
-            exponent = 2 if rule.squared else 1
             funs = [linfun]
             if rule.relation == "=":
                 funs.append(linfun.negated())
-            pots = []
-            for fun in funs:
-                if prune and (not fun.terms or _hinge_box_max(fun) <= 0.0):
-                    continue
-                pots.append(HingePotential(fun, exponent, rule_id, origin))
-            if pots or not prune:
-                out.append(GroundRule(rule_id, sub, potentials=tuple(pots)))
-    return out
+            if prune:
+                funs = [f for f in funs if f.terms and _hinge_box_max(f) > 0.0]
+            if funs:
+                out.append((combo, funs))
+    coding = layout.coding
+    if rule.weight is None:
+        relation = Relation.EQ if rule.relation == "=" else Relation.LEQ
+        return GroundRules.from_functions(rule_id, free_vars, coding, out, relation=relation)
+    exponent = 2 if rule.squared else 1
+    return GroundRules.from_functions(rule_id, free_vars, coding, out, exponent)
+
+
+def _concat(arrays, dtype):
+    return np.concatenate(arrays).astype(dtype, copy=False) if arrays else np.zeros(0, dtype)
+
+
+def _per_row(blocks, value, dtype):
+    return _concat([np.full(b.n_rows, value(b)) for b in blocks], dtype)
+
+
+def _rows(blocks, layout):
+    """The rows of several rules, concatenated, over free positions."""
+    return (
+        layout.free_position[_concat([b.rows.indices for b in blocks], np.intp)],
+        _concat([b.rows.coeffs for b in blocks], float),
+        _concat([b.rows.arity for b in blocks], np.intp),
+        _concat([b.rows.offsets for b in blocks], float),
+    )
+
+
+class _Origins:
+    """Origin strings of the potential rows of several rules, built on access."""
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+        self.starts = np.cumsum([0] + [b.n_rows for b in blocks]).tolist()
+
+    def __getitem__(self, r):
+        k = bisect.bisect_right(self.starts, r) - 1
+        return self.blocks[k].origin(r - self.starts[k])
 
 
 def ground_program(program, data, prune=False) -> HlMrf:
@@ -568,34 +800,44 @@ def ground_program(program, data, prune=False) -> HlMrf:
     hard rules, whose templates have no potentials). Per-rule errors are
     aggregated with their source locations.
     """
-    table, index = build_variable_table(data)
-    potentials = []
-    constraints = []
+    layout = _Layout(data)
+    blocks = []
     templates = []
     weights = []
     errors = []
     spans = program.spans or tuple((None, None) for _ in program.rules)
     for rule_id, (rule, span) in enumerate(zip(program.rules, spans)):
         source = " ".join(rule.render().split())
+        count = 0
         try:
             if rule.kind == "logical":
                 grounds = ground_logical_rule(
-                    rule, data, index, rule_id=rule_id, prune=prune, location=span
+                    rule, data, layout, rule_id=rule_id, prune=prune, location=span
                 )
             else:
                 grounds = ground_arithmetic_rule(
-                    rule, data, index, rule_id=rule_id, prune=prune, location=span
+                    rule, data, layout, rule_id=rule_id, prune=prune, location=span
                 )
+            blocks.append(grounds)
+            if grounds.exponent is not None:
+                count = grounds.n_rows
         except LangError as exc:
             errors.append(str(exc))
-            grounds = []
-        count = 0
-        for g in grounds:
-            potentials.extend(g.potentials)
-            constraints.extend(g.constraints)
-            count += len(g.potentials)
         templates.append(TemplateInfo(source, count))
         weights.append(rule.weight if rule.weight is not None else 0.0)
     if errors:
         raise GroundingError("; ".join(errors))
-    return HlMrf(table, potentials, constraints, templates, weights)
+    potentials = [b for b in blocks if b.exponent is not None]
+    constraints = [b for b in blocks if b.exponent is None]
+    potential_rows = PotentialRows(
+        *_rows(potentials, layout),
+        _per_row(potentials, lambda b: b.exponent, np.intp),
+        _per_row(potentials, lambda b: b.rule_id, np.intp),
+    )
+    constraint_rows = ConstraintRows(
+        *_rows(constraints, layout),
+        _per_row(constraints, lambda b: b.relation is Relation.EQ, bool),
+    )
+    return HlMrf.from_rows(
+        layout.table, potential_rows, constraint_rows, templates, weights, _Origins(potentials)
+    )

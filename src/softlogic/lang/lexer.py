@@ -1,8 +1,16 @@
-"""Tokenizer shared by the rule parser and the data-file reader."""
+"""Tokenizer shared by the rule parser and the data-file reader.
+
+One master regular expression, run with `re.finditer`, matches each token
+or comment together with the blanks before it. Newlines are matched on
+their own, so the scan tracks the line and where it starts, and a token's
+column is its offset from that start.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import re
+from typing import NamedTuple
 
 from .ast import LangError
 
@@ -11,8 +19,7 @@ class SyntaxErrorWithLocation(LangError):
     pass
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -58,112 +65,99 @@ _ONE_CHAR = {
     "@": "AT",
 }
 
+# Alternatives are tried in order at each position, so comments come
+# before "/" and two-character operators before one-character ones.
+_MASTER = re.compile(
+    r"""
+    [ \t\r]*
+    (?:
+      (?P<NEWLINE>\n)
+    | (?P<COMMENT>//[^\n]*)
+    | (?P<BLOCK>/\*.*?\*/)
+    | (?P<OPEN_BLOCK>/\*)
+    | (?P<STRING>"(?:[^"\\\n]|\\.)*" | '(?:[^'\\\n]|\\.)*')
+    | (?P<NUMBER>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+    | (?P<IDENT>[^\W\d_]\w*)
+    | (?P<OP>%s)
+    | (?P<BAD>.)
+    | (?P<END>$)
+    )
+    """
+    % "|".join(re.escape(op) for op in [*_TWO_CHAR, *_ONE_CHAR]),
+    re.VERBOSE | re.DOTALL,
+)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_OPERATORS = {**_TWO_CHAR, **_ONE_CHAR}
+(_NEWLINE, _COMMENT, _BLOCK, _OPEN_BLOCK, _STRING, _NUMBER, _IDENT, _OP, _BAD, _END) = (
+    _MASTER.groupindex[name]
+    for name in ("NEWLINE", "COMMENT", "BLOCK", "OPEN_BLOCK", "STRING", "NUMBER", "IDENT",
+                 "OP", "BAD", "END")
+)
+# Builds a Token from a 5-tuple without the Python-level NamedTuple __new__.
+_token = functools.partial(tuple.__new__, Token)
+
+
+def _string_error(text: str, start: int) -> str:
+    """Why the constant opened at ``start`` does not lex."""
+    quote = text[start]
+    j = start + 1
+    while j < len(text) and text[j] != quote:
+        if text[j] == "\\":
+            if j + 1 >= len(text):
+                break
+            j += 2
+        elif text[j] == "\n":
+            return "newline inside constant"
+        else:
+            j += 1
+    return "unterminated constant"
+
 
 def tokenize(text: str):
     """Lex source text into a token list ending with EOF.
 
     Supports ``//`` line comments and ``/* */`` block comments anywhere.
+    An escaped newline inside a quoted constant does not start a new line.
     """
     tokens = []
-    i = 0
+    append = tokens.append
     line = 1
-    col = 1
-    n = len(text)
-
-    def error(message):
-        raise SyntaxErrorWithLocation(message, line, col)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    line_start = 0
+    end = len(text)
+    for m in _MASTER.finditer(text):
+        group = m.lastindex
+        start = m.start(group)
+        if group == _NEWLINE:
             line += 1
-            col = 1
+            line_start = start + 1
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end < 0:
-                error("unterminated block comment")
-            for c in text[i : end + 2]:
-                if c == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-            i = end + 2
-            continue
-        start_line, start_col = line, col
-        if ch in "\"'":
-            quote = ch
-            j = i + 1
-            out = []
-            while j < n and text[j] != quote:
-                if text[j] == "\\":
-                    if j + 1 >= n:
-                        error("unterminated constant")
-                    out.append(text[j + 1])
-                    j += 2
-                elif text[j] == "\n":
-                    error("newline inside constant")
-                else:
-                    out.append(text[j])
-                    j += 1
-            if j >= n:
-                error("unterminated constant")
-            raw = text[i : j + 1]
-            tokens.append(Token("STRING", raw, start_line, start_col, "".join(out)))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            raw = text[i:j]
-            tokens.append(Token("NUMBER", raw, start_line, start_col, float(raw)))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            raw = text[i:j]
-            tokens.append(Token("IDENT", raw, start_line, start_col, raw))
-            col += j - i
-            i = j
-            continue
-        two = text[i : i + 2]
-        if two in _TWO_CHAR:
-            tokens.append(Token(_TWO_CHAR[two], two, start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in _ONE_CHAR:
-            tokens.append(Token(_ONE_CHAR[ch], ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        error("unexpected character %r" % ch)
-    tokens.append(Token("EOF", "", line, col))
+        column = start - line_start + 1
+        raw = m.group(group)
+        if group == _OP:
+            append(_token((_OPERATORS[raw], raw, line, column, None)))
+        elif group == _STRING:
+            body = raw[1:-1]
+            value = _ESCAPE.sub(r"\1", body) if "\\" in body else body
+            append(_token(("STRING", raw, line, column, value)))
+        elif group == _IDENT and raw[0].isalpha():
+            append(_token(("IDENT", raw, line, column, raw)))
+        elif group == _NUMBER:
+            append(_token(("NUMBER", raw, line, column, float(raw))))
+        elif group == _COMMENT:
+            if m.end() == len(text):
+                end = start  # the end of input is placed where a final comment starts
+        elif group == _END:
+            break
+        elif group == _BLOCK:
+            newlines = raw.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + raw.rindex("\n") + 1
+        elif group == _OPEN_BLOCK:
+            raise SyntaxErrorWithLocation("unterminated block comment", line, column)
+        elif raw in "\"'":
+            raise SyntaxErrorWithLocation(_string_error(text, start), line, column)
+        else:
+            raise SyntaxErrorWithLocation("unexpected character %r" % raw[0], line, column)
+    append(Token("EOF", "", line, end - line_start + 1))
     return tokens

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import copy
 import enum
+import functools
 import itertools
 import json
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,20 +202,34 @@ class FoldedRows:
 
     Row ``r`` is ``offsets[r] + coeffs[s] @ y[positions[s]]`` with
     ``s = slice(indptr[r], indptr[r + 1])`` (CSR form); ``positions`` index
-    the free assignment. Free terms keep their order, and observed terms are
-    added into the offset in term order, exactly as
-    ``LinearFunction.fold_observed`` does. Rows left with no free term are
-    constants and still count.
+    the free assignment and ``arity`` counts each row's terms. Rows left
+    with no free term are constants and still count.
     """
 
-    def __init__(self, functions, table: VariableTable, kind: str):
-        self.size = len(functions)
-        lengths = np.fromiter((len(lf.terms) for lf in functions), np.intp, self.size)
+    def __init__(self, positions, coeffs, arity, offsets):
+        self.size = offsets.size
+        self.positions = positions
+        self.coeffs = coeffs
+        self.arity = arity
+        self.offsets = offsets
+        self.indptr = np.concatenate(([0], np.cumsum(arity)))
+        self.term_row = np.repeat(np.arange(self.size), arity)
+
+    @staticmethod
+    def _fold(functions, table: VariableTable, kind: str):
+        """``(positions, coeffs, arity, offsets)`` of linear functions.
+
+        Free terms keep their order, and observed terms are added into the
+        offset in term order, exactly as ``LinearFunction.fold_observed``
+        does.
+        """
+        size = len(functions)
+        lengths = np.fromiter((len(lf.terms) for lf in functions), np.intp, size)
         terms = list(itertools.chain.from_iterable(lf.terms for lf in functions))
         indices = _index_array([i for i, _ in terms], "%s references unknown variable" % kind)
         coeffs = np.array([c for _, c in terms], dtype=float)
-        offsets = np.fromiter((lf.offset for lf in functions), float, self.size)
-        term_row = np.repeat(np.arange(self.size), lengths)
+        offsets = np.fromiter((lf.offset for lf in functions), float, size)
+        term_row = np.repeat(np.arange(size), lengths)
         unknown = (indices < 0) | (indices >= table.size)
         if unknown.any():
             t = unknown.argmax()
@@ -233,13 +249,18 @@ class FoldedRows:
             # observed terms one at a time, in order.
             at = observed & (rank == k)
             offsets[term_row[at]] += coeffs[at] * observed_value[indices[at]]
+        arity = np.bincount(term_row[~observed], minlength=size)
+        return positions[~observed], coeffs[~observed], arity, offsets
 
-        self.term_row = term_row[~observed]
-        self.positions = positions[~observed]
-        self.coeffs = coeffs[~observed]
-        self.offsets = offsets
-        self.arity = np.bincount(self.term_row, minlength=self.size)
-        self.indptr = np.concatenate(([0], np.cumsum(self.arity)))
+    def linear_functions(self, table: VariableTable):
+        """Each row as a `LinearFunction` over table indices."""
+        indices = np.asarray(table.free_indices, dtype=np.intp)[self.positions].tolist()
+        coeffs = self.coeffs.tolist()
+        bounds = self.indptr.tolist()
+        return [
+            LinearFunction(zip(indices[a:b], coeffs[a:b]), offset)
+            for a, b, offset in zip(bounds, bounds[1:], self.offsets.tolist())
+        ]
 
     def values(self, y) -> np.ndarray:
         """Every row's value at the free assignment ``y``."""
@@ -260,12 +281,27 @@ class FoldedRows:
 class PotentialRows(FoldedRows):
     """Folded hinge potentials with their exponents and template ids."""
 
-    def __init__(self, potentials, table):
-        super().__init__([p.linfun for p in potentials], table, "potential")
-        self.exponent = np.fromiter((p.exponent for p in potentials), np.intp, self.size)
-        self.template_id = _index_array(
+    def __init__(self, positions, coeffs, arity, offsets, exponent, template_id):
+        super().__init__(positions, coeffs, arity, offsets)
+        self.exponent = exponent
+        self.template_id = template_id
+
+    @classmethod
+    def fold(cls, potentials, table) -> "PotentialRows":
+        exponent = np.fromiter((p.exponent for p in potentials), np.intp, len(potentials))
+        template_id = _index_array(
             [p.template_id for p in potentials], "potential references unknown template"
         )
+        folded = cls._fold([p.linfun for p in potentials], table, "potential")
+        return cls(*folded, exponent, template_id)
+
+    def objects(self, table, origins):
+        """Each row as a `HingePotential`, with ``origins[r]`` as its origin."""
+        rows = zip(self.linear_functions(table), self.exponent.tolist(), self.template_id.tolist())
+        return [
+            HingePotential(lf, exponent, tid, origins[r])
+            for r, (lf, exponent, tid) in enumerate(rows)
+        ]
 
     def hinges(self, values, rows=slice(None)) -> np.ndarray:
         """``(max{v, 0})^p`` of row values; ``rows`` picks the exponents (last axis)."""
@@ -276,12 +312,49 @@ class PotentialRows(FoldedRows):
 class ConstraintRows(FoldedRows):
     """Folded hard constraints with their relations."""
 
-    def __init__(self, constraints, table):
-        super().__init__([c.linfun for c in constraints], table, "constraint")
-        self.is_eq = np.fromiter((c.relation is Relation.EQ for c in constraints), bool, self.size)
+    def __init__(self, positions, coeffs, arity, offsets, is_eq):
+        super().__init__(positions, coeffs, arity, offsets)
+        self.is_eq = is_eq
+
+    @classmethod
+    def fold(cls, constraints, table) -> "ConstraintRows":
+        is_eq = np.fromiter(
+            (c.relation is Relation.EQ for c in constraints), bool, len(constraints)
+        )
+        return cls(*cls._fold([c.linfun for c in constraints], table, "constraint"), is_eq)
+
+    def objects(self, table):
+        """Each row as a `LinearConstraint`."""
+        return [
+            LinearConstraint(lf, Relation.EQ if eq else Relation.LEQ)
+            for lf, eq in zip(self.linear_functions(table), self.is_eq.tolist())
+        ]
 
     def violations(self, values) -> np.ndarray:
         return np.where(self.is_eq, np.abs(values), np.maximum(values, 0.0))
+
+
+class _Built(Sequence):
+    """A sequence of known length whose items are built on first access."""
+
+    def __init__(self, size: int, build):
+        self._size = size
+        self._build = build
+        self._items = None
+
+    def __len__(self):
+        return self._size
+
+    def _built(self):
+        if self._items is None:
+            self._items = tuple(self._build())
+        return self._items
+
+    def __getitem__(self, k):
+        return self._built()[k]
+
+    def __iter__(self):
+        return iter(self._built())
 
 
 def _checked_weights(weights, n_templates: int) -> np.ndarray:
@@ -304,38 +377,61 @@ class HlMrf:
     Immutable after construction; shares structure freely across threads.
     The density itself is never normalized here -- only the energy is
     exposed, which is all MAP inference and the implemented learners need.
-    Construction folds the observations once into ``potential_rows`` and
-    ``constraint_rows``; everything that evaluates the model reads those,
-    and ``with_weights`` copies share them.
+    Everything that evaluates the model reads ``potential_rows`` and
+    ``constraint_rows``, and ``with_weights`` copies share them. A model
+    built from objects folds their observations into those rows once; a
+    model built ``from_rows`` builds its ``potentials`` and ``constraints``
+    objects only when they are first read.
     """
 
     def __init__(self, table, potentials=(), constraints=(), templates=(), weights=None):
         self.table: VariableTable = table
-        self.potentials: tuple[HingePotential, ...] = tuple(potentials)
-        self.constraints: tuple[LinearConstraint, ...] = tuple(constraints)
+        self.potentials: Sequence[HingePotential] = tuple(potentials)
+        self.constraints: Sequence[LinearConstraint] = tuple(constraints)
         self.templates: tuple[TemplateInfo, ...] = tuple(templates)
         if weights is None:
             weights = np.zeros(len(self.templates))
         self.weights = _checked_weights(weights, len(self.templates))
-        self.constraint_rows = ConstraintRows(self.constraints, table)
-        self.potential_rows = PotentialRows(self.potentials, table)
-        self._validate()
+        self.constraint_rows = ConstraintRows.fold(self.constraints, table)
+        self.potential_rows = PotentialRows.fold(self.potentials, table)
+        self._validate(p.origin for p in self.potentials if not p.linfun.terms)
 
-    def _validate(self):
+    @classmethod
+    def from_rows(cls, table, potential_rows, constraint_rows, templates, weights, origins):
+        """A model over rows that reference free variables only.
+
+        ``origins[r]`` is the origin string of potential row ``r``; it is
+        read only for the objects and for warnings.
+        """
+        model = cls.__new__(cls)
+        model.table = table
+        model.templates = tuple(templates)
+        model.weights = _checked_weights(weights, len(model.templates))
+        model.constraint_rows = constraint_rows
+        model.potential_rows = potential_rows
+        model.potentials = _Built(
+            potential_rows.size, functools.partial(potential_rows.objects, table, origins)
+        )
+        model.constraints = _Built(
+            constraint_rows.size, functools.partial(constraint_rows.objects, table)
+        )
+        model._validate(origins[r] for r in np.flatnonzero(potential_rows.arity == 0))
+        return model
+
+    def _validate(self, degenerate_origins):
         template_id = self.potential_rows.template_id
         unknown = (template_id < 0) | (template_id >= len(self.templates))
         if unknown.any():
             raise ModelError(
                 "potential references unknown template %d" % template_id[unknown.argmax()]
             )
-        for pot in self.potentials:
-            if not pot.linfun.terms:
-                # Degenerate groundings are kept (they contribute 0) so that
-                # modeling bugs stay visible.
-                warnings.warn(
-                    "potential with constant linear function (%s)" % (pot.origin or "unknown"),
-                    stacklevel=3,
-                )
+        for origin in degenerate_origins:
+            # Degenerate groundings are kept (they contribute 0) so that
+            # modeling bugs stay visible.
+            warnings.warn(
+                "potential with constant linear function (%s)" % (origin or "unknown"),
+                stacklevel=3,
+            )
         counts = np.bincount(template_id, minlength=len(self.templates))
         for tid, info in enumerate(self.templates):
             if info.groundings != counts[tid]:
@@ -423,6 +519,12 @@ class HlMrf:
             raise ModelError("not a %s document" % FORMAT_NAME)
         if data.get("version") != FORMAT_VERSION:
             raise ModelError("unsupported model format version %r" % data.get("version"))
+
+        for kind in ("potential", "constraint"):
+            _index_array(
+                [i for row in data[kind + "s"] for i, _ in row["linfun"]["terms"]],
+                "%s references unknown variable" % kind,
+            )
 
         def linfun(d):
             return LinearFunction([(int(i), float(c)) for i, c in d["terms"]], d["offset"])

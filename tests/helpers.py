@@ -6,7 +6,7 @@ import numpy as np
 
 from softlogic.ground import GroundingError
 from softlogic.infer import SolveOptions
-from softlogic.lang.ast import CoeffNumber, Constant, LangError
+from softlogic.lang.ast import Atom, CoeffNumber, ComparisonAtom, Constant, LangError
 from softlogic.lang.parser import normalize_logical
 from softlogic.model import (
     GroundAtom,
@@ -279,9 +279,23 @@ def _reference_domains(atoms, data, location):
 
 
 def _reference_value(data, atom):
+    if atom.predicate in data.functionals:
+        return float(data.functionals[atom.predicate](*atom.args))
     if atom in data.observations:
         return data.observations[atom]
     return 0.0 if data.predicates[atom.predicate].closed else None
+
+
+def _reference_literal_value(data, literal, subst):
+    """The literal's atom value under ``subst`` (None if unobserved) and the ground atom."""
+    if isinstance(literal.atom, ComparisonAtom):
+        left, right = (
+            t.value if isinstance(t, Constant) else subst[t.name]
+            for t in (literal.atom.left, literal.atom.right)
+        )
+        return (1.0 if left != right else 0.0), None
+    atom = _reference_atom(literal.atom, subst)
+    return _reference_value(data, atom), atom
 
 
 def _reference_substitutions(domains):
@@ -320,21 +334,27 @@ def _reference_useful(linfun, prune):
 def _reference_logical(rule, rule_id, data, index, prune, location):
     if rule.literals is None:
         rule = normalize_logical(rule)
-    domains = _reference_domains([lit.atom for lit in rule.literals], data, location)
+    atoms = [lit.atom for lit in rule.literals if isinstance(lit.atom, Atom)]
+    domains = _reference_domains(atoms, data, location)
+    # With pruning, a negated closed atom at 0 satisfies the clause outright
+    # (functional predicates are not observations, so never theirs).
+    blocking = [
+        lit.atom
+        for lit in rule.literals
+        if prune
+        and lit.negated
+        and isinstance(lit.atom, Atom)
+        and data.predicates[lit.atom.predicate].closed
+        and lit.atom.predicate not in data.functionals
+    ]
     potentials, constraints = [], []
     for sub in _reference_substitutions(domains):
         subst = dict(sub)
-        atoms = [_reference_atom(lit.atom, subst) for lit in rule.literals]
-        if prune and any(
-            lit.negated
-            and data.predicates[atom.predicate].closed
-            and _reference_value(data, atom) == 0.0
-            for lit, atom in zip(rule.literals, atoms)
-        ):
-            continue  # a closed atom at 0 satisfies the clause outright
+        if any(_reference_value(data, _reference_atom(a, subst)) == 0.0 for a in blocking):
+            continue
+        values = [_reference_literal_value(data, lit, subst) for lit in rule.literals]
         offset, terms = 1.0, []
-        for lit, atom in zip(rule.literals, atoms):
-            value = _reference_value(data, atom)
+        for lit, (value, atom) in zip(rule.literals, values):
             if value is not None:
                 offset -= (1.0 - value) if lit.negated else value
             elif lit.negated:
@@ -401,10 +421,11 @@ def reference_ground_program(program, data, prune=False):
     typed domains (variables by name), with no join plan, observation index
     or membership set: types are read from ``data.universe`` and values
     from ``data.observations``. With ``prune``, a grounding is dropped when
-    a negated closed atom is 0, a hinge can never be active on the unit
-    box, or a hard grounding has no free atom. Covers logical rules without
-    comparisons and arithmetic rules without sum variables; functional
-    predicates are not supported.
+    a negated closed atom is 0 (functional predicates are not observations,
+    so this never drops one of theirs), a hinge can never be active on the
+    unit box, or a hard grounding has no free atom. Covers logical rules,
+    with comparisons and functional predicates, and arithmetic rules
+    without sum variables.
     """
     labels = []
     for name in sorted(data.predicates):

@@ -1,0 +1,96 @@
+"""Fuzzing of the front end: only located `LangError`s may escape.
+
+`tokenize`, `parse_program` and `load_data` read user files, so whatever
+text they get they either succeed or raise a `LangError` carrying an
+integer line and column. Inputs are arbitrary text and valid rule or data
+text with a few characters inserted, deleted or replaced.
+"""
+
+from hypothesis import example, given, settings, strategies as st
+
+from softlogic.ground import load_data
+from softlogic.lang import LangError, parse_program, tokenize
+
+VALID_PROGRAM = """// opinion priors
+0.5 : Opinion(U) -> Liberal(U) ^2
+0.5 : !Opinion(U) -> Conservative(U)
+/* propagation */ 0.9 : Liberal(A) & Edge1(A, B) & (A != B) -> Liberal(B)
+Liberal(U) + Conservative(U) = 1 .
+10 : Extroverted(X) <= 1 / |Y| Extroverted(+Y) ^2
+{Y : Friends(X, Y) || Friends(Y, X)}
+Matched(+X, +Y) = @Min[|X|, |Y|] .
+1.5e-1 : Same(A, "a\\"b") << Link(A, B) && ~Link(B, A)
+"""
+
+VALID_DATA = """User = {"u1", "u2", 'u3'}
+Opinion(User) (closed)
+Edge1(User, User) (closed)
+Liberal(User)
+Opinion("u1") = 0.25
+Opinion("u2") = 1e-1 // trailing comment
+Edge1("u1", "u2") = 1
+/* block
+   comment */ Liberal("u3") = 0.5
+"""
+
+# Characters the lexer treats specially, plus non-ASCII letters and digits
+# (including digits that are not decimal, such as superscripts).
+_SPECIAL = list(" \t\r\n\"'\\/*()[]{},:.+-=@&|!~^<>2e") + ["é", "²", "½", "٣"]
+
+
+@st.composite
+def mutated(draw, base):
+    text = list(base)
+    for _ in range(draw(st.integers(1, 4))):
+        position = draw(st.integers(0, len(text)))
+        action = draw(st.sampled_from(("insert", "delete", "replace")))
+        char = draw(st.sampled_from(_SPECIAL) | st.characters())
+        if action == "insert":
+            text.insert(position, char)
+        elif text:
+            position = min(position, len(text) - 1)
+            if action == "delete":
+                del text[position]
+            else:
+                text[position] = char
+    return "".join(text)
+
+
+def _only_located_lang_errors(read, text):
+    try:
+        read(text)
+    except LangError as exc:
+        assert isinstance(exc.line, int) and isinstance(exc.column, int), (exc, text)
+
+
+def _texts(base):
+    return st.text(max_size=80) | st.sampled_from(_SPECIAL).map(lambda c: c * 3) | mutated(base)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_texts(VALID_PROGRAM) | _texts(VALID_DATA))
+@example("²")
+@example("1.²")
+@example('"unterminated\\')
+@example("/* open")
+def test_tokenize(text):
+    _only_located_lang_errors(tokenize, text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_texts(VALID_PROGRAM))
+@example("(" * 5000 + "A")
+def test_parse_program(text):
+    _only_located_lang_errors(parse_program, text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_texts(VALID_DATA))
+@example('T = {"a"}\nP(T)\nP("a") = 1e999')
+def test_load_data(text):
+    _only_located_lang_errors(load_data, text)
+
+
+def test_valid_texts_read():
+    assert len(parse_program(VALID_PROGRAM).rules) == 7
+    assert len(load_data(VALID_DATA).observations) == 4

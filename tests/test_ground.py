@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from softlogic.ground import (
     DataError,
@@ -14,8 +14,11 @@ from softlogic.ground import (
     ground_program,
     load_data,
 )
+from softlogic.ground.grounder import _find, _keys
+from softlogic.infer import SolveOptions, solve_map
 from softlogic.lang import parse_program
-from softlogic.model import GroundAtom, Relation
+from softlogic.model import ConstraintRows, GroundAtom, HlMrf, PotentialRows, Relation
+from softlogic.synth import DEFAULT_EDGE_WEIGHTS, SynthNetworkSpec, generate_network
 
 from helpers import reference_ground_program
 
@@ -336,6 +339,28 @@ class TestGroundProgram:
         assert mrf.table.size == 4
         assert not mrf.potentials and not mrf.constraints
 
+    def test_counts_and_evaluation_build_no_objects(self, monkeypatch):
+        data = load_data(FRIENDS_DATA)
+        prog = parse_program(
+            "1 : Friends(A, B) -> Friends(B, A)\nFriends(A, B) -> Friends(B, A) ."
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # constant A=B groundings
+            mrf = ground_program(prog, data)
+
+        def refuse(*args):
+            raise AssertionError("objects built")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(PotentialRows, "objects", refuse)
+            patch.setattr(ConstraintRows, "objects", refuse)
+            assert len(mrf.potentials) == 9 and len(mrf.constraints) == 9
+            assert mrf.energy(np.full(mrf.n_free, 0.5)) == 0.0
+            assert mrf.check_feasible(np.full(mrf.n_free, 0.5))[0]
+        origins = [p.origin for p in mrf.potentials]
+        assert origins[:2] == ["rule 0 {A=p1, B=p1}", "rule 0 {A=p1, B=p2}"]
+        assert mrf.constraints[1].linfun.terms == ((1, 1.0), (3, -1.0))
+
     def test_template_per_rule_with_weights(self):
         data = load_data('T = {"a", "b"}\nLink(T, T)\n')
         prog = parse_program("0.1 : !Link(A, B)\nLink(A, A) = 0 .")
@@ -438,6 +463,11 @@ RULE_POOL = (
     "0.6 : P(A) + S(A) >= 1 ^2",
     "0.5 : Q(A, B) = R(B, B)",
     "S(A) + 2 R(A, A) <= 2 .",
+    "0.5 : Q(A, B) & A != B -> S(B)",
+    'Q(A, B) & (A != "b") -> S(B) .',
+    "0.4 : P(A) & Q(A, B) -> P(A)",
+    "0.3 : P(A) & P(A) & Q(A, B) -> S(B)",
+    "0.2 : R(A, A) -> S(A) ^2",
 )
 
 
@@ -501,3 +531,76 @@ def test_grounding_matches_brute_force_reference(case, prune):
         assert _ground_or_error(ground_program, program, data, prune) == _ground_or_error(
             reference_ground_program, program, data, prune
         ), text
+
+
+# A functional predicate over (T1, T2), registered on the drawn data sets.
+FUNCTIONAL_RULES = (
+    "0.6 : F(A, B) -> Q(A, B)",
+    "0.7 : F(A, B) & R(B, B) -> S(B) ^2",
+    "F(A, B) & P(A) -> S(B) .",
+)
+
+
+def _letter_distance(a, b):
+    return abs(ord(a) - ord(b)) / 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=grounding_cases(), prune=st.booleans())
+def test_functional_grounding_matches_brute_force_reference(case, prune):
+    data_text, load_error, program_text = case
+    assume(load_error is None)
+    data = load_data(data_text)
+    data.register_functional("F", ("T1", "T2"), _letter_distance)
+    for text in [program_text + "\n".join(FUNCTIONAL_RULES), *FUNCTIONAL_RULES]:
+        program = parse_program(text)
+        assert _ground_or_error(ground_program, program, data, prune) == _ground_or_error(
+            reference_ground_program, program, data, prune
+        ), text
+
+
+def _opposing_program(squared):
+    """Opinion priors pulling each way plus opposing propagation per edge type."""
+    suffix = " ^2" if squared else ""
+    rules = [
+        "0.5 : Opinion(U) -> Liberal(U)" + suffix,
+        "0.5 : !Opinion(U) -> Conservative(U)" + suffix,
+    ]
+    for t, w in enumerate(DEFAULT_EDGE_WEIGHTS, start=1):
+        rules.append("%g : Liberal(A) & Edge%d(A, B) -> Liberal(B)%s" % (w, t, suffix))
+        rules.append("%g : Conservative(A) & Edge%d(A, B) -> Conservative(B)%s" % (w, t, suffix))
+    rules.append("Liberal(U) + Conservative(U) = 1 .")
+    return "\n".join(rules) + "\n"
+
+
+# Unpruned, every edge rule grounds over all user pairs: at 300 users that
+# is over a million potentials, so the unpruned case uses a smaller network.
+@pytest.mark.parametrize("users, prune", [(300, True), (60, False)])
+@pytest.mark.parametrize("squared", [False, True])
+def test_synthetic_network_matches_reference(users, prune, squared):
+    data_text, _ = generate_network(SynthNetworkSpec(n_users=users, seed=5))
+    program = parse_program(_opposing_program(squared))
+    data = load_data(data_text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # constant potentials when not pruning
+        model = ground_program(program, data, prune=prune)
+        text = model.to_json()
+        assert text == reference_ground_program(program, data, prune=prune).to_json()
+        loaded = HlMrf.from_json(text)
+    opts = SolveOptions(max_iter=200)  # equal iterates, converged or not
+    y, diag = solve_map(model, opts)
+    y_loaded, diag_loaded = solve_map(loaded, opts)
+    assert diag.iterations == diag_loaded.iterations
+    np.testing.assert_array_equal(y, y_loaded)
+
+
+def test_wide_rows_are_ranked_in_order():
+    # Rows too wide to pack into int64 keys are ranked together instead;
+    # the keys must order and match rows exactly as packed keys do.
+    rng = np.random.default_rng(0)
+    rows = np.unique(rng.integers(0, 5, size=(60, 3)), axis=0)
+    queries = rng.integers(0, 5, size=(30, 3))
+    packed = _keys(5, rows, queries)
+    ranked = _keys(2**30, rows, queries)
+    assert np.all(np.diff(ranked[0]) > 0)
+    np.testing.assert_array_equal(_find(*ranked)[1], _find(*packed)[1])

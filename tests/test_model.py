@@ -150,7 +150,8 @@ class TestValidation:
             HlMrf.from_json(json.dumps(doc))
 
     @pytest.mark.parametrize(
-        "field, index", [("variable", 10**30), ("template", 10**30), ("template", 0.5)]
+        "field, index",
+        [("variable", 10**30), ("variable", 0.5), ("template", 10**30), ("template", 0.5)],
     )
     def test_bad_index_in_json_rejected(self, field, index):
         doc = make_mrf([hinge([(0, 1.0)], 0.0)], weights=[1.0]).to_dict()
