@@ -1,12 +1,25 @@
 """Shared builders and independent oracles for the test suite."""
 
 import itertools
+import warnings
 
 import numpy as np
 
-from softlogic.ground import GroundingError
+from softlogic.ground import GroundingError, GroundingWarning
 from softlogic.infer import SolveOptions
-from softlogic.lang.ast import Atom, CoeffNumber, ComparisonAtom, Constant, LangError
+from softlogic.lang.ast import (
+    And,
+    Atom,
+    CoeffBuiltin,
+    CoeffCardinality,
+    CoeffNumber,
+    ComparisonAtom,
+    Constant,
+    Implies,
+    LangError,
+    Neg,
+    Or,
+)
 from softlogic.lang.parser import normalize_logical
 from softlogic.model import (
     GroundAtom,
@@ -286,16 +299,15 @@ def _reference_value(data, atom):
     return 0.0 if data.predicates[atom.predicate].closed else None
 
 
-def _reference_literal_value(data, literal, subst):
-    """The literal's atom value under ``subst`` (None if unobserved) and the ground atom."""
-    if isinstance(literal.atom, ComparisonAtom):
+def _reference_atom_value(data, atom, subst):
+    """The atom's value under ``subst`` (None if unobserved) and the ground atom."""
+    if isinstance(atom, ComparisonAtom):
         left, right = (
-            t.value if isinstance(t, Constant) else subst[t.name]
-            for t in (literal.atom.left, literal.atom.right)
+            t.value if isinstance(t, Constant) else subst[t.name] for t in (atom.left, atom.right)
         )
         return (1.0 if left != right else 0.0), None
-    atom = _reference_atom(literal.atom, subst)
-    return _reference_value(data, atom), atom
+    ground = _reference_atom(atom, subst)
+    return _reference_value(data, ground), ground
 
 
 def _reference_substitutions(domains):
@@ -352,7 +364,7 @@ def _reference_logical(rule, rule_id, data, index, prune, location):
         subst = dict(sub)
         if any(_reference_value(data, _reference_atom(a, subst)) == 0.0 for a in blocking):
             continue
-        values = [_reference_literal_value(data, lit, subst) for lit in rule.literals]
+        values = [_reference_atom_value(data, lit.atom, subst) for lit in rule.literals]
         offset, terms = 1.0, []
         for lit, (value, atom) in zip(rule.literals, values):
             if value is not None:
@@ -373,32 +385,123 @@ def _reference_logical(rule, rule_id, data, index, prune, location):
     return potentials, constraints
 
 
+def _reference_clause_atoms(expr):
+    """The atoms of a select clause, left to right."""
+    if isinstance(expr, (Atom, ComparisonAtom)):
+        return [expr]
+    if isinstance(expr, Neg):
+        return _reference_clause_atoms(expr.operand)
+    if isinstance(expr, Implies):
+        return _reference_clause_atoms(expr.body) + _reference_clause_atoms(expr.head)
+    return _reference_clause_atoms(expr.left) + _reference_clause_atoms(expr.right)
+
+
+def _reference_check_select(select, data, plain, location):
+    for atom in _reference_clause_atoms(select.clause):
+        if isinstance(atom, Atom):
+            pred = data.predicates.get(atom.predicate)
+            if pred is None:
+                raise GroundingError("unknown predicate %s" % atom.predicate, *location)
+            if not pred.closed:
+                raise GroundingError(
+                    "select statement references open predicate %s" % atom.predicate, *location
+                )
+        for name in atom.variables:
+            if name != select.var and name not in plain:
+                raise GroundingError("select statement uses unknown variable %s" % name, *location)
+
+
+def _reference_selected(expr, data, subst):
+    """Whether a select clause holds: an atom holds when its value is nonzero."""
+    if isinstance(expr, (Atom, ComparisonAtom)):
+        return _reference_atom_value(data, expr, subst)[0] != 0.0
+    if isinstance(expr, Neg):
+        return not _reference_selected(expr.operand, data, subst)
+    if isinstance(expr, And):
+        return _reference_selected(expr.left, data, subst) and _reference_selected(
+            expr.right, data, subst
+        )
+    if isinstance(expr, Or):
+        return _reference_selected(expr.left, data, subst) or _reference_selected(
+            expr.right, data, subst
+        )
+    return not _reference_selected(expr.body, data, subst) or _reference_selected(
+        expr.head, data, subst
+    )
+
+
+def _reference_coeff(node, cards):
+    """A coefficient's value; ZeroDivisionError when it divides by zero."""
+    if node is None:
+        return 1.0
+    if isinstance(node, CoeffNumber):
+        return node.value
+    if isinstance(node, CoeffCardinality):
+        return float(cards[node.var])
+    if isinstance(node, CoeffBuiltin):
+        fn = {"Min": min, "Max": max}[node.name]
+        return float(fn(*(_reference_coeff(a, cards) for a in node.args)))
+    left, right = _reference_coeff(node.left, cards), _reference_coeff(node.right, cards)
+    if node.op == "+":
+        return left + right
+    if node.op == "-":
+        return left - right
+    if node.op == "*":
+        return left * right
+    if right == 0.0:
+        raise ZeroDivisionError
+    return left / right
+
+
 def _reference_arithmetic(rule, rule_id, data, index, prune, location):
-    """Arithmetic rules with numeric coefficients and no sum variables."""
+    """Arithmetic rules; each sum variable ranges over its type, filtered by its select."""
     atoms = [t.atom for t in rule.lhs + rule.rhs if t.atom is not None]
     domains = _reference_domains(atoms, data, location)
+    sums = set(rule.sum_variables)
+    plain = {name: pool for name, pool in domains.items() if name not in sums}
+    for select in rule.selects:
+        _reference_check_select(select, data, plain, location)
+    clauses = {select.var: select.clause for select in rule.selects}
     potentials, constraints = [], []
-    for sub in _reference_substitutions(domains):
+    for sub in _reference_substitutions(plain):
         subst = dict(sub)
+        origin = _reference_origin(rule_id, sub)
+        candidates = {
+            name: [
+                c
+                for c in domains[name]
+                if name not in clauses or _reference_selected(clauses[name], data, {**subst, name: c})
+            ]
+            for name in sums
+        }
+        cards = {name: len(pool) for name, pool in candidates.items()}
+        try:
+            parts = [
+                (sign * _reference_coeff(term.coeff, cards), term.atom)
+                for sign, side in ((1.0, rule.lhs), (-1.0, rule.rhs))
+                for term in side
+            ]
+        except ZeroDivisionError:
+            where = "" if location[0] is None else " at %s:%s" % location
+            warnings.warn(GroundingWarning(
+                "dropping grounding %s%s: division by an empty sum" % (origin, where)
+            ))
+            continue
         offset, terms = 0.0, []
-        for sign, side in ((1.0, rule.lhs), (-1.0, rule.rhs)):
-            for term in side:
-                if term.coeff is not None and not isinstance(term.coeff, CoeffNumber):
-                    raise NotImplementedError("reference grounder: numeric coefficients only")
-                coeff = sign * (term.coeff.value if term.coeff is not None else 1.0)
-                if term.atom is None:
-                    offset += coeff
-                    continue
-                atom = _reference_atom(term.atom, subst)
-                value = _reference_value(data, atom)
+        for coeff, atom in parts:
+            if atom is None:
+                offset += coeff
+                continue
+            names = atom.sum_variables
+            for combo in itertools.product(*(candidates[name] for name in names)):
+                value, ground = _reference_atom_value(data, atom, {**subst, **dict(zip(names, combo))})
                 if value is not None:
                     offset += coeff * value
                 else:
-                    terms.append((index[atom], coeff))
+                    terms.append((index[ground], coeff))
         linfun = LinearFunction(terms, offset)
         if rule.relation == ">=":
             linfun = linfun.negated()
-        origin = _reference_origin(rule_id, sub)
         if rule.weight is None:
             relation = Relation.EQ if rule.relation == "=" else Relation.LEQ
             con = _reference_hard(linfun, relation, origin, prune, location)
@@ -424,8 +527,9 @@ def reference_ground_program(program, data, prune=False):
     a negated closed atom is 0 (functional predicates are not observations,
     so this never drops one of theirs), a hinge can never be active on the
     unit box, or a hard grounding has no free atom. Covers logical rules,
-    with comparisons and functional predicates, and arithmetic rules
-    without sum variables.
+    with comparisons and functional predicates, and arithmetic rules with
+    sum variables, select clauses and cardinality coefficients; a grounding
+    whose coefficient divides by zero is dropped with a `GroundingWarning`.
     """
     labels = []
     for name in sorted(data.predicates):

@@ -468,6 +468,14 @@ RULE_POOL = (
     "0.4 : P(A) & Q(A, B) -> P(A)",
     "0.3 : P(A) & P(A) & Q(A, B) -> S(B)",
     "0.2 : R(A, A) -> S(A) ^2",
+    "Q(A, +B) <= 1 .",
+    "0.6 : P(A) + Q(A, +B) >= 1 ^2",
+    "0.6 : S(B) <= 1 / |A| Q(+A, B)\n{A : P(A)}",
+    "Q(A, +B) = 1 .\n{B : R(B, B) | !S(B)}",
+    '0.4 : Q(+A, +B) <= @Min[|A|, |B|]\n{A : P(A) & A != "b"}\n{B : S(B) -> R(B, B)}',
+    "0.7 : R(A, +B) >= @Max[|B| / 2, 0.5] S(A)\n{B : R(A, B) -> !Q(A, B)}",
+    "0.3 : P(A) = 2 / (|B| - 1) S(+B)\n{B : !(S(B) & R(B, B))}",
+    '0.5 : P(A) + P(A) + Q(A, +B) <= |B| S("c")',
 )
 
 
@@ -506,12 +514,15 @@ def grounding_cases(draw):
 
 
 def _ground_or_error(grounder, program, data, prune):
-    with warnings.catch_warnings():
+    """The model's JSON or the error text, and the texts of the grounding warnings."""
+    with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("ignore", UserWarning)  # constant potentials when not pruning
+        warnings.simplefilter("always", GroundingWarning)
         try:
-            return grounder(program, data, prune=prune).to_json()
+            result = grounder(program, data, prune=prune).to_json()
         except GroundingError as exc:
-            return "GroundingError: %s" % exc
+            result = "GroundingError: %s" % exc
+    return result, [str(w.message) for w in caught]
 
 
 @settings(max_examples=150, deadline=None)
