@@ -8,22 +8,25 @@ groundings in lexicographic order of their substitution (variables by name,
 then constants), so grounding the same inputs twice yields byte-identical
 models.
 
-Logical rules are grounded set at a time, bottom up, as in Tuffy and in
-PSL's database grounding. `DataSet.coding` gives every constant an integer
+Every rule is grounded set at a time, bottom up, as in Tuffy and in PSL's
+database grounding. `DataSet.coding` gives every constant an integer
 code, its rank in the sorted union of all constants, so code order is
 string order, and keeps each predicate's observations as an argument-code
 matrix and a value vector. A rule's substitutions are a join over those
-arrays: with pruning, a negated closed atom contributes only its nonzero
-observations, joined on sorted integer keys, and every other variable
-ranges over its typed domain; a `np.lexsort` of the code columns then
-gives the lexicographic order. Each literal's ground atoms are looked up
+arrays: with pruning, a negated closed atom of a logical rule contributes
+only its nonzero observations, joined on sorted integer keys, and every
+other variable ranges over its typed domain; a `np.lexsort` of the code
+columns then gives the lexicographic order. Each ground atom is looked up
 set at a time too (observations by sorted keys, open atoms' table indices
-as mixed-radix codes over the sorted type constants, functional predicates
-once per distinct atom), and the offsets, the merged terms and the prune
-test are array expressions.
+as mixed-radix codes over the sorted type constants, functional
+predicates once per distinct atom), and the offsets, the merged terms and
+the prune test are array expressions.
 
-Arithmetic rules and select clauses are grounded one substitution at a
-time. Both kinds of rule return a `GroundRules`, the rule's rows, and
+An arithmetic rule pairs every substitution with every candidate of each
+sum variable; its select clause is a mask over those pairs, its
+cardinalities are counts of the surviving pairs, and a term's summands
+are the join of its sum variables' pairs. Both kinds of rule end in the
+same tail and return a `GroundRules`, the rule's rows, and
 `ground_program` concatenates those rows into the model with
 `HlMrf.from_rows`. `GroundRule`, `HingePotential` and `LinearConstraint`
 objects and origin strings are built only when something reads them.
@@ -33,7 +36,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -58,10 +60,9 @@ from ..lang.ast import (
     SumVariable,
     Variable,
 )
-from ..lang.parser import normalize_logical
+from ..lang.parser import _walk_atoms, normalize_logical
 from ..model import (
     ConstraintRows,
-    GroundAtom,
     HingePotential,
     HlMrf,
     LinearConstraint,
@@ -120,23 +121,6 @@ class GroundRules(Sequence):
         self.exponent = exponent
         self.relation = relation
 
-    @classmethod
-    def from_functions(cls, rule_id, names, coding, groundings, exponent=None,
-                       relation=Relation.LEQ):
-        """Rows of ``(constants, [LinearFunction, ...])`` groundings, in order."""
-        codes = np.array(
-            [[coding.code[c] for c in combo] for combo, _ in groundings], dtype=np.intp
-        ).reshape(len(groundings), len(names))
-        funs = [(k, f) for k, (_, fs) in enumerate(groundings) for f in fs]
-        rows = _Rows(
-            np.array([i for _, f in funs for i, _ in f.terms], dtype=np.intp),
-            np.array([c for _, f in funs for _, c in f.terms], dtype=float),
-            np.array([len(f.terms) for _, f in funs], dtype=np.intp),
-            np.array([f.offset for _, f in funs], dtype=float),
-        )
-        row_ground = np.array([k for k, _ in funs], dtype=np.intp)
-        return cls(rule_id, names, codes, coding.constants, rows, row_ground, exponent, relation)
-
     @property
     def n_rows(self) -> int:
         return len(self.rows.offsets)
@@ -145,7 +129,7 @@ class GroundRules(Sequence):
         return tuple(zip(self.names, (self.constants[c] for c in self.codes[k].tolist())))
 
     def origin(self, row) -> str:
-        return _origin(self.rule_id, self.substitution(self.row_ground[row]))
+        return _origin(self.rule_id, self.names, self.codes[self.row_ground[row]], self.constants)
 
     @functools.cached_property
     def _indptr(self):
@@ -167,7 +151,7 @@ class GroundRules(Sequence):
         if self.exponent is None:
             constraints = tuple(LinearConstraint(f, self.relation) for f in funs)
             return GroundRule(self.rule_id, sub, constraints=constraints)
-        origin = _origin(self.rule_id, sub)
+        origin = _origin(self.rule_id, self.names, self.codes[k], self.constants)
         potentials = tuple(HingePotential(f, self.exponent, self.rule_id, origin) for f in funs)
         return GroundRule(self.rule_id, sub, potentials=potentials)
 
@@ -219,25 +203,27 @@ class _Layout:
             index = index * len(constants) + np.searchsorted(constants, args[:, position])
         return index + self.base[predicate]
 
-    def values(self, predicate, args) -> np.ndarray:
-        """Observed value of each atom (rows of argument codes); NaN if unobserved."""
+    def values(self, predicate, args):
+        """Value of each atom (rows of argument codes); NaN if unobserved.
+
+        Also returns the first row whose functional value lies outside
+        [0, 1], with its error, or None; such values read as 0.
+        """
+        if predicate in self.data.functionals:
+            return _functional_values(self, predicate, args)
         closed = self.data.predicates[predicate].closed
         values = np.full(len(args), 0.0 if closed else np.nan)
         if predicate in self.coding.observed:
             codes, observed = self.coding.observed[predicate]
             at, found = _find(*_keys(self.radix, codes, args))
             values[found] = observed[at[found]]
-        return values
-
-    @functools.cached_property
-    def index(self) -> dict[GroundAtom, int]:
-        return {atom: i for i, atom in enumerate(self.table.labels)}
+        return values, None
 
 
 def build_variable_table(data: DataSet):
     """Index the base atoms of open predicates; returns (table, atom -> index)."""
-    layout = _Layout(data)
-    return layout.table, layout.index
+    table = _Layout(data).table
+    return table, {atom: i for i, atom in enumerate(table.labels)}
 
 
 def _infer_domains(atoms, data, location):
@@ -272,30 +258,12 @@ def _infer_domains(atoms, data, location):
     return domains
 
 
-def _ground_term(term, subst):
-    if isinstance(term, Constant):
-        return term.value
-    if isinstance(term, (Variable, SumVariable)):
-        return subst[term.name]
-    raise GroundingError("cannot ground term %r" % (term,))
-
-
-def _ground_atom(atom: Atom, subst) -> GroundAtom:
-    return GroundAtom(atom.predicate, tuple(_ground_term(a, subst) for a in atom.args))
-
-
-def _comparison_value(comp: ComparisonAtom, subst) -> float:
-    left = _ground_term(comp.left, subst)
-    right = _ground_term(comp.right, subst)
-    return 1.0 if left != right else 0.0
-
-
-def _origin(rule_id, substitution):
-    inside = ", ".join("%s=%s" % (k, v) for k, v in substitution)
+def _origin(rule_id, names, codes, constants):
+    inside = ", ".join("%s=%s" % (k, constants[c]) for k, c in zip(names, codes.tolist()))
     return "rule %d {%s}" % (rule_id, inside)
 
 
-# -- logical rules: set-at-a-time joins over integer codes ------------------
+# -- set-at-a-time joins over integer codes ----------------------------------
 
 
 def _keys(radix, *matrices):
@@ -428,7 +396,7 @@ def _functional_values(layout, predicate, args):
     return values, (row, error)
 
 
-def _comparison_values(comp, names, subs, coding):
+def _comparison_truth(comp, names, subs, coding):
     """1.0 where the two sides of ``!=`` differ, else 0.0."""
     sides = [
         subs[:, names.index(t.name)] if isinstance(t, Variable) else t.value
@@ -441,28 +409,76 @@ def _comparison_values(comp, names, subs, coding):
     return (left != right).astype(float)
 
 
-def _merge_terms(index, coeff, n):
-    """CSR terms of ``n`` rows from per-literal columns (index -1: no term).
+def _concat(arrays, dtype):
+    return np.concatenate(arrays).astype(dtype, copy=False) if arrays else np.zeros(0, dtype)
+
+
+def _merge_terms(row, index, coeff, n):
+    """CSR terms of ``n`` rows from lists of (row, variable index, coefficient) arrays.
 
     As in `LinearFunction`, each row's terms are sorted by variable index,
-    duplicates summed and zero coefficients dropped.
+    duplicates summed in their given order and zero coefficients dropped.
     """
-    width = len(index)
-    index = np.stack(index, axis=1).ravel() if width else np.zeros(0, dtype=np.intp)
-    coeff = np.stack(coeff, axis=1).ravel() if width else np.zeros(0)
-    row = np.repeat(np.arange(n), width)
-    present = index >= 0
-    row, index, coeff = row[present], index[present], coeff[present]
+    row, index, coeff = _concat(row, np.intp), _concat(index, np.intp), _concat(coeff, float)
     order = np.lexsort((index, row))
-    row, index, coeff = row[order], index[order], coeff[order]
+    row, index = row[order], index[order]
     start = np.ones(row.size, dtype=bool)
     start[1:] = (row[1:] != row[:-1]) | (index[1:] != index[:-1])
-    starts = np.flatnonzero(start)
-    coeff = np.add.reduceat(coeff, starts) if starts.size else coeff
-    row, index = row[starts], index[starts]
+    # bincount adds each term's coefficients one by one, from 0.0.
+    coeff = np.bincount(np.cumsum(start) - 1, coeff[order], minlength=int(start.sum()))
+    row, index = row[start], index[start]
     nonzero = coeff != 0.0
     row, index, coeff = row[nonzero], index[nonzero], coeff[nonzero]
     return index, coeff, np.bincount(row, minlength=n)
+
+
+def _finish(rule, rule_id, names, subs, coding, rows, row_ground, errors, location, prune,
+            relation=Relation.LEQ, live=None, drops=()):
+    """The `GroundRules` of a rule's rows: the tail both kinds of rule share.
+
+    Row ``r`` belongs to grounding ``row_ground[r]`` (ascending); only the
+    ``live`` groundings emit rows. With pruning, a hinge that can never be
+    active on the unit box and a hard row without a free atom are dropped.
+    A hard row without free atoms that the observations violate is an
+    error. ``errors`` holds ``(grounding, rank, error)`` triples; the first
+    in grounding order, then rank, is raised, after the ``(grounding,
+    warning)`` pairs of ``drops`` that precede it are issued.
+    """
+    indices, coeffs, arity, offsets = rows
+    n_rows = len(offsets)
+    exponent = None if rule.weight is None else (2 if rule.squared else 1)
+    keep = np.ones(n_rows, dtype=bool) if live is None else live[row_ground]
+    if exponent is not None:
+        if prune:
+            term_row = np.repeat(np.arange(n_rows), arity)
+            positive = np.bincount(term_row, np.maximum(coeffs, 0.0), minlength=n_rows)
+            keep &= (arity > 0) & (offsets + positive > 0.0)
+    else:
+        excess = np.abs(offsets) if relation is Relation.EQ else offsets
+        violated = keep & (arity == 0) & (excess > 1e-9)
+        if violated.any():
+            k = row_ground[violated.argmax()]
+            errors.append((k, (np.inf,), GroundingError(
+                "hard rule is violated by the observations alone (%s)"
+                % _origin(rule_id, names, subs[k], coding.constants),
+                *location,
+            )))
+        if prune:
+            keep &= arity > 0
+    first = min(errors, key=lambda e: e[:2]) if errors else None
+    for k, warning in drops:
+        if first is None or k < first[0]:
+            warnings.warn(warning, stacklevel=3)
+    if first is not None:
+        raise first[2]
+
+    kept_terms = np.repeat(keep, arity)
+    grounds, row_ground = np.unique(row_ground[keep], return_inverse=True)
+    rows = _Rows(indices[kept_terms], coeffs[kept_terms], arity[keep], offsets[keep])
+    return GroundRules(
+        rule_id, names, subs[grounds], coding.constants, rows, row_ground.ravel(),
+        exponent, relation,
+    )
 
 
 def ground_logical_rule(rule, data, layout=None, rule_id=0, prune=False, location=(None, None)):
@@ -492,120 +508,87 @@ def ground_logical_rule(rule, data, layout=None, rule_id=0, prune=False, locatio
     subs = _substitutions(regular, domains, layout, prune)
     n = len(subs)
     offsets = np.ones(n)
-    term_index, term_coeff = [], []
-    errors = []  # (row, literal position, error): the first in grounding order is raised
+    term_row, term_index, term_coeff = [], [], []
+    errors = []  # (grounding, (literal position,), error)
     for position, lit in enumerate(rule.literals):
         if isinstance(lit.atom, ComparisonAtom):
-            truth = _comparison_values(lit.atom, names, subs, coding)
+            truth = _comparison_truth(lit.atom, names, subs, coding)
             offsets -= (1.0 - truth) if lit.negated else truth
             continue
         atom = lit.atom
         args = _atom_args(atom, names, subs, coding)
-        if atom.predicate in data.functionals:
-            values, error = _functional_values(layout, atom.predicate, args)
-            if error is not None:
-                errors.append((error[0], position, error[1]))
-        else:
-            values = layout.values(atom.predicate, args)
+        values, error = layout.values(atom.predicate, args)
+        if error is not None:
+            errors.append((error[0], (position,), error[1]))
         free = np.isnan(values)
         offsets -= np.where(free, float(lit.negated), (1.0 - values) if lit.negated else values)
-        index = np.full(n, -1, dtype=np.intp)
         if free.any():  # only open atoms can be unobserved
-            index[free] = layout.indices(atom.predicate, args[free])
-        term_index.append(index)
-        term_coeff.append(np.where(free, 1.0 if lit.negated else -1.0, 0.0))
+            term_row.append(np.flatnonzero(free))
+            term_index.append(layout.indices(atom.predicate, args[free]))
+            term_coeff.append(np.full(term_row[-1].size, 1.0 if lit.negated else -1.0))
 
-    indices, coeffs, arity = _merge_terms(term_index, term_coeff, n)
-    if rule.weight is not None:
-        keep = np.ones(n, dtype=bool)
-        if prune:
-            term_row = np.repeat(np.arange(n), arity)
-            positive = np.bincount(term_row, np.maximum(coeffs, 0.0), minlength=n)
-            keep = (arity > 0) & (offsets + positive > 0.0)
-    else:
-        violated = (arity == 0) & (offsets > 1e-9)
-        if violated.any():
-            row = int(violated.argmax())
-            origin = _origin(rule_id, tuple(zip(names, (coding.constants[c] for c in subs[row]))))
-            errors.append((row, len(rule.literals), GroundingError(
-                "hard rule is violated by the observations alone (%s)" % origin, *location
-            )))
-        keep = arity > 0 if prune else np.ones(n, dtype=bool)
-    if errors:
-        raise min(errors, key=lambda e: e[:2])[2]
-
-    kept_terms = np.repeat(keep, arity)
-    rows = _Rows(indices[kept_terms], coeffs[kept_terms], arity[keep], offsets[keep])
-    exponent = None if rule.weight is None else (2 if rule.squared else 1)
-    return GroundRules(
-        rule_id, names, subs[keep], coding.constants, rows,
-        np.arange(len(rows.offsets)), exponent,
-    )
+    rows = _Rows(*_merge_terms(term_row, term_index, term_coeff, n), offsets)
+    return _finish(rule, rule_id, names, subs, coding, rows, np.arange(n), errors, location, prune)
 
 
 # -- arithmetic rules ------------------------------------------------------
 
 
-def _eval_select(expr, data, subst, location):
-    if isinstance(expr, Atom):
-        value = data.observed_value(_ground_atom(expr, subst))
-        return value != 0.0
-    if isinstance(expr, ComparisonAtom):
-        return _comparison_value(expr, subst) != 0.0
-    if isinstance(expr, Neg):
-        return not _eval_select(expr.operand, data, subst, location)
-    if isinstance(expr, And):
-        return _eval_select(expr.left, data, subst, location) and _eval_select(
-            expr.right, data, subst, location
-        )
-    if isinstance(expr, Or):
-        return _eval_select(expr.left, data, subst, location) or _eval_select(
-            expr.right, data, subst, location
-        )
-    if isinstance(expr, Implies):
-        return (not _eval_select(expr.body, data, subst, location)) or _eval_select(
-            expr.head, data, subst, location
-        )
-    raise GroundingError("unsupported select expression %r" % (expr,), *location)
-
-
-def _check_select_closed(select, data, rule_vars, location):
-    def walk(expr):
-        if isinstance(expr, Atom):
-            pred = data.predicates.get(expr.predicate)
+def _check_select(select, data, rule_vars, location):
+    """Check a select clause's atoms as rule atoms are checked; all must be closed."""
+    for atom in _walk_atoms(select.clause):
+        if isinstance(atom, Atom):
+            pred = data.predicates.get(atom.predicate)
             if pred is None:
-                raise GroundingError("unknown predicate %s" % expr.predicate, *location)
+                raise GroundingError("unknown predicate %s" % atom.predicate, *location)
             if not pred.closed:
                 raise GroundingError(
-                    "select statement references open predicate %s" % expr.predicate,
-                    *location,
+                    "select statement references open predicate %s" % atom.predicate, *location
                 )
-            for name in expr.variables:
-                if name != select.var and name not in rule_vars:
-                    raise GroundingError(
-                        "select statement uses unknown variable %s" % name, *location
-                    )
-        elif isinstance(expr, ComparisonAtom):
-            for name in expr.variables:
-                if name != select.var and name not in rule_vars:
-                    raise GroundingError(
-                        "select statement uses unknown variable %s" % name, *location
-                    )
-        elif isinstance(expr, Neg):
-            walk(expr.operand)
-        elif isinstance(expr, (And, Or)):
-            walk(expr.left)
-            walk(expr.right)
-        elif isinstance(expr, Implies):
-            walk(expr.body)
-            walk(expr.head)
-
-    walk(select.clause)
+        for name in atom.variables + atom.sum_variables:
+            if name != select.var and name not in rule_vars:
+                raise GroundingError("select statement uses unknown variable %s" % name, *location)
+        if isinstance(atom, Atom):
+            _infer_domains([atom], data, location)
 
 
-def _hinge_box_max(linfun: LinearFunction) -> float:
-    """Largest value of the linear function over the unit box."""
-    return linfun.offset + sum(c for _, c in linfun.terms if c > 0)
+def _select_mask(clause, names, rows, layout):
+    """Where a select clause holds on each row of codes, and the errors met.
+
+    An atom holds where its value is nonzero. As in a short-circuit
+    evaluation, each atom is read only on the rows whose outcome it can
+    still change. An error is ``(row, atom number, error)``, atoms numbered
+    left to right.
+    """
+    found = []
+    seen = 0
+
+    def holds(expr, active):
+        nonlocal seen
+        if isinstance(expr, Neg):
+            return active & ~holds(expr.operand, active)
+        if isinstance(expr, And):
+            return holds(expr.right, holds(expr.left, active))
+        if isinstance(expr, Or):
+            left = holds(expr.left, active)
+            return left | holds(expr.right, active & ~left)
+        if isinstance(expr, Implies):
+            body = holds(expr.body, active)
+            return (active & ~body) | holds(expr.head, body)
+        at = np.flatnonzero(active)
+        if isinstance(expr, ComparisonAtom):
+            values, error = _comparison_truth(expr, names, rows[at], layout.coding), None
+        else:
+            args = _atom_args(expr, names, rows[at], layout.coding)
+            values, error = layout.values(expr.predicate, args)
+        if error is not None:
+            found.append((at[error[0]], seen, error[1]))
+        seen += 1
+        truth = np.zeros(len(rows), dtype=bool)
+        truth[at] = values != 0.0
+        return truth
+
+    return holds(clause, np.ones(len(rows), dtype=bool)), found
 
 
 class _ZeroCardinalityDivision(ArithmeticError):
@@ -644,127 +627,121 @@ def ground_arithmetic_rule(rule, data, layout=None, rule_id=0, prune=False, loca
     the coefficient distributed across the summands; hard rules become
     equality/inequality constraints and weighted rules become one (for
     inequalities) or two (for equalities) hinge potentials per grounding.
+    A grounding whose coefficient divides by an empty sum is dropped with a
+    `GroundingWarning`.
     """
     if layout is None:
         layout = _Layout(data)
-    index = layout.index
-    constants = layout.coding.constants
-    atoms = [t.atom for t in rule.lhs + rule.rhs if t.atom is not None]
-    domains = {
-        name: [constants[c] for c in codes.tolist()]
-        for name, codes in _infer_domains(atoms, data, location).items()
-    }
-    sum_domains = {}
-    for atom in atoms:
-        pred = data.predicates[atom.predicate]
-        for arg, type_name in zip(atom.args, pred.arg_types):
-            if isinstance(arg, SumVariable):
-                pool = set(data.constants_of(type_name))
-                if arg.name in sum_domains:
-                    sum_domains[arg.name] &= pool
-                else:
-                    sum_domains[arg.name] = pool
-    selects = {s.var: s for s in rule.selects}
-    for select in rule.selects:
-        _check_select_closed(select, data, set(domains), location)
-
-    sum_pools = {name: sorted(sum_domains[name]) for name in sorted(sum_domains)}
-    free_vars = sorted(domains)
-    out = []  # (constants of the free variables, linear functions emitted)
-    for combo in itertools.product(*(domains[v] for v in free_vars)):
-        subst = dict(zip(free_vars, combo))
-        candidates = {}
-        for name, pool in sum_pools.items():
-            if name in selects:
-                clause = selects[name].clause
-                pool = [
-                    c
-                    for c in pool
-                    if _eval_select(clause, data, {**subst, name: c}, location)
-                ]
-            candidates[name] = pool
-        cards = {name: len(pool) for name, pool in candidates.items()}
-
-        try:
-            parts = []  # (signed coefficient, Atom or None)
-            for sign, terms in ((1.0, rule.lhs), (-1.0, rule.rhs)):
-                for term in terms:
-                    coeff = (
-                        _eval_coeff(term.coeff, cards, location)
-                        if term.coeff is not None
-                        else 1.0
-                    )
-                    parts.append((sign * coeff, term.atom))
-        except _ZeroCardinalityDivision:
-            where = "" if location[0] is None else " at %s:%s" % location
-            warnings.warn(
-                GroundingWarning(
-                    "dropping grounding %s%s: division by an empty sum"
-                    % (_origin(rule_id, tuple(sorted(subst.items()))), where)
-                ),
-                stacklevel=2,
-            )
-            continue
-
-        offset = 0.0
-        lin_terms = []
-
-        def accumulate(coeff, gatom):
-            nonlocal offset
-            value = data.observed_value(gatom)
-            if value is not None:
-                offset += coeff * value
-            else:
-                lin_terms.append((index[gatom], coeff))
-
-        for coeff, atom in parts:
-            if atom is None:
-                offset += coeff
-                continue
-            sum_names = [a.name for a in atom.args if isinstance(a, SumVariable)]
-            if not sum_names:
-                accumulate(coeff, _ground_atom(atom, subst))
-                continue
-            for expansion in itertools.product(*(candidates[n] for n in sum_names)):
-                bound = dict(zip(sum_names, expansion))
-                accumulate(coeff, _ground_atom(atom, {**subst, **bound}))
-
-        linfun = LinearFunction(lin_terms, offset)
-        if rule.relation == ">=":
-            linfun = linfun.negated()
-
-        if rule.weight is None:
-            if not linfun.terms:
-                violated = (
-                    abs(linfun.offset) > 1e-9 if rule.relation == "=" else linfun.offset > 1e-9
-                )
-                if violated:
-                    raise GroundingError(
-                        "hard rule is violated by the observations alone (%s)"
-                        % _origin(rule_id, tuple(sorted(subst.items()))),
-                        *location,
-                    )
-                if prune:
-                    continue
-            out.append((combo, [linfun]))
-        else:
-            funs = [linfun]
-            if rule.relation == "=":
-                funs.append(linfun.negated())
-            if prune:
-                funs = [f for f in funs if f.terms and _hinge_box_max(f) > 0.0]
-            if funs:
-                out.append((combo, funs))
     coding = layout.coding
-    if rule.weight is None:
-        relation = Relation.EQ if rule.relation == "=" else Relation.LEQ
-        return GroundRules.from_functions(rule_id, free_vars, coding, out, relation=relation)
-    exponent = 2 if rule.squared else 1
-    return GroundRules.from_functions(rule_id, free_vars, coding, out, exponent)
+    atoms = [t.atom for t in rule.lhs + rule.rhs if t.atom is not None]
+    domains = _infer_domains(atoms, data, location)
+    sum_types = {
+        arg.name: type_name
+        for atom in atoms
+        for arg, type_name in zip(atom.args, data.predicates[atom.predicate].arg_types)
+        if isinstance(arg, SumVariable)
+    }
+    both = sorted(set(domains) & set(sum_types))
+    if both:
+        raise GroundingError(
+            "variable %s is used both plain and as a sum variable" % both[0], *location
+        )
+    clauses = {select.var: select.clause for select in rule.selects}
+    for select in rule.selects:
+        _check_select(select, data, domains, location)
 
+    names = tuple(sorted(domains))
+    subs = _substitutions((), domains, layout, prune=False)
+    n = len(subs)
+    # Errors rank as the scalar order meets them within a grounding: select
+    # clauses, coefficients, atom values, then the hard-rule check.
+    errors = []
+    sums = sorted(sum_types)
+    pairs = {}  # sum variable -> its (grounding, candidate) relation, grounding-major
+    for k, name in enumerate(sums):
+        pool = coding.type_codes(sum_types[name])
+        pair = np.column_stack([np.repeat(np.arange(n), len(pool)), np.tile(pool, n)])
+        if name in clauses:
+            rows = np.column_stack([subs[pair[:, 0]], pair[:, 1]])
+            keep, found = _select_mask(clauses[name], names + (name,), rows, layout)
+            errors += [(pair[i, 0], (0, k, i, atom), error) for i, atom, error in found]
+            pair = pair[keep]
+        pairs[name] = (("#", name), pair)
 
-def _concat(arrays, dtype):
-    return np.concatenate(arrays).astype(dtype, copy=False) if arrays else np.zeros(0, dtype)
+    # Coefficients depend on the grounding only through its cardinalities.
+    cards = np.array(
+        [np.bincount(pairs[name][1][:, 0], minlength=n) for name in sums], dtype=np.intp
+    ).reshape(len(sums), n).T
+    terms = [(sign, term) for sign, side in ((1.0, rule.lhs), (-1.0, rule.rhs)) for term in side]
+    (keys,) = _keys(layout.radix + 1, cards)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    coeffs = np.zeros((len(first), len(terms)))
+    empty = np.zeros(len(first), dtype=bool)
+    for u, k in enumerate(first.tolist()):
+        count = dict(zip(sums, cards[k].tolist()))
+        try:
+            coeffs[u] = [
+                sign * (1.0 if term.coeff is None else _eval_coeff(term.coeff, count, location))
+                for sign, term in terms
+            ]
+        except _ZeroCardinalityDivision:
+            empty[u] = True
+        except GroundingError as exc:
+            errors.append((k, (1,), exc))
+    coeffs, empty = coeffs[inverse.ravel()], empty[inverse.ravel()]
+    where = "" if location[0] is None else " at %s:%s" % location
+    drops = [
+        (k, GroundingWarning("dropping grounding %s%s: division by an empty sum"
+                             % (_origin(rule_id, names, subs[k], coding.constants), where)))
+        for k in np.flatnonzero(empty).tolist()
+    ]
+
+    # Each term's ground atoms, summands in the scalar order: by grounding,
+    # then candidates in the order the sum variables appear in the atom.
+    live = (("#",), np.flatnonzero(~empty)[:, None])
+    offsets = np.zeros(n)
+    term_row, term_index, term_coeff = [], [], []
+    for position, (_, term) in enumerate(terms):
+        coeff = coeffs[:, position]
+        if term.atom is None:
+            offsets += coeff
+            continue
+        expansion = live
+        for name in term.atom.sum_variables:
+            expansion = _join(expansion, pairs[name], layout.radix)
+        columns, expanded = expansion
+        row = expanded[:, 0]
+        atom_names = names + columns[1:]
+        args = _atom_args(term.atom, atom_names, np.hstack([subs[row], expanded[:, 1:]]), coding)
+        values, error = layout.values(term.atom.predicate, args)
+        if error is not None:
+            errors.append((row[error[0]], (2, position), error[1]))
+        free = np.isnan(values)
+        # ufunc.at adds in order, so each offset sums its summands one by one.
+        np.add.at(offsets, row[~free], coeff[row[~free]] * values[~free])
+        if free.any():  # only open atoms can be unobserved
+            term_row.append(row[free])
+            term_index.append(layout.indices(term.atom.predicate, args[free]))
+            term_coeff.append(coeff[row[free]])
+
+    indices, merged, arity = _merge_terms(term_row, term_index, term_coeff, n)
+    if rule.relation == ">=":
+        offsets, merged = -offsets, -merged
+    row_ground = np.arange(n)
+    if rule.weight is not None and rule.relation == "=":
+        # Two hinges per grounding: the function, then its negation.
+        term_ground = 2 * np.repeat(row_ground, arity)
+        indices, merged, arity = _merge_terms(
+            [term_ground, term_ground + 1], [indices, indices], [merged, -merged], 2 * n
+        )
+        offsets = np.stack([offsets, -offsets], axis=1).ravel()
+        row_ground = np.repeat(row_ground, 2)
+    relation = Relation.EQ if rule.weight is None and rule.relation == "=" else Relation.LEQ
+    rows = _Rows(indices, merged, arity, offsets)
+    return _finish(
+        rule, rule_id, names, subs, coding, rows, row_ground, errors, location, prune,
+        relation, ~empty, drops,
+    )
 
 
 def _per_row(blocks, value, dtype):

@@ -19,6 +19,7 @@ from softlogic.lang.ast import (
     LangError,
     Neg,
     Or,
+    Variable,
 )
 from softlogic.lang.parser import normalize_logical
 from softlogic.model import (
@@ -406,9 +407,11 @@ def _reference_check_select(select, data, plain, location):
                 raise GroundingError(
                     "select statement references open predicate %s" % atom.predicate, *location
                 )
-        for name in atom.variables:
+        for name in atom.variables + atom.sum_variables:
             if name != select.var and name not in plain:
                 raise GroundingError("select statement uses unknown variable %s" % name, *location)
+        if isinstance(atom, Atom):
+            _reference_domains([atom], data, location)
 
 
 def _reference_selected(expr, data, subst):
@@ -458,6 +461,11 @@ def _reference_arithmetic(rule, rule_id, data, index, prune, location):
     atoms = [t.atom for t in rule.lhs + rule.rhs if t.atom is not None]
     domains = _reference_domains(atoms, data, location)
     sums = set(rule.sum_variables)
+    both = sorted(sums & {a.name for atom in atoms for a in atom.args if isinstance(a, Variable)})
+    if both:
+        raise GroundingError(
+            "variable %s is used both plain and as a sum variable" % both[0], *location
+        )
     plain = {name: pool for name, pool in domains.items() if name not in sums}
     for select in rule.selects:
         _reference_check_select(select, data, plain, location)

@@ -331,6 +331,24 @@ class TestArithmeticGrounding:
         with pytest.raises(GroundingError, match="violated"):
             ground_arithmetic_rule(prog.rules[0], data)
 
+    def test_variable_both_plain_and_summed_rejected(self):
+        data = load_data('P = {"a", "b"}\nG(P, P)\n')
+        prog = parse_program("G(X, +X) <= 1 .")
+        with pytest.raises(GroundingError) as err:
+            ground_program(prog, data)
+        assert str(err.value) == "1:1: variable X is used both plain and as a sum variable"
+
+    @pytest.mark.parametrize("clause, message", [
+        ("F(Y)", "F takes 2 arguments, rule supplies 1"),
+        ('F(Y, "zzz")', 'constant "zzz" does not have type P'),
+    ])
+    def test_select_atoms_checked_like_rule_atoms(self, clause, message):
+        data = load_data('P = {"a", "b"}\nF(P, P) (closed)\nE(P)\nG(P, P)\n')
+        prog = parse_program("G(X, +Y) <= 1 .\n{Y : %s}" % clause)
+        with pytest.raises(GroundingError) as err:
+            ground_program(prog, data)
+        assert str(err.value) == "1:1: " + message
+
 
 class TestGroundProgram:
     def test_empty_program(self):
@@ -476,6 +494,7 @@ RULE_POOL = (
     "0.7 : R(A, +B) >= @Max[|B| / 2, 0.5] S(A)\n{B : R(A, B) -> !Q(A, B)}",
     "0.3 : P(A) = 2 / (|B| - 1) S(+B)\n{B : !(S(B) & R(B, B))}",
     '0.5 : P(A) + P(A) + Q(A, +B) <= |B| S("c")',
+    'Q(A, +B) <= 1 .\n{B : R(B, "c")}',
 )
 
 
