@@ -20,7 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .model import HingePotential, HlMrf, LinearConstraint, ModelError, Relation
 
@@ -103,6 +102,10 @@ def solve_potential_subproblem(pot: HingePotential, weight, z, rho, cache=None):
         # Both modified problems land outside their regions: the hinge is
         # active, so project onto its hyperplane.
         return z - ((a @ z + b) / (a @ a)) * a
+
+    # Imported here: scipy.linalg is slow to import and nothing else in the
+    # library needs it.
+    import scipy.linalg
 
     key = (pot.template_id, pot.linfun.terms, float(weight), float(rho))
     factor = cache.get(key) if cache is not None else None

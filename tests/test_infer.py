@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import softlogic
 from softlogic import logic
 from softlogic.ground import ground_program, load_data
 from softlogic.infer import (
@@ -478,3 +483,15 @@ class TestProjectFeasible:
     def test_identity_on_feasible_points(self):
         mrf = make_mrf([], [leq([(0, 1.0), (1, 1.0)], -1.0)], weights=[], n=2)
         np.testing.assert_allclose(project_feasible(mrf, [0.2, 0.3]), [0.2, 0.3])
+
+
+def test_import_loads_no_scipy():
+    # scipy takes longer to import than the rest of the library; only the
+    # scalar reference subproblems use it, so they import it on first call.
+    code = "import sys, softlogic; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    src = os.path.dirname(os.path.dirname(softlogic.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
