@@ -660,13 +660,13 @@ def ground_arithmetic_rule(rule, data, layout=None, rule_id=0, prune=False, loca
     pairs = {}  # sum variable -> its (grounding, candidate) relation, grounding-major
     for k, name in enumerate(sums):
         pool = coding.type_codes(sum_types[name])
-        pair = np.column_stack([np.repeat(np.arange(n), len(pool)), np.tile(pool, n)])
+        pick = np.arange(n * len(pool))  # pair i: grounding i // len(pool), candidate i % len(pool)
         if name in clauses:
-            rows = np.column_stack([subs[pair[:, 0]], pair[:, 1]])
+            rows = np.column_stack([np.repeat(subs, len(pool), axis=0), np.tile(pool, n)])
             keep, found = _select_mask(clauses[name], names + (name,), rows, layout)
-            errors += [(pair[i, 0], (0, k, i, atom), error) for i, atom, error in found]
-            pair = pair[keep]
-        pairs[name] = (("#", name), pair)
+            errors += [(i // len(pool), (0, k, i, atom), error) for i, atom, error in found]
+            pick = np.flatnonzero(keep)
+        pairs[name] = (("#", name), np.column_stack([pick // len(pool), pool[pick % len(pool)]]))
 
     # Coefficients depend on the grounding only through its cardinalities.
     cards = np.array(
