@@ -7,21 +7,30 @@ copies back into the consensus vector and clips it to [0, 1]. Convergence
 is declared from the primal and dual residual tests with absolute and
 relative tolerances.
 
-Potential subproblems fall into three cases: the hinge is flat at the
-unconstrained minimizer, the smoothed linear system solves it, or the
-answer is the projection onto the hinge's hyperplane. Constraint
-subproblems are plain projections.
+Every block's local subproblem has one closed form. For the target ``z``
+and the block's row ``l(x) = a @ x + b``, the minimizer steps along ``a``:
+``x = z - clip(g * l(z), lo, hi) * a``. Only the per-row gain ``g`` and
+bounds ``lo``, ``hi`` differ, fixed once per solve from the weight ``w`` and
+the penalty ``rho``:
+
+- linear hinge: ``g = 1/||a||^2`` on ``[0, w/rho]``; the block stays at ``z``
+  where the hinge is flat, steps by ``w/rho``, or projects onto ``l = 0``;
+- squared hinge: ``g = 2w/(rho + 2w ||a||^2)`` on ``[0, inf)``;
+- inequality constraint: ``g = 1/||a||^2`` on ``[0, inf)``, a projection;
+- equality constraint: ``g = 1/||a||^2``, unbounded;
+- raw linear term ``c * y_i``: ``g = 0`` and ``lo = hi = c/rho``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HingePotential, HlMrf, LinearConstraint, ModelError, Relation
+from .model import FoldedRows, HingePotential, HlMrf, LinearConstraint, ModelError, Relation
 
 _STALL_WINDOW = 1000
 
@@ -56,6 +65,10 @@ class SolveOptions:
             raise ModelError("rho must be positive")
         if self.eps_abs <= 0 or self.eps_rel <= 0:
             raise ModelError("tolerances must be positive")
+        for name in ("max_iter", "workers"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ModelError("%s must be an integer >= 1, got %r" % (name, value))
 
 
 @dataclass
@@ -65,6 +78,7 @@ class Diagnostics:
     dual_residual: float = 0.0
     objective: float = 0.0
     energy: float = 0.0
+    max_violation: float = 0.0  # largest hard-constraint violation at the answer
     converged: bool = False
     infeasible: bool = False
     message: str = ""
@@ -209,16 +223,15 @@ def check_convergence(state: AdmmState, eps_abs: float, eps_rel: float) -> Conve
 
 
 class _Group:
-    """Same-arity blocks stacked into arrays for vectorized updates."""
+    """Same-arity blocks stacked into arrays, each with its own gain and bounds."""
 
-    def __init__(self, kind, extra, idx, coeffs, offsets, weights):
-        self.kind = kind  # "hinge" or "constraint" or "linear"
-        self.extra = extra  # exponent for hinges, Relation for constraints
+    def __init__(self, idx, coeffs, offsets, gain, floor, cap):
         self.idx = idx
         self.coeffs = coeffs
         self.offsets = offsets
-        self.weights = weights
-        self.norm2 = np.einsum("ij,ij->i", coeffs, coeffs) if coeffs.ndim == 2 else None
+        self.gain = gain
+        self.floor = floor
+        self.cap = cap
         self.local = None
         self.multiplier = None
 
@@ -230,126 +243,97 @@ class _Group:
         yb = consensus[self.idx[rows]]
         self.multiplier[rows] += rho * (self.local[rows] - yb)
         z = yb - self.multiplier[rows] / rho
-        if self.kind == "linear":
-            self.local[rows] = z - self.weights[rows] / rho
-            return
         a = self.coeffs[rows]
         lz = np.einsum("ij,ij->i", a, z) + self.offsets[rows]
-        if self.kind == "hinge":
-            w = self.weights[rows]
-            if self.extra == 1:
-                x2 = z - (w / rho)[:, None] * a
-                l2 = np.einsum("ij,ij->i", a, x2) + self.offsets[rows]
-                x3 = z - (lz / self.norm2[rows])[:, None] * a
-                out = np.where((l2 >= 0.0)[:, None], x2, x3)
-            else:
-                scale = 2.0 * w * lz / (rho + 2.0 * w * self.norm2[rows])
-                out = z - scale[:, None] * a
-            self.local[rows] = np.where((lz <= 0.0)[:, None], z, out)
-        else:
-            proj = z - (lz / self.norm2[rows])[:, None] * a
-            if self.extra is Relation.LEQ:
-                self.local[rows] = np.where((lz <= 0.0)[:, None], z, proj)
-            else:
-                self.local[rows] = proj
-
-    def violation(self, consensus):
-        if self.kind != "constraint":
-            return 0.0
-        lv = np.einsum("ij,ij->i", self.coeffs, consensus[self.idx]) + self.offsets
-        gap = np.abs(lv) if self.extra is Relation.EQ else np.maximum(lv, 0.0)
-        return float(gap.max(initial=0.0))
-
-    def energy(self, consensus):
-        if self.kind != "hinge":
-            return 0.0
-        lv = np.einsum("ij,ij->i", self.coeffs, consensus[self.idx]) + self.offsets
-        hinge = np.maximum(lv, 0.0)
-        if self.extra == 2:
-            hinge = hinge * hinge
-        return float(self.weights @ hinge)
+        step = np.clip(self.gain[rows] * lz, self.floor[rows], self.cap[rows])
+        self.local[rows] = z - step[:, None] * a
 
 
-def _buckets(rows, selected):
-    """``(row indices, arity)`` of the selected non-constant rows, by ascending arity."""
-    for arity in np.unique(rows.arity[selected]):
-        if arity:
-            yield np.flatnonzero(selected & (rows.arity == arity)), int(arity)
+def _inverse(values):
+    """``1 / values``, and 0 where ``values`` is 0."""
+    return 1.0 / np.where(values > 0.0, values, np.inf)
+
+
+def _linear_objective(extra_linear, n):
+    """The raw linear objective terms as one coefficient per free variable."""
+    if extra_linear is None:
+        return np.zeros(n)
+    c = np.asarray(extra_linear, dtype=float)
+    if c.shape != (n,):
+        raise ModelError("extra linear objective must have one entry per free variable")
+    return c
 
 
 class _CompiledModel:
-    """The model's folded rows, bucketed by kind, exponent or relation, and arity.
+    """The model's selected non-constant rows as blocks, one group per arity.
 
-    Buckets come in a fixed order (constraints before hinges, EQ before LEQ,
-    exponent 1 before 2, then ascending arity) and keep row order, so the
-    consensus sums, and with them the iterates, do not depend on how the
-    rows were selected. ``pot_mask`` and ``con_mask`` select rows.
+    A group holds its arity's constraint rows, then its potential rows,
+    then its linear terms, each in row order, so the consensus sums, and
+    with them the iterates, do not depend on how the rows were selected.
+    ``pot_mask`` and ``con_mask`` select rows, and ``rho`` fixes each
+    block's gain and bounds (see the module docstring).
     """
 
-    def __init__(self, mrf: HlMrf, pot_mask=None, con_mask=None, extra_linear=None):
+    def __init__(self, mrf: HlMrf, rho, pot_mask=None, con_mask=None, extra_linear=None):
         self.mrf = mrf
         self.n = mrf.table.n_free
         pots, cons = mrf.potential_rows, mrf.constraint_rows
-        pot_mask = np.ones(pots.size, bool) if pot_mask is None else pot_mask
-        con_mask = np.ones(cons.size, bool) if con_mask is None else con_mask
+        self.pot_mask = np.ones(pots.size, bool) if pot_mask is None else pot_mask
+        self.con_mask = np.ones(cons.size, bool) if con_mask is None else con_mask
+        self.linear = _linear_objective(extra_linear, self.n)
         weights = mrf.weights[pots.template_id]
+        self.weights = np.where(self.pot_mask, weights, 0.0)
 
-        constant = pot_mask & (pots.arity == 0)
-        self.constant_energy = float(
-            weights[constant] @ pots.hinges(pots.offsets[constant], constant)
-        )
-        constant = con_mask & (cons.arity == 0)
-        violated = constant & (cons.violations(cons.offsets) > 1e-9)
+        violated = self.con_mask & (cons.arity == 0) & (cons.violations(cons.offsets) > 1e-9)
         if violated.any():
             raise ModelError("constraint %d is constant and violated" % violated.argmax())
+        if np.any(self.con_mask & (cons.arity > 0) & (cons.norm2 == 0.0)):
+            raise ModelError("constraint has an all-zero normal vector")
 
+        linear_hinge = pots.exponent == 1
+        squared_gain = 2 * weights / (rho + 2 * weights * pots.norm2)
+        nz = np.flatnonzero(self.linear)
+        term_step = self.linear[nz] / rho
+        blocks = (  # rows, mask, gain, floor, cap
+            (cons, self.con_mask, _inverse(cons.norm2),
+             np.where(cons.is_eq, -np.inf, 0.0), np.full(cons.size, np.inf)),
+            (pots, self.pot_mask, np.where(linear_hinge, _inverse(pots.norm2), squared_gain),
+             np.zeros(pots.size), np.where(linear_hinge, weights / rho, np.inf)),
+            (FoldedRows(nz, np.ones(nz.size), np.ones(nz.size, np.intp), np.zeros(nz.size)),
+             np.ones(nz.size, bool), np.zeros(nz.size), term_step, term_step),
+        )
+        arities = np.unique(np.concatenate([rows.arity[mask] for rows, mask, *_ in blocks]))
         self.groups = []
-        for relation, picked in ((Relation.EQ, cons.is_eq), (Relation.LEQ, ~cons.is_eq)):
-            for rows, arity in _buckets(cons, con_mask & picked):
-                idx, coeffs = cons.padded(rows, arity)
-                group = _Group(
-                    "constraint", relation, idx, coeffs, cons.offsets[rows], np.zeros(rows.size)
-                )
-                if np.any(group.norm2 == 0.0):
-                    raise ModelError("constraint has an all-zero normal vector")
-                self.groups.append(group)
-        for exponent in (1, 2):
-            for rows, arity in _buckets(pots, pot_mask & (pots.exponent == exponent)):
-                idx, coeffs = pots.padded(rows, arity)
-                self.groups.append(
-                    _Group("hinge", exponent, idx, coeffs, pots.offsets[rows], weights[rows])
-                )
-
-        self.linear = None
-        if extra_linear is not None:
-            c = np.asarray(extra_linear, dtype=float)
-            if c.shape != (self.n,):
-                raise ModelError("extra linear objective must have one entry per free variable")
-            nz = np.nonzero(c)[0]
-            if nz.size:
-                self.linear = _Group(
-                    "linear", None, nz[:, None], np.ones((nz.size, 1)), None, c[nz][:, None]
-                )
-                self.groups.append(self.linear)
-        self.extra_linear = extra_linear
+        for arity in arities[arities > 0]:
+            parts = []
+            for rows, mask, *params in blocks:
+                r = np.flatnonzero(mask & (rows.arity == arity))
+                parts.append((*rows.padded(r, arity), rows.offsets[r], *(p[r] for p in params)))
+            self.groups.append(_Group(*(np.concatenate(p) for p in zip(*parts))))
 
         self.counts = np.zeros(self.n)
         for g in self.groups:
             self.counts += np.bincount(g.idx.ravel(), minlength=self.n)
         self.total_copies = float(self.counts.sum())
 
-    def objective(self, y):
-        value = self.energy(y)
-        if self.extra_linear is not None:
-            value += float(np.asarray(self.extra_linear) @ y)
-        return value
-
     def energy(self, y):
-        return self.constant_energy + sum(g.energy(y) for g in self.groups)
+        pots = self.mrf.potential_rows
+        return float(self.weights @ pots.hinges(pots.values(y)))
+
+    def objective(self, y):
+        return self.energy(y) + float(self.linear @ y)
 
     def max_violation(self, y):
-        """Largest hard-constraint violation at ``y`` (0 without constraints)."""
-        return max((g.violation(y) for g in self.groups), default=0.0)
+        """Largest selected hard-constraint violation at ``y`` (0 without any)."""
+        cons = self.mrf.constraint_rows
+        return float(cons.violations(cons.values(y))[self.con_mask].max(initial=0.0))
+
+    def report(self, y, diag):
+        """``diag`` with the energy, objective and largest violation at ``y``."""
+        diag.energy = self.energy(y)
+        diag.objective = diag.energy + float(self.linear @ y)
+        diag.max_violation = self.max_violation(y)
+        return diag
 
 
 def _run_admm(compiled: _CompiledModel, opts: SolveOptions, initial=None):
@@ -358,8 +342,7 @@ def _run_admm(compiled: _CompiledModel, opts: SolveOptions, initial=None):
     for g in compiled.groups:
         g.reset(y)
     if compiled.total_copies == 0:
-        diag = Diagnostics(converged=True, objective=compiled.objective(y), energy=compiled.energy(y))
-        return y, diag
+        return y, compiled.report(y, Diagnostics(converged=True))
 
     rho = opts.rho
     sqrt_copies = np.sqrt(compiled.total_copies)
@@ -454,9 +437,7 @@ def _run_admm(compiled: _CompiledModel, opts: SolveOptions, initial=None):
         if pool is not None:
             pool.shutdown()
 
-    diag.objective = compiled.objective(y)
-    diag.energy = compiled.energy(y)
-    return y, diag
+    return y, compiled.report(y, diag)
 
 
 def solve_map(mrf: HlMrf, opts: SolveOptions | None = None, extra_linear=None, initial=None):
@@ -469,7 +450,7 @@ def solve_map(mrf: HlMrf, opts: SolveOptions | None = None, extra_linear=None, i
     opts = opts or SolveOptions()
     if mrf.table.n_free < 1:
         raise ModelError("model has no free variables")
-    compiled = _CompiledModel(mrf, extra_linear=extra_linear)
+    compiled = _CompiledModel(mrf, opts.rho, extra_linear=extra_linear)
     return _run_admm(compiled, opts, initial=initial)
 
 
@@ -487,6 +468,7 @@ def solve_map_lazy(mrf: HlMrf, opts: SolveOptions | None = None, extra_linear=No
         raise ModelError("model has no free variables")
     threshold = opts.activation_threshold
     pots, cons = mrf.potential_rows, mrf.constraint_rows
+    linear = _linear_objective(extra_linear, mrf.table.n_free)
 
     pot_mask = np.zeros(pots.size, dtype=bool)
     con_mask = np.zeros(cons.size, dtype=bool)
@@ -501,14 +483,14 @@ def solve_map_lazy(mrf: HlMrf, opts: SolveOptions | None = None, extra_linear=No
             break
         pot_mask |= new_pots
         con_mask |= new_cons
-        compiled = _CompiledModel(mrf, pot_mask=pot_mask, con_mask=con_mask, extra_linear=extra_linear)
+        compiled = _CompiledModel(mrf, opts.rho, pot_mask, con_mask, linear)
         y, diag = _run_admm(compiled, opts, initial=y)
         total_iterations += diag.iterations
 
-    full = _CompiledModel(mrf, extra_linear=extra_linear)
     diag.iterations = total_iterations
-    diag.objective = full.objective(y)
-    diag.energy = full.energy(y)
+    diag.energy = mrf.energy(y)
+    diag.objective = diag.energy + float(linear @ y)
+    diag.max_violation = float(cons.violations(cons.values(y)).max(initial=0.0))
     diag.activated_potentials = int(pot_mask.sum())
     diag.activated_constraints = int(con_mask.sum())
     return y, diag
@@ -519,10 +501,7 @@ def project_feasible(mrf: HlMrf, y, tol: float = 1e-9, max_rounds: int = 10000):
     rows = mrf.constraint_rows
     y = np.clip(np.asarray(y, dtype=float).copy(), 0.0, 1.0)
     active = np.flatnonzero(rows.arity > 0)
-    folded = []
-    for k in active:
-        idx, a, b = rows.row(k)
-        folded.append((idx, a, b, float(a @ a), rows.is_eq[k]))
+    folded = [(*rows.row(k), rows.norm2[k], rows.is_eq[k]) for k in active]
     for _ in range(max_rounds):
         for idx, a, b, norm2, is_eq in folded:
             value = float(a @ y[idx] + b)

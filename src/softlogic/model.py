@@ -203,7 +203,8 @@ class FoldedRows:
     Row ``r`` is ``offsets[r] + coeffs[s] @ y[positions[s]]`` with
     ``s = slice(indptr[r], indptr[r + 1])`` (CSR form); ``positions`` index
     the free assignment and ``arity`` counts each row's terms. Rows left
-    with no free term are constants and still count.
+    with no free term are constants and still count. ``norm2[r]`` is the
+    squared norm of row ``r``'s coefficients.
     """
 
     def __init__(self, positions, coeffs, arity, offsets):
@@ -214,6 +215,7 @@ class FoldedRows:
         self.offsets = offsets
         self.indptr = np.concatenate(([0], np.cumsum(arity)))
         self.term_row = np.repeat(np.arange(self.size), arity)
+        self.norm2 = np.bincount(self.term_row, coeffs * coeffs, minlength=self.size)
 
     @staticmethod
     def _fold(functions, table: VariableTable, kind: str):

@@ -372,6 +372,27 @@ class TestSolveMap:
         with pytest.raises(ModelError, match="finite"):
             SolveOptions(**{field: bad})
 
+    @pytest.mark.parametrize("field", ["max_iter", "workers"])
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, "2"])
+    def test_counts_must_be_positive_integers(self, field, bad):
+        with pytest.raises(ModelError, match=field):
+            SolveOptions(**{field: bad})
+
+    @pytest.mark.parametrize("solver", [solve_map, solve_map_lazy])
+    def test_max_violation_reported(self, solver):
+        mrf = make_mrf(
+            [hinge([(0, 1.0)], 0.0), hinge([(1, -1.0)], 0.9, template=1)],
+            [eq([(0, 1.0), (1, 1.0)], -0.6)],
+            weights=[1.0, 2.0],
+            n=2,
+        )
+        y, diag = solver(mrf, SolveOptions(max_iter=3))
+        rows = mrf.constraint_rows
+        violation = abs(rows.values(y)[0])
+        assert violation == pytest.approx(abs(y[0] + y[1] - 0.6), abs=1e-15)
+        assert violation > 1e-6
+        assert diag.max_violation == violation
+
     def test_extra_linear_terms(self):
         # minimize w*max(y,0)^2 + c*y with c=-1: optimum at y = 1/(2w) capped
         mrf = make_mrf([hinge([(0, 1.0)], 0.0, exponent=2)], weights=[2.0])
@@ -388,43 +409,79 @@ class TestSolveMap:
         assert all(len(r) == 4 for r in records)
 
 
-class TestEngineMatchesScalarOps:
-    def test_one_iteration_equivalence(self):
-        # Drive the explicit-state path with the scalar subproblem solvers
-        # and compare against a single engine iteration.
-        rng = np.random.default_rng(88)
-        mrf = random_mrf(rng, n_vars=4, n_pots=6, constrained=True)
-        opts = SolveOptions(max_iter=1)
-        y_engine, _ = solve_map(mrf, opts)
+def mixed_model(rng, n=6):
+    """Linear and squared hinges, a zero-weight template, an observed
+    variable (the last), an EQ and a LEQ constraint, and a sparse raw
+    linear objective over the free variables."""
+    free, observed = n - 1, n - 1
+    potentials = []
+    for t in range(8):
+        idx = rng.choice(free, size=int(rng.integers(1, 4)), replace=False).tolist()
+        if rng.random() < 0.5:
+            idx.append(observed)
+        terms = list(zip(idx, rng.uniform(-1.0, 1.0, size=len(idx)).tolist()))
+        potentials.append(hinge(terms, rng.uniform(-0.5, 0.8), exponent=1 + t % 2, template=t % 4))
+    weights = rng.uniform(0.2, 1.5, size=4)
+    weights[3] = 0.0
+    i, j, k = rng.choice(free, size=3, replace=False).tolist()
+    constraints = [
+        eq([(i, 1.0), (j, 1.0)], -1.0),
+        leq([(j, 1.0), (k, 1.0), (observed, 0.5)], -1.0),
+    ]
+    mrf = make_mrf(potentials, constraints, weights, n=n, observed={observed: rng.uniform()})
+    linear = rng.uniform(-1.0, 1.0, size=free)
+    linear[rng.random(free) < 0.3] = 0.0
+    return mrf, linear
 
-        n = mrf.n_free
-        consensus = np.full(n, 0.5)
-        blocks = []
-        items = []
+
+class TestEngineMatchesScalarOps:
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_two_iterations_match_scalar_ops(self, seed, rho):
+        # Drive the explicit-state path with the scalar reference ops and
+        # compare against two engine iterations; the second starts from
+        # nonzero multipliers.
+        rng = np.random.default_rng(seed)
+        mrf, linear = mixed_model(rng)
+        opts = SolveOptions(rho=rho, eps_abs=1e-15, eps_rel=1e-15, max_iter=2)
+        y_engine, diag = solve_map(mrf, opts, extra_linear=linear)
+        assert diag.iterations == 2
+
+        table = mrf.table
+
+        def positions(lf):
+            return np.array([table.free_position(i) for i, _ in lf.terms], dtype=int)
+
+        solvers = []
         for pot in mrf.potentials:
-            lf = pot.linfun.fold_observed(mrf.table)
-            idx = np.array([mrf.table.free_position(i) for i, _ in lf.terms], dtype=int)
-            pot_f = HingePotential(lf, pot.exponent, pot.template_id)
-            items.append(("pot", pot_f, idx))
+            lf = pot.linfun.fold_observed(table)
+            folded = HingePotential(lf, pot.exponent, pot.template_id)
+            w = mrf.weights[pot.template_id]
+            solvers.append(
+                (positions(lf), lambda z, p=folded, w=w: solve_potential_subproblem(p, w, z, rho))
+            )
         for con in mrf.constraints:
-            lf = con.linfun.fold_observed(mrf.table)
-            idx = np.array([mrf.table.free_position(i) for i, _ in lf.terms], dtype=int)
-            items.append(("con", LinearConstraint(lf, con.relation), idx))
-        for kind, obj, idx in items:
-            local = consensus[idx].copy()
-            alpha = np.zeros(idx.size)
-            alpha += 1.0 * (local - consensus[idx])
-            z = consensus[idx] - alpha
-            if kind == "pot":
-                local = solve_potential_subproblem(
-                    obj, mrf.weights[obj.template_id], z, 1.0
-                )
-            else:
-                local = solve_constraint_subproblem(obj, z, 1.0)
-            blocks.append(AdmmBlock(idx, np.asarray(local), alpha))
-        state = AdmmState(blocks, consensus.copy(), consensus.copy(), 1.0)
-        y_manual = consensus_update(state)
-        np.testing.assert_allclose(y_engine, y_manual, atol=1e-12)
+            lf = con.linfun.fold_observed(table)
+            folded = LinearConstraint(lf, con.relation)
+            solvers.append(
+                (positions(lf), lambda z, c=folded: solve_constraint_subproblem(c, z, rho))
+            )
+        for i in np.flatnonzero(linear):
+            solvers.append((np.array([i]), lambda z, c=linear[i]: z - c / rho))
+
+        consensus = np.full(mrf.n_free, 0.5)
+        blocks = [AdmmBlock(idx, consensus[idx].copy(), np.zeros(idx.size)) for idx, _ in solvers]
+        state = AdmmState(blocks, consensus.copy(), consensus.copy(), rho)
+        for _ in range(2):
+            for block, (_, solve) in zip(state.blocks, solvers):
+                target = state.consensus[block.indices]
+                block.multiplier = block.multiplier + rho * (block.local - target)
+                block.local = solve(target - block.multiplier / rho)
+            consensus_update(state)
+        np.testing.assert_allclose(y_engine, state.consensus, rtol=0, atol=1e-12)
+        check = check_convergence(state, opts.eps_abs, opts.eps_rel)
+        assert diag.primal_residual == pytest.approx(check.primal_residual, rel=0, abs=1e-12)
+        assert diag.dual_residual == pytest.approx(check.dual_residual, rel=0, abs=1e-12)
 
 
 class TestLazyInference:
