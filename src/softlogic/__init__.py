@@ -21,6 +21,7 @@ from .model import (
 from .infer import (
     Diagnostics,
     SolveOptions,
+    WarmStart,
     project_feasible,
     solve_map,
     solve_map_lazy,
@@ -54,6 +55,7 @@ __all__ = [
     "TemplateInfo",
     "TrainingInstance",
     "VariableTable",
+    "WarmStart",
     "format_program",
     "generate_network",
     "ground_program",

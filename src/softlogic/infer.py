@@ -19,6 +19,12 @@ the penalty ``rho``:
 - inequality constraint: ``g = 1/||a||^2`` on ``[0, inf)``, a projection;
 - equality constraint: ``g = 1/||a||^2``, unbounded;
 - raw linear term ``c * y_i``: ``g = 0`` and ``lo = hi = c/rho``.
+
+A series of solves of one structure with nearby weights, as in learning,
+can pass one `WarmStart` to `solve_map`: each solve then starts from the
+last one's consensus vector, local copies and multipliers instead of from
+``y = 0.5`` with zero multipliers, as Boyd et al. (2011) suggest for a
+series of related problems.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FoldedRows, HingePotential, HlMrf, LinearConstraint, ModelError, Relation
+from .model import FoldedRows, HlMrf, ModelError
 
 _STALL_WINDOW = 1000
 
@@ -84,139 +90,6 @@ class Diagnostics:
     message: str = ""
     activated_potentials: int | None = None
     activated_constraints: int | None = None
-
-
-# -- scalar subproblem solvers (one block at a time) -----------------------
-
-
-def solve_potential_subproblem(pot: HingePotential, weight, z, rho, cache=None):
-    """Exact minimizer of ``w (max{l(x), 0})^p + rho/2 ||x - z||^2``.
-
-    ``z`` is ordered like ``pot.linfun.terms``. For squared hinges the
-    linear system is solved by a Cholesky factorization that can be cached
-    across potentials sharing a template and coefficient signature.
-    """
-    a = np.array([c for _, c in pot.linfun.terms], dtype=float)
-    b = pot.linfun.offset
-    z = np.asarray(z, dtype=float)
-    if z.shape != a.shape:
-        raise ModelError("target has %d entries, potential has %d" % (z.size, a.size))
-    if weight < 0 or rho <= 0:
-        raise ModelError("need weight >= 0 and rho > 0")
-    if a.size == 0 or weight == 0.0:
-        return z.copy()
-
-    if a @ z + b <= 0.0:
-        return z.copy()
-
-    if pot.exponent == 1:
-        x = z - (weight / rho) * a
-        if a @ x + b >= 0.0:
-            return x
-        # Both modified problems land outside their regions: the hinge is
-        # active, so project onto its hyperplane.
-        return z - ((a @ z + b) / (a @ a)) * a
-
-    # Imported here: scipy.linalg is slow to import and nothing else in the
-    # library needs it.
-    import scipy.linalg
-
-    key = (pot.template_id, pot.linfun.terms, float(weight), float(rho))
-    factor = cache.get(key) if cache is not None else None
-    if factor is None:
-        matrix = rho * np.eye(a.size) + 2.0 * weight * np.outer(a, a)
-        factor = scipy.linalg.cho_factor(matrix)
-        if cache is not None:
-            cache[key] = factor
-    return scipy.linalg.cho_solve(factor, rho * z - 2.0 * weight * b * a)
-
-
-def solve_constraint_subproblem(con: LinearConstraint, z, rho):
-    """Projection of ``z`` onto the constraint's feasible set."""
-    a = np.array([c for _, c in con.linfun.terms], dtype=float)
-    b = con.linfun.offset
-    z = np.asarray(z, dtype=float)
-    if z.shape != a.shape:
-        raise ModelError("target has %d entries, constraint has %d" % (z.size, a.size))
-    norm2 = a @ a
-    if norm2 == 0.0:
-        raise ModelError("constraint has an all-zero normal vector")
-    value = a @ z + b
-    if con.relation is Relation.LEQ and value <= 0.0:
-        return z.copy()
-    return z - (value / norm2) * a
-
-
-# -- explicit state for step-by-step use and tests --------------------------
-
-
-@dataclass
-class AdmmBlock:
-    indices: np.ndarray  # positions into the consensus vector
-    local: np.ndarray
-    multiplier: np.ndarray
-
-
-@dataclass
-class AdmmState:
-    blocks: list
-    consensus: np.ndarray
-    previous: np.ndarray
-    rho: float
-
-    def copy_counts(self) -> np.ndarray:
-        counts = np.zeros(self.consensus.size)
-        for block in self.blocks:
-            np.add.at(counts, block.indices, 1.0)
-        return counts
-
-
-def consensus_update(state: AdmmState) -> np.ndarray:
-    """Average copies (plus scaled multipliers) per variable and clip."""
-    n = state.consensus.size
-    total = np.zeros(n)
-    counts = np.zeros(n)
-    for block in state.blocks:
-        np.add.at(total, block.indices, block.local + block.multiplier / state.rho)
-        np.add.at(counts, block.indices, 1.0)
-    updated = state.consensus.copy()
-    touched = counts > 0
-    updated[touched] = np.clip(total[touched] / counts[touched], 0.0, 1.0)
-    state.previous = state.consensus
-    state.consensus = updated
-    return updated
-
-
-@dataclass(frozen=True)
-class ConvergenceCheck:
-    converged: bool
-    primal_residual: float
-    dual_residual: float
-    eps_primal: float
-    eps_dual: float
-
-
-def check_convergence(state: AdmmState, eps_abs: float, eps_rel: float) -> ConvergenceCheck:
-    """Primal/dual residual tests on the current state."""
-    counts = state.copy_counts()
-    total_copies = counts.sum()
-    primal_sq = 0.0
-    local_sq = 0.0
-    mult_sq = 0.0
-    for block in state.blocks:
-        diff = block.local - state.consensus[block.indices]
-        primal_sq += float(diff @ diff)
-        local_sq += float(block.local @ block.local)
-        mult_sq += float(block.multiplier @ block.multiplier)
-    primal = np.sqrt(primal_sq)
-    dual = state.rho * np.sqrt(float(counts @ (state.consensus - state.previous) ** 2))
-    eps_primal = eps_abs * np.sqrt(total_copies) + eps_rel * max(
-        np.sqrt(local_sq), np.sqrt(float(counts @ state.consensus**2))
-    )
-    eps_dual = eps_abs * np.sqrt(total_copies) + eps_rel * np.sqrt(mult_sq)
-    return ConvergenceCheck(
-        bool(primal <= eps_primal and dual <= eps_dual), primal, dual, eps_primal, eps_dual
-    )
 
 
 # -- vectorized engine -------------------------------------------------------
@@ -316,6 +189,11 @@ class _CompiledModel:
             self.counts += np.bincount(g.idx.ravel(), minlength=self.n)
         self.total_copies = float(self.counts.sum())
 
+    def layout(self):
+        """What fixes the groups' shapes: the rows, their masks and the linear support."""
+        rows = (self.mrf.potential_rows, self.mrf.constraint_rows)
+        return rows, (self.pot_mask, self.con_mask, self.linear != 0.0)
+
     def energy(self, y):
         pots = self.mrf.potential_rows
         return float(self.weights @ pots.hinges(pots.values(y)))
@@ -336,11 +214,51 @@ class _CompiledModel:
         return diag
 
 
-def _run_admm(compiled: _CompiledModel, opts: SolveOptions, initial=None):
+class WarmStart:
+    """The final ADMM state of one solve, to start the next of the same structure.
+
+    Empty until a `solve_map` call fills it. A filled state fits models that
+    share the folded rows (as `HlMrf.with_weights` copies do) and the
+    support of the linear terms; the weights and the linear coefficients
+    may change. Only one state is kept: a solve takes it over and leaves
+    its own final state in its place.
+    """
+
+    def __init__(self):
+        self.layout = None
+        self.y = None
+        self.states = None  # (local, multiplier) per group
+
+    def restore(self, compiled: _CompiledModel, initial):
+        """Hand the stored state to ``compiled``'s groups and return its ``y``."""
+        if initial is not None:
+            raise ModelError("a filled warm start cannot be combined with an initial point")
+        (rows, masks), (own_rows, own_masks) = compiled.layout(), self.layout
+        if not (
+            all(a is b for a, b in zip(rows, own_rows))
+            and all(np.array_equal(a, b) for a, b in zip(masks, own_masks))
+        ):
+            raise ModelError("warm start belongs to a model of another structure")
+        y, states = self.y, self.states
+        self.layout = self.y = self.states = None
+        for g, (local, multiplier) in zip(compiled.groups, states):
+            g.local, g.multiplier = local, multiplier
+        return y
+
+    def keep(self, compiled: _CompiledModel, y):
+        self.layout = compiled.layout()
+        self.y = y.copy()
+        self.states = [(g.local, g.multiplier) for g in compiled.groups]
+
+
+def _run_admm(compiled: _CompiledModel, opts: SolveOptions, initial=None, warm=None):
     n = compiled.n
-    y = np.full(n, 0.5) if initial is None else np.asarray(initial, dtype=float).copy()
-    for g in compiled.groups:
-        g.reset(y)
+    if warm is not None and warm.y is not None:
+        y = warm.restore(compiled, initial)
+    else:
+        y = np.full(n, 0.5) if initial is None else np.asarray(initial, dtype=float).copy()
+        for g in compiled.groups:
+            g.reset(y)
     if compiled.total_copies == 0:
         return y, compiled.report(y, Diagnostics(converged=True))
 
@@ -440,18 +358,25 @@ def _run_admm(compiled: _CompiledModel, opts: SolveOptions, initial=None):
     return y, compiled.report(y, diag)
 
 
-def solve_map(mrf: HlMrf, opts: SolveOptions | None = None, extra_linear=None, initial=None):
+def solve_map(
+    mrf: HlMrf, opts: SolveOptions | None = None, extra_linear=None, initial=None, warm=None
+):
     """MAP inference: minimize the energy over the feasible unit box.
 
     Returns ``(y, diagnostics)`` where ``y`` is aligned with the table's
     free variables. ``extra_linear`` adds raw linear objective terms (used
     by loss-augmented inference); ``initial`` overrides the centered start.
+    A `WarmStart` ``warm`` starts the solve from the state it holds, if
+    any, and receives the final state.
     """
     opts = opts or SolveOptions()
     if mrf.table.n_free < 1:
         raise ModelError("model has no free variables")
     compiled = _CompiledModel(mrf, opts.rho, extra_linear=extra_linear)
-    return _run_admm(compiled, opts, initial=initial)
+    y, diag = _run_admm(compiled, opts, initial, warm)
+    if warm is not None:
+        warm.keep(compiled, y)
+    return y, diag
 
 
 def solve_map_lazy(mrf: HlMrf, opts: SolveOptions | None = None, extra_linear=None):
@@ -459,7 +384,8 @@ def solve_map_lazy(mrf: HlMrf, opts: SolveOptions | None = None, extra_linear=No
 
     Starts from the all-zeros assignment with nothing active, repeatedly
     activates potentials and constraints unsatisfied by more than the
-    activation threshold, and re-solves until nothing new activates. With
+    activation threshold, and re-solves until nothing new activates. Linear
+    terms are always in the active set, so they get at least one round. With
     threshold 0 the result matches the full solve; larger thresholds are a
     speed heuristic without guarantees.
     """
@@ -476,10 +402,11 @@ def solve_map_lazy(mrf: HlMrf, opts: SolveOptions | None = None, extra_linear=No
     diag = Diagnostics(converged=True)
     total_iterations = 0
 
-    for _ in range(pots.size + cons.size + 1):
+    for rounds in range(pots.size + cons.size + 1):
         new_pots = ~pot_mask & (pots.hinges(pots.values(y)) > threshold)
         new_cons = ~con_mask & (cons.violations(cons.values(y)) > threshold)
-        if not (new_pots.any() or new_cons.any()):
+        # Linear terms move y off zero even when nothing is violated there.
+        if not (new_pots.any() or new_cons.any() or (rounds == 0 and linear.any())):
             break
         pot_mask |= new_pots
         con_mask |= new_cons

@@ -5,15 +5,23 @@ unweighted potential values): a structured-perceptron approximation of
 maximum likelihood, maximum pseudolikelihood with deterministic quadrature,
 and large-margin estimation with a cutting-plane loop around a
 loss-augmented separation oracle.
+
+Learning solves one MAP problem per gradient step, cutting-plane round or
+difference-of-convex iteration, each with the structure of the last and
+nearby weights. The perceptron and large-margin learners keep one
+`infer.WarmStart` per instance for the length of a call, so each solve
+starts from the previous one's ADMM state; no state outlives the call.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .infer import SolveOptions, solve_map
+from .infer import SolveOptions, WarmStart, solve_map
 from .model import HlMrf, ModelError
 
 
@@ -43,6 +51,18 @@ class TrainingInstance:
             )
 
 
+def _checked_instances(instances) -> list:
+    instances = list(instances)
+    if not instances:
+        raise ModelError("instances must hold at least one training instance")
+    return instances
+
+
+def _check_count(name: str, value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ModelError("%s must be an integer >= 1, got %r" % (name, value))
+
+
 def _grounding_scale(mrf: HlMrf) -> np.ndarray:
     counts = np.array([t.groundings for t in mrf.templates], dtype=float)
     return np.where(counts > 0, counts, 1.0)
@@ -51,18 +71,20 @@ def _grounding_scale(mrf: HlMrf) -> np.ndarray:
 # -- maximum likelihood / structured perceptron -----------------------------
 
 
-def mle_gradient(instance: TrainingInstance, weights, opts: SolveOptions | None = None):
+def mle_gradient(
+    instance: TrainingInstance, weights, opts: SolveOptions | None = None, warm=None
+):
     """Log-likelihood ascent direction with the MAP-state approximation.
 
     The expected features are replaced by the features of the most probable
     assignment under the current weights; each component is divided by its
-    template's grounding count.
+    template's grounding count. ``warm`` is passed on to `solve_map`.
     """
     weights = np.asarray(weights, dtype=float)
     if np.any(weights < 0):
         raise ModelError("weights must be nonnegative")
     model = instance.mrf.with_weights(weights)
-    y_map, diag = solve_map(model, opts)
+    y_map, diag = solve_map(model, opts, warm=warm)
     if diag.infeasible:
         raise ModelError("inference failed during learning: %s" % diag.message)
     phi_map = model.template_features(y_map)
@@ -82,18 +104,25 @@ def perceptron_train(
     Returns the average of the post-projection iterates over all steps. All
     instances must be groundings of the same program (same template list).
     """
-    if steps < 1 or step_size <= 0:
-        raise ModelError("need steps >= 1 and step_size > 0")
-    instances = list(instances)
+    _check_count("steps", steps)
+    if (
+        isinstance(step_size, bool)
+        or not isinstance(step_size, numbers.Real)
+        or not math.isfinite(step_size)
+        or step_size <= 0
+    ):
+        raise ModelError("step_size must be finite and > 0, got %r" % (step_size,))
+    instances = _checked_instances(instances)
     n_templates = len(instances[0].mrf.templates)
     weights = (
         np.ones(n_templates) if init is None else np.asarray(init, dtype=float).copy()
     )
     averaged = np.zeros(n_templates)
+    warms = [WarmStart() for _ in instances]
     for _ in range(steps):
         gradient = np.zeros(n_templates)
-        for instance in instances:
-            gradient += mle_gradient(instance, weights, opts)
+        for instance, warm in zip(instances, warms):
+            gradient += mle_gradient(instance, weights, opts, warm=warm)
         weights = np.maximum(weights + step_size * gradient, 0.0)
         averaged += weights
     return averaged / steps
@@ -215,24 +244,28 @@ def lme_separation_oracle(
     weights,
     opts: SolveOptions | None = None,
     dca_max_iter: int = 50,
+    warm=None,
 ):
     """Worst-violated margin constraint via loss-augmented inference.
 
     The l1 loss enters as linear objective terms. For {0,1} truth those are
     exact; interior truth values make the augmentation concave, handled by a
     difference-of-convex iteration over the +/-1 subgradient directions,
-    initialized by rounding the truth.
+    initialized by rounding the truth. Every solve is warm-started from the
+    previous one: from ``warm``, a `WarmStart` passed to `solve_map`, or
+    from a new one for this call.
     """
     weights = np.asarray(weights, dtype=float)
     if np.any(weights < 0):
         raise ModelError("weights must be nonnegative")
     model = instance.mrf.with_weights(weights)
     truth = instance.truth
+    warm = WarmStart() if warm is None else warm
     binary = np.all((truth == 0.0) | (truth == 1.0))
 
     if binary:
         coeff = np.where(truth == 1.0, 1.0, -1.0)
-        violator, _ = solve_map(model, opts, extra_linear=coeff)
+        violator, _ = solve_map(model, opts, extra_linear=coeff, warm=warm)
         converged = True
     else:
         # Assume the violator sits opposite the rounded truth, then flip
@@ -241,7 +274,7 @@ def lme_separation_oracle(
         best = None
         converged = False
         for _ in range(dca_max_iter):
-            violator, _ = solve_map(model, opts, extra_linear=-side)
+            violator, _ = solve_map(model, opts, extra_linear=-side, warm=warm)
             objective = float(
                 weights @ model.template_features(violator)
                 - np.abs(truth - violator).sum()
@@ -354,21 +387,22 @@ def lme_train(
     separation oracle on every instance, and stops once the aggregated new
     constraint is violated by at most ``tol``.
     """
-    instances = list(instances)
+    _check_count("max_rounds", max_rounds)
+    instances = _checked_instances(instances)
     n_templates = len(instances[0].mrf.templates)
     cuts = CuttingPlaneSet(C=C)
     history = []
     weights = np.zeros(n_templates)
     slack = 0.0
     converged = False
-    rounds = 0
+    warms = [WarmStart() for _ in instances]
     for rounds in range(1, max_rounds + 1):
         weights, slack, objective = solve_margin_qp(cuts, n_templates)
         history.append(objective)
         gap = np.zeros(n_templates)
         loss = 0.0
-        for instance in instances:
-            result = lme_separation_oracle(instance, weights, opts)
+        for instance, warm in zip(instances, warms):
+            result = lme_separation_oracle(instance, weights, opts, warm=warm)
             model = instance.mrf.with_weights(weights)
             gap += model.template_features(instance.truth) - model.template_features(
                 result.violator

@@ -2,8 +2,10 @@
 
 import itertools
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from softlogic.ground import GroundingError, GroundingWarning
 from softlogic.infer import SolveOptions
@@ -28,6 +30,7 @@ from softlogic.model import (
     HlMrf,
     LinearConstraint,
     LinearFunction,
+    ModelError,
     Relation,
     TemplateInfo,
     VariableTable,
@@ -196,6 +199,132 @@ def oracle_subproblem(pot, weight, z, rho):
     upper = max(weight / rho, max(lz, 0.0) / norm2) + 1.0
     s, _ = golden_section(value, 0.0, upper)
     return z - s * a
+
+
+# -- scalar reference ADMM ops (one block at a time) ------------------------
+
+
+def solve_potential_subproblem(pot: HingePotential, weight, z, rho, cache=None):
+    """Exact minimizer of ``w (max{l(x), 0})^p + rho/2 ||x - z||^2``.
+
+    ``z`` is ordered like ``pot.linfun.terms``. For squared hinges the
+    linear system is solved by a Cholesky factorization that can be cached
+    across potentials sharing a template and coefficient signature.
+    """
+    a = np.array([c for _, c in pot.linfun.terms], dtype=float)
+    b = pot.linfun.offset
+    z = np.asarray(z, dtype=float)
+    if z.shape != a.shape:
+        raise ModelError("target has %d entries, potential has %d" % (z.size, a.size))
+    if weight < 0 or rho <= 0:
+        raise ModelError("need weight >= 0 and rho > 0")
+    if a.size == 0 or weight == 0.0:
+        return z.copy()
+
+    if a @ z + b <= 0.0:
+        return z.copy()
+
+    if pot.exponent == 1:
+        x = z - (weight / rho) * a
+        if a @ x + b >= 0.0:
+            return x
+        # Both modified problems land outside their regions: the hinge is
+        # active, so project onto its hyperplane.
+        return z - ((a @ z + b) / (a @ a)) * a
+
+    key = (pot.template_id, pot.linfun.terms, float(weight), float(rho))
+    factor = cache.get(key) if cache is not None else None
+    if factor is None:
+        matrix = rho * np.eye(a.size) + 2.0 * weight * np.outer(a, a)
+        factor = scipy.linalg.cho_factor(matrix)
+        if cache is not None:
+            cache[key] = factor
+    return scipy.linalg.cho_solve(factor, rho * z - 2.0 * weight * b * a)
+
+
+def solve_constraint_subproblem(con: LinearConstraint, z, rho):
+    """Projection of ``z`` onto the constraint's feasible set."""
+    a = np.array([c for _, c in con.linfun.terms], dtype=float)
+    b = con.linfun.offset
+    z = np.asarray(z, dtype=float)
+    if z.shape != a.shape:
+        raise ModelError("target has %d entries, constraint has %d" % (z.size, a.size))
+    norm2 = a @ a
+    if norm2 == 0.0:
+        raise ModelError("constraint has an all-zero normal vector")
+    value = a @ z + b
+    if con.relation is Relation.LEQ and value <= 0.0:
+        return z.copy()
+    return z - (value / norm2) * a
+
+
+@dataclass
+class AdmmBlock:
+    indices: np.ndarray  # positions into the consensus vector
+    local: np.ndarray
+    multiplier: np.ndarray
+
+
+@dataclass
+class AdmmState:
+    blocks: list
+    consensus: np.ndarray
+    previous: np.ndarray
+    rho: float
+
+    def copy_counts(self) -> np.ndarray:
+        counts = np.zeros(self.consensus.size)
+        for block in self.blocks:
+            np.add.at(counts, block.indices, 1.0)
+        return counts
+
+
+def consensus_update(state: AdmmState) -> np.ndarray:
+    """Average copies (plus scaled multipliers) per variable and clip."""
+    n = state.consensus.size
+    total = np.zeros(n)
+    counts = np.zeros(n)
+    for block in state.blocks:
+        np.add.at(total, block.indices, block.local + block.multiplier / state.rho)
+        np.add.at(counts, block.indices, 1.0)
+    updated = state.consensus.copy()
+    touched = counts > 0
+    updated[touched] = np.clip(total[touched] / counts[touched], 0.0, 1.0)
+    state.previous = state.consensus
+    state.consensus = updated
+    return updated
+
+
+@dataclass(frozen=True)
+class ConvergenceCheck:
+    converged: bool
+    primal_residual: float
+    dual_residual: float
+    eps_primal: float
+    eps_dual: float
+
+
+def check_convergence(state: AdmmState, eps_abs: float, eps_rel: float) -> ConvergenceCheck:
+    """Primal/dual residual tests on the current state."""
+    counts = state.copy_counts()
+    total_copies = counts.sum()
+    primal_sq = 0.0
+    local_sq = 0.0
+    mult_sq = 0.0
+    for block in state.blocks:
+        diff = block.local - state.consensus[block.indices]
+        primal_sq += float(diff @ diff)
+        local_sq += float(block.local @ block.local)
+        mult_sq += float(block.multiplier @ block.multiplier)
+    primal = np.sqrt(primal_sq)
+    dual = state.rho * np.sqrt(float(counts @ (state.consensus - state.previous) ** 2))
+    eps_primal = eps_abs * np.sqrt(total_copies) + eps_rel * max(
+        np.sqrt(local_sq), np.sqrt(float(counts @ state.consensus**2))
+    )
+    eps_dual = eps_abs * np.sqrt(total_copies) + eps_rel * np.sqrt(mult_sq)
+    return ConvergenceCheck(
+        bool(primal <= eps_primal and dual <= eps_dual), primal, dual, eps_primal, eps_dual
+    )
 
 
 def reference_mple(instance, weights, quadrature=257, block_samples=1000, seed=0):

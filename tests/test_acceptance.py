@@ -17,7 +17,6 @@ from softlogic.infer import (
     project_feasible,
     solve_map,
     solve_map_lazy,
-    solve_potential_subproblem,
 )
 from softlogic.lang import parse_program
 from softlogic.learn import (
@@ -37,6 +36,7 @@ from helpers import (
     leq,
     make_mrf,
     oracle_subproblem,
+    solve_potential_subproblem,
 )
 
 EPS8 = SolveOptions(eps_abs=1e-8, eps_rel=1e-8)

@@ -9,16 +9,11 @@ import softlogic
 from softlogic import logic
 from softlogic.ground import ground_program, load_data
 from softlogic.infer import (
-    AdmmBlock,
-    AdmmState,
     SolveOptions,
-    check_convergence,
-    consensus_update,
+    WarmStart,
     project_feasible,
-    solve_constraint_subproblem,
     solve_map,
     solve_map_lazy,
-    solve_potential_subproblem,
 )
 from softlogic.lang import parse_program
 from softlogic.model import (
@@ -32,6 +27,10 @@ from softlogic.synth import SynthNetworkSpec, generate_network
 
 from helpers import (
     TIGHT,
+    AdmmBlock,
+    AdmmState,
+    check_convergence,
+    consensus_update,
     eq,
     grid_minimize,
     hinge,
@@ -39,6 +38,8 @@ from helpers import (
     make_mrf,
     oracle_subproblem,
     random_mrf,
+    solve_constraint_subproblem,
+    solve_potential_subproblem,
 )
 
 
@@ -484,6 +485,84 @@ class TestEngineMatchesScalarOps:
         assert diag.dual_residual == pytest.approx(check.dual_residual, rel=0, abs=1e-12)
 
 
+def squared_model(rng, n=6):
+    """Squared hinges only, pulling every variable to a random target from
+    both sides so the optimum is unique, plus an EQ constraint."""
+    potentials = []
+    for i, t in enumerate(rng.uniform(0.1, 0.9, size=n)):
+        potentials.append(hinge([(i, 1.0)], -t, exponent=2, template=0))
+        potentials.append(hinge([(i, -1.0)], t, exponent=2, template=1))
+    for _ in range(2 * n):
+        i, j = rng.choice(n, size=2, replace=False).tolist()
+        potentials.append(
+            hinge([(i, 1.0), (j, -1.0)], rng.uniform(-0.3, 0.3), exponent=2, template=2)
+        )
+    weights = rng.uniform(0.2, 1.5, size=3)
+    return make_mrf(potentials, [eq([(0, 1.0), (1, 1.0)], -1.0)], weights, n=n)
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_empty_warm_start_solves_cold(self, seed):
+        mrf, linear = mixed_model(np.random.default_rng(seed))
+        y_cold, cold = solve_map(mrf, TIGHT, extra_linear=linear)
+        warm = WarmStart()
+        y, diag = solve_map(mrf, TIGHT, extra_linear=linear, warm=warm)
+        assert diag.iterations == cold.iterations
+        np.testing.assert_array_equal(y, y_cold)
+        np.testing.assert_array_equal(warm.y, y_cold)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_warm_resolve_of_same_model_stops_at_once(self, seed):
+        # The stored state already passes the residual tests, so one more
+        # iteration does; it moves y by at most the dual tolerance (up to
+        # 1.3e-9 on these models at TIGHT).
+        mrf = squared_model(np.random.default_rng(seed))
+        warm = WarmStart()
+        y_cold, _ = solve_map(mrf, TIGHT, warm=warm)
+        y_warm, diag = solve_map(mrf, TIGHT, warm=warm)
+        assert diag.converged
+        assert diag.iterations <= 2
+        np.testing.assert_allclose(y_warm, y_cold, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_warm_solve_after_new_weights_matches_cold(self, seed):
+        rng = np.random.default_rng(seed)
+        mrf = squared_model(rng)
+        warm = WarmStart()
+        solve_map(mrf, TIGHT, warm=warm)
+        moved = mrf.with_weights(mrf.weights * rng.uniform(0.5, 1.5, size=mrf.weights.size))
+        y_warm, diag = solve_map(moved, TIGHT, warm=warm)
+        y_cold, _ = solve_map(moved, TIGHT)
+        assert diag.converged
+        np.testing.assert_allclose(y_warm, y_cold, rtol=0, atol=1e-6)
+
+    def test_new_linear_coefficients_on_the_same_support(self):
+        mrf, linear = mixed_model(np.random.default_rng(3))
+        warm = WarmStart()
+        solve_map(mrf, TIGHT, extra_linear=linear, warm=warm)
+        y_warm, diag = solve_map(mrf, TIGHT, extra_linear=-linear, warm=warm)
+        _, cold = solve_map(mrf, TIGHT, extra_linear=-linear)
+        assert diag.converged
+        assert diag.objective == pytest.approx(cold.objective, abs=1e-6)
+
+    def test_other_structure_rejected(self):
+        mrf = squared_model(np.random.default_rng(0))
+        warm = WarmStart()
+        solve_map(mrf, TIGHT, warm=warm)
+        with pytest.raises(ModelError, match="structure"):
+            solve_map(squared_model(np.random.default_rng(1)), TIGHT, warm=warm)
+        linear = np.zeros(mrf.n_free)
+        linear[0] = 1.0
+        with pytest.raises(ModelError, match="structure"):
+            solve_map(mrf, TIGHT, extra_linear=linear, warm=warm)
+        with pytest.raises(ModelError, match="initial"):
+            solve_map(mrf, TIGHT, initial=np.full(mrf.n_free, 0.5), warm=warm)
+        # A rejected call leaves the stored state in place.
+        _, diag = solve_map(mrf, TIGHT, warm=warm)
+        assert diag.iterations <= 2
+
+
 class TestLazyInference:
     def test_sparse_model_activates_under_thirty_percent(self):
         pots = []
@@ -519,6 +598,16 @@ class TestLazyInference:
         y, diag = solve_map_lazy(mrf, TIGHT)
         assert diag.activated_constraints == 1
         assert mrf.check_feasible(y, tol=1e-5)[0]
+
+    def test_linear_terms_solved_when_nothing_is_violated_at_zero(self):
+        # max(y - 0.5, 0) holds at the all-zero start; only the linear term
+        # -y pulls y up, so the lazy solver must still run a round.
+        mrf = make_mrf([hinge([(0, 1.0)], -0.5)], weights=[1.0])
+        linear = np.array([-1.0])
+        y_lazy, lazy = solve_map_lazy(mrf, TIGHT, extra_linear=linear)
+        y_full, full = solve_map(mrf, TIGHT, extra_linear=linear)
+        np.testing.assert_allclose(y_lazy, y_full, atol=1e-6)
+        assert lazy.objective == pytest.approx(full.objective, abs=1e-6)
 
     def test_matches_full_solve_on_random_sparse_models(self):
         rng = np.random.default_rng(19)

@@ -130,6 +130,63 @@ class TestPerceptron:
         assert learned[0] > learned[1]
 
 
+    def test_warm_started_training_matches_cold_loop(self):
+        # Each instance keeps its own solver state across steps; at TIGHT the
+        # weights match a loop of cold solves.
+        rng = np.random.default_rng(7)
+        instances = []
+        for n in (5, 7):
+            pots = []
+            for i in range(n):
+                evid = float(rng.uniform(0.2, 0.9))
+                pots.append(hinge([(i, -1.0)], evid, exponent=2, template=0))
+                pots.append(hinge([(i, 1.0)], 0.0, exponent=2, template=1))
+                pots.append(hinge([(i, 1.0), ((i + 1) % n, -1.0)], 0.0, exponent=2, template=2))
+            mrf = make_mrf(pots, weights=[1.0, 1.0, 1.0], n=n)
+            instances.append(TrainingInstance(mrf, rng.uniform(0.0, 1.0, size=n)))
+        steps, step_size = 10, 0.5
+        learned = perceptron_train(instances, steps=steps, step_size=step_size, opts=TIGHT)
+
+        weights = np.ones(3)
+        averaged = np.zeros(3)
+        for _ in range(steps):
+            gradient = np.zeros(3)
+            for inst in instances:
+                model = inst.mrf.with_weights(weights)
+                y, _ = solve_map(model, TIGHT)
+                counts = np.array([t.groundings for t in model.templates], dtype=float)
+                gradient += (
+                    model.template_features(y) - model.template_features(inst.truth)
+                ) / counts
+            weights = np.maximum(weights + step_size * gradient, 0.0)
+            averaged += weights
+        np.testing.assert_allclose(learned, averaged / steps, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "train, kwargs, name",
+    [
+        (perceptron_train, {"steps": 2.5}, "steps"),
+        (perceptron_train, {"steps": True}, "steps"),
+        (perceptron_train, {"steps": 0}, "steps"),
+        (perceptron_train, {"step_size": float("inf")}, "step_size"),
+        (perceptron_train, {"step_size": float("nan")}, "step_size"),
+        (perceptron_train, {"step_size": 0.0}, "step_size"),
+        (perceptron_train, {"step_size": True}, "step_size"),
+        (perceptron_train, {"instances": []}, "instances"),
+        (lme_train, {"instances": []}, "instances"),
+        (lme_train, {"max_rounds": 0}, "max_rounds"),
+        (lme_train, {"max_rounds": 1.5}, "max_rounds"),
+        (lme_train, {"max_rounds": True}, "max_rounds"),
+    ],
+)
+def test_learner_arguments_validated(train, kwargs, name):
+    mrf = make_mrf([hinge([(0, 1.0)], 0.0)], weights=[1.0])
+    arguments = {"instances": [TrainingInstance(mrf, np.array([0.0]))], **kwargs}
+    with pytest.raises(ModelError, match=name):
+        train(**arguments)
+
+
 class TestMple:
     def test_no_potentials_gives_zero_log_pseudolikelihood(self):
         mrf = make_mrf([], [], weights=[], n=3)
