@@ -217,11 +217,11 @@ def _parse_truth(text: str, mrf: HlMrf):
 
 def _clauses_from_model(mrf: HlMrf):
     """Interpret a linear clause-only model as weighted disjunctions."""
-    if mrf.constraints:
+    if mrf.constraint_rows.size:
         raise CliError("round requires a model without hard constraints")
     rows = mrf.potential_rows
     clauses = []
-    for j, pot in enumerate(mrf.potentials):
+    for j in range(rows.size):
         if rows.exponent[j] != 1:
             raise CliError("round requires linear (unsquared) potentials")
         positions, coeffs, offset = rows.row(j)
@@ -238,9 +238,9 @@ def _clauses_from_model(mrf: HlMrf):
             elif coeff == 1.0:
                 neg.append(position)
             else:
-                raise CliError("potential %s is not clause-shaped" % (pot.origin or "?"))
+                raise CliError("potential %s is not clause-shaped" % (mrf.origins[j] or "?"))
         if abs(offset - (1.0 - len(neg))) > 1e-9:
-            raise CliError("potential %s is not clause-shaped" % (pot.origin or "?"))
+            raise CliError("potential %s is not clause-shaped" % (mrf.origins[j] or "?"))
         weight = float(mrf.weights[rows.template_id[j]])
         clauses.append(logic.Clause(tuple(pos), tuple(neg), weight))
     return clauses

@@ -71,6 +71,8 @@ from ..model import (
     Relation,
     TemplateInfo,
     VariableTable,
+    _concat,
+    _merge_terms,
 )
 from .data import DataError, DataSet
 
@@ -188,8 +190,6 @@ class _Layout:
                 codes, values = self.coding.observed[name]
                 observed.update(zip(self.indices(name, codes).tolist(), values.tolist()))
         self.table = VariableTable(labels, observed)
-        self.free_position = np.full(self.table.size, -1, dtype=np.intp)
-        self.free_position[list(self.table.free_indices)] = np.arange(self.table.n_free)
 
     def indices(self, predicate, args) -> np.ndarray:
         """Table indices of open atoms (rows of argument codes).
@@ -407,29 +407,6 @@ def _comparison_truth(comp, names, subs, coding):
     # A constant outside the universe differs from every substituted constant.
     left, right = (coding.code.get(s, -1) if isinstance(s, str) else s for s in sides)
     return (left != right).astype(float)
-
-
-def _concat(arrays, dtype):
-    return np.concatenate(arrays).astype(dtype, copy=False) if arrays else np.zeros(0, dtype)
-
-
-def _merge_terms(row, index, coeff, n):
-    """CSR terms of ``n`` rows from lists of (row, variable index, coefficient) arrays.
-
-    As in `LinearFunction`, each row's terms are sorted by variable index,
-    duplicates summed in their given order and zero coefficients dropped.
-    """
-    row, index, coeff = _concat(row, np.intp), _concat(index, np.intp), _concat(coeff, float)
-    order = np.lexsort((index, row))
-    row, index = row[order], index[order]
-    start = np.ones(row.size, dtype=bool)
-    start[1:] = (row[1:] != row[:-1]) | (index[1:] != index[:-1])
-    # bincount adds each term's coefficients one by one, from 0.0.
-    coeff = np.bincount(np.cumsum(start) - 1, coeff[order], minlength=int(start.sum()))
-    row, index = row[start], index[start]
-    nonzero = coeff != 0.0
-    row, index, coeff = row[nonzero], index[nonzero], coeff[nonzero]
-    return index, coeff, np.bincount(row, minlength=n)
 
 
 def _finish(rule, rule_id, names, subs, coding, rows, row_ground, errors, location, prune,
@@ -751,7 +728,7 @@ def _per_row(blocks, value, dtype):
 def _rows(blocks, layout):
     """The rows of several rules, concatenated, over free positions."""
     return (
-        layout.free_position[_concat([b.rows.indices for b in blocks], np.intp)],
+        layout.table.position[_concat([b.rows.indices for b in blocks], np.intp)],
         _concat([b.rows.coeffs for b in blocks], float),
         _concat([b.rows.arity for b in blocks], np.intp),
         _concat([b.rows.offsets for b in blocks], float),

@@ -72,9 +72,12 @@ class SolveOptions:
         if self.eps_abs <= 0 or self.eps_rel <= 0:
             raise ModelError("tolerances must be positive")
         for name in ("max_iter", "workers"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise ModelError("%s must be an integer >= 1, got %r" % (name, value))
+            _check_count(name, getattr(self, name))
+
+
+def _check_count(name: str, value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ModelError("%s must be an integer >= 1, got %r" % (name, value))
 
 
 @dataclass

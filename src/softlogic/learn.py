@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .infer import SolveOptions, WarmStart, solve_map
+from .infer import SolveOptions, WarmStart, _check_count, solve_map
 from .model import HlMrf, ModelError
 
 
@@ -56,11 +56,6 @@ def _checked_instances(instances) -> list:
     if not instances:
         raise ModelError("instances must hold at least one training instance")
     return instances
-
-
-def _check_count(name: str, value):
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ModelError("%s must be an integer >= 1, got %r" % (name, value))
 
 
 def _grounding_scale(mrf: HlMrf) -> np.ndarray:

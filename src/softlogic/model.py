@@ -11,8 +11,8 @@ from __future__ import annotations
 import copy
 import enum
 import functools
-import itertools
 import json
+import sys
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -40,12 +40,16 @@ class GroundAtom:
         return "%s(%s)" % (self.predicate, ", ".join('"%s"' % a for a in self.args))
 
 
+_REAL = (int, float, np.integer, np.floating)
+
+
 class VariableTable:
     """Dense index space over ground atoms.
 
     Every atom gets one integer index; observed atoms carry a fixed value in
     [0, 1], the rest are free. Free-variable assignments are arrays aligned
-    with ``free_indices`` (ascending index order).
+    with ``free_indices`` (ascending index order); ``position[i]`` is index
+    ``i``'s place in them, -1 if ``i`` is observed.
     """
 
     def __init__(self, labels, observed=None):
@@ -54,7 +58,7 @@ class VariableTable:
         for idx, value in observed.items():
             if not 0 <= idx < len(self.labels):
                 raise ModelError("observed index %d out of range" % idx)
-            if not 0.0 <= value <= 1.0:
+            if isinstance(value, bool) or not isinstance(value, _REAL) or not 0 <= value <= 1:
                 raise ModelError(
                     "observed value %r for %s outside [0, 1]" % (value, self.labels[idx])
                 )
@@ -62,7 +66,8 @@ class VariableTable:
         self.free_indices: tuple[int, ...] = tuple(
             i for i in range(len(self.labels)) if i not in self.observed
         )
-        self._free_position = {idx: pos for pos, idx in enumerate(self.free_indices)}
+        self.position = np.full(len(self.labels), -1, dtype=np.intp)
+        self.position[list(self.free_indices)] = np.arange(len(self.free_indices))
 
     @property
     def size(self) -> int:
@@ -71,12 +76,6 @@ class VariableTable:
     @property
     def n_free(self) -> int:
         return len(self.free_indices)
-
-    def is_observed(self, index: int) -> bool:
-        return index in self.observed
-
-    def free_position(self, index: int) -> int:
-        return self._free_position[index]
 
     def free_assignment(self, y) -> np.ndarray:
         """``y`` as a float array, checked to hold one value per free variable."""
@@ -117,17 +116,6 @@ class LinearFunction:
 
     def value(self, values) -> float:
         return self.offset + sum(c * values[i] for i, c in self.terms)
-
-    def fold_observed(self, table: VariableTable) -> "LinearFunction":
-        """Substitute fixed values for observed variables into the offset."""
-        offset = self.offset
-        kept = []
-        for idx, coeff in self.terms:
-            if table.is_observed(idx):
-                offset += coeff * table.observed[idx]
-            else:
-                kept.append((idx, coeff))
-        return LinearFunction(kept, offset)
 
     def negated(self) -> "LinearFunction":
         return LinearFunction([(i, -c) for i, c in self.terms], -self.offset)
@@ -187,14 +175,81 @@ class TemplateInfo:
     groundings: int = 0
 
 
-def _index_array(values, message: str) -> np.ndarray:
+def _numbers(values, row, what, ok=np.isfinite) -> np.ndarray:
+    """``values`` as floats if each is a number (not a bool) that ``ok`` accepts.
+
+    Otherwise raises a `ModelError` reading ``row(k)``, ``what`` and the
+    value, for the first value ``k`` that is not accepted.
+    """
     try:
-        array = np.array(values, dtype=np.intp)
-    except OverflowError:
-        raise ModelError("%s (index too large)" % message) from None
-    if not np.array_equal(array, values):
-        raise ModelError("%s (index not an integer)" % message)
-    return array
+        if all(issubclass(t, _REAL) and t is not bool for t in set(map(type, values))):
+            array = np.array(values, dtype=float)
+            if ok(array).all():
+                return array
+    except OverflowError:  # an integer too large for a float
+        pass
+    bad = (k for k, v in enumerate(values) if isinstance(v, bool) or not isinstance(v, _REAL)
+           or not abs(v) <= sys.float_info.max or not ok(np.float64(v)))
+    k = next(bad)
+    raise ModelError("%s %s %r" % (row(k), what, values[k]))
+
+
+def _indices(size):
+    """An ``ok`` test for `_numbers`: integers in ``[0, size)``."""
+    return lambda a: (a >= 0) & (a < size) & (a == np.floor(a))
+
+
+def _concat(arrays, dtype):
+    return np.concatenate(arrays).astype(dtype, copy=False) if arrays else np.zeros(0, dtype)
+
+
+def _merge_terms(row, index, coeff, n):
+    """CSR terms of ``n`` rows from lists of (row, variable index, coefficient) arrays.
+
+    As in `LinearFunction`, each row's terms are sorted by variable index,
+    duplicates summed in their given order and zero coefficients dropped.
+    """
+    row, index, coeff = _concat(row, np.intp), _concat(index, np.intp), _concat(coeff, float)
+    order = np.lexsort((index, row))
+    row, index = row[order], index[order]
+    start = np.ones(row.size, dtype=bool)
+    start[1:] = (row[1:] != row[:-1]) | (index[1:] != index[:-1])
+    # bincount adds each term's coefficients one by one, from 0.0.
+    coeff = np.bincount(np.cumsum(start) - 1, coeff[order], minlength=int(start.sum()))
+    row, index = row[start], index[start]
+    nonzero = coeff != 0.0
+    row, index, coeff = row[nonzero], index[nonzero], coeff[nonzero]
+    return index, coeff, np.bincount(row, minlength=n)
+
+
+def fold_rows(table: VariableTable, functions, kind: str):
+    """``(positions, coeffs, arity, offsets)`` of ``(terms, offset)`` rows.
+
+    The one path from linear functions over table indices, ``terms`` being
+    ``(index, coefficient)`` pairs, to `FoldedRows`. Terms merge as in
+    `LinearFunction`, observed terms are added into the offset in term
+    order, and an unknown index or a non-finite number raises a
+    `ModelError` naming the row (``kind`` and number).
+    """
+    lengths = [len(terms) for terms, _ in functions]
+    pairs = [pair for terms, _ in functions for pair in terms]
+    indices, coeffs = [i for i, _ in pairs], [c for _, c in pairs]
+    constants = [offset for _, offset in functions]
+    n = len(constants)
+    term_row = np.repeat(np.arange(n), lengths)
+    at_term = lambda t: "%s %d" % (kind, term_row[t])
+    index = _numbers(indices, at_term, "references unknown variable", _indices(table.size))
+    coeff = _numbers(coeffs, at_term, "has non-finite coefficient")
+    offsets = _numbers(constants, lambda r: "%s %d" % (kind, r), "has non-finite offset")
+    index, coeff, arity = _merge_terms([term_row], [index], [coeff], n)
+    row = np.repeat(np.arange(n), arity)
+    position = table.position[index]
+    observed = position < 0
+    # ufunc.at adds in order, so each offset takes its observed terms one by one.
+    values = [table.observed[i] for i in index[observed].tolist()]
+    np.add.at(offsets, row[observed], coeff[observed] * values)
+    free = ~observed
+    return position[free], coeff[free], np.bincount(row[free], minlength=n), offsets
 
 
 class FoldedRows:
@@ -217,52 +272,12 @@ class FoldedRows:
         self.term_row = np.repeat(np.arange(self.size), arity)
         self.norm2 = np.bincount(self.term_row, coeffs * coeffs, minlength=self.size)
 
-    @staticmethod
-    def _fold(functions, table: VariableTable, kind: str):
-        """``(positions, coeffs, arity, offsets)`` of linear functions.
-
-        Free terms keep their order, and observed terms are added into the
-        offset in term order, exactly as ``LinearFunction.fold_observed``
-        does.
-        """
-        size = len(functions)
-        lengths = np.fromiter((len(lf.terms) for lf in functions), np.intp, size)
-        terms = list(itertools.chain.from_iterable(lf.terms for lf in functions))
-        indices = _index_array([i for i, _ in terms], "%s references unknown variable" % kind)
-        coeffs = np.array([c for _, c in terms], dtype=float)
-        offsets = np.fromiter((lf.offset for lf in functions), float, size)
-        term_row = np.repeat(np.arange(size), lengths)
-        unknown = (indices < 0) | (indices >= table.size)
-        if unknown.any():
-            t = unknown.argmax()
-            raise ModelError(
-                "%s %d references unknown variable %d" % (kind, term_row[t], indices[t])
-            )
-
-        free_position = np.full(table.size, -1, dtype=np.intp)
-        free_position[list(table.free_indices)] = np.arange(table.n_free)
-        observed_value = np.zeros(table.size)
-        observed_value[list(table.observed)] = list(table.observed.values())
-        positions = free_position[indices]
-        observed = positions < 0
-        rank = np.arange(indices.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        for k in np.unique(rank[observed]):
-            # A row has one term of each rank, so this adds each row's
-            # observed terms one at a time, in order.
-            at = observed & (rank == k)
-            offsets[term_row[at]] += coeffs[at] * observed_value[indices[at]]
-        arity = np.bincount(term_row[~observed], minlength=size)
-        return positions[~observed], coeffs[~observed], arity, offsets
-
-    def linear_functions(self, table: VariableTable):
-        """Each row as a `LinearFunction` over table indices."""
+    def functions(self, table: VariableTable):
+        """Each row as the ``(terms, offset)`` that `fold_rows` takes, over table indices."""
         indices = np.asarray(table.free_indices, dtype=np.intp)[self.positions].tolist()
-        coeffs = self.coeffs.tolist()
+        terms = list(map(list, zip(indices, self.coeffs.tolist())))
         bounds = self.indptr.tolist()
-        return [
-            LinearFunction(zip(indices[a:b], coeffs[a:b]), offset)
-            for a, b, offset in zip(bounds, bounds[1:], self.offsets.tolist())
-        ]
+        return [(terms[a:b], o) for a, b, o in zip(bounds, bounds[1:], self.offsets.tolist())]
 
     def values(self, y) -> np.ndarray:
         """Every row's value at the free assignment ``y``."""
@@ -288,21 +303,12 @@ class PotentialRows(FoldedRows):
         self.exponent = exponent
         self.template_id = template_id
 
-    @classmethod
-    def fold(cls, potentials, table) -> "PotentialRows":
-        exponent = np.fromiter((p.exponent for p in potentials), np.intp, len(potentials))
-        template_id = _index_array(
-            [p.template_id for p in potentials], "potential references unknown template"
-        )
-        folded = cls._fold([p.linfun for p in potentials], table, "potential")
-        return cls(*folded, exponent, template_id)
-
     def objects(self, table, origins):
         """Each row as a `HingePotential`, with ``origins[r]`` as its origin."""
-        rows = zip(self.linear_functions(table), self.exponent.tolist(), self.template_id.tolist())
+        rows = zip(self.functions(table), self.exponent.tolist(), self.template_id.tolist())
         return [
-            HingePotential(lf, exponent, tid, origins[r])
-            for r, (lf, exponent, tid) in enumerate(rows)
+            HingePotential(LinearFunction(*function), exponent, tid, origins[r])
+            for r, (function, exponent, tid) in enumerate(rows)
         ]
 
     def hinges(self, values, rows=slice(None)) -> np.ndarray:
@@ -318,18 +324,11 @@ class ConstraintRows(FoldedRows):
         super().__init__(positions, coeffs, arity, offsets)
         self.is_eq = is_eq
 
-    @classmethod
-    def fold(cls, constraints, table) -> "ConstraintRows":
-        is_eq = np.fromiter(
-            (c.relation is Relation.EQ for c in constraints), bool, len(constraints)
-        )
-        return cls(*cls._fold([c.linfun for c in constraints], table, "constraint"), is_eq)
-
     def objects(self, table):
         """Each row as a `LinearConstraint`."""
         return [
-            LinearConstraint(lf, Relation.EQ if eq else Relation.LEQ)
-            for lf, eq in zip(self.linear_functions(table), self.is_eq.tolist())
+            LinearConstraint(LinearFunction(*function), Relation.EQ if eq else Relation.LEQ)
+            for function, eq in zip(self.functions(table), self.is_eq.tolist())
         ]
 
     def violations(self, values) -> np.ndarray:
@@ -379,62 +378,75 @@ class HlMrf:
     Immutable after construction; shares structure freely across threads.
     The density itself is never normalized here -- only the energy is
     exposed, which is all MAP inference and the implemented learners need.
-    Everything that evaluates the model reads ``potential_rows`` and
-    ``constraint_rows``, and ``with_weights`` copies share them. A model
-    built from objects folds their observations into those rows once; a
-    model built ``from_rows`` builds its ``potentials`` and ``constraints``
-    objects only when they are first read.
+    Everything that evaluates or saves the model reads ``potential_rows``,
+    ``constraint_rows`` and ``origins[r]``, potential row ``r``'s origin;
+    ``with_weights`` copies share them. Objects given to the constructor
+    and the rows of a model file go through `fold_rows`. A model built from
+    objects keeps them as ``potentials`` and ``constraints``; others build
+    these from their rows when they are first read.
     """
 
     def __init__(self, table, potentials=(), constraints=(), templates=(), weights=None):
-        self.table: VariableTable = table
-        self.potentials: Sequence[HingePotential] = tuple(potentials)
-        self.constraints: Sequence[LinearConstraint] = tuple(constraints)
-        self.templates: tuple[TemplateInfo, ...] = tuple(templates)
-        if weights is None:
-            weights = np.zeros(len(self.templates))
-        self.weights = _checked_weights(weights, len(self.templates))
-        self.constraint_rows = ConstraintRows.fold(self.constraints, table)
-        self.potential_rows = PotentialRows.fold(self.potentials, table)
-        self._validate(p.origin for p in self.potentials if not p.linfun.terms)
+        potentials, constraints = tuple(potentials), tuple(constraints)
+        templates = tuple(templates)
+        self._build(
+            table,
+            [(p.linfun.terms, p.linfun.offset, p.exponent, p.template_id, p.origin)
+             for p in potentials],
+            [(c.linfun.terms, c.linfun.offset, c.relation is Relation.EQ) for c in constraints],
+            templates,
+            np.zeros(len(templates)) if weights is None else weights,
+        )
+        self.potentials, self.constraints = potentials, constraints
+
+    def _build(self, table, potentials, constraints, templates, weights):
+        """Fold ``(terms, offset, exponent, template id, origin)`` potentials
+        and ``(terms, offset, is_eq)`` constraints over table indices."""
+
+        def column(k, what, ok):
+            values = [p[k] for p in potentials]
+            return _numbers(values, lambda r: "potential %d" % r, what, ok).astype(np.intp)
+
+        potential_rows = PotentialRows(
+            *fold_rows(table, [p[:2] for p in potentials], "potential"),
+            column(2, "has an exponent other than 1 or 2:", lambda a: (a == 1) | (a == 2)),
+            column(3, "references unknown template", _indices(len(templates))),
+        )
+        constraint_rows = ConstraintRows(
+            *fold_rows(table, [c[:2] for c in constraints], "constraint"),
+            np.array([c[2] for c in constraints], dtype=bool),
+        )
+        self._set(table, potential_rows, constraint_rows, templates, weights,
+                  [p[4] for p in potentials])
 
     @classmethod
     def from_rows(cls, table, potential_rows, constraint_rows, templates, weights, origins):
-        """A model over rows that reference free variables only.
-
-        ``origins[r]`` is the origin string of potential row ``r``; it is
-        read only for the objects and for warnings.
-        """
+        """A model over rows that reference free variables only; ``origins[r]``
+        is potential row ``r``'s origin string."""
         model = cls.__new__(cls)
-        model.table = table
-        model.templates = tuple(templates)
-        model.weights = _checked_weights(weights, len(model.templates))
-        model.constraint_rows = constraint_rows
-        model.potential_rows = potential_rows
-        model.potentials = _Built(
-            potential_rows.size, functools.partial(potential_rows.objects, table, origins)
-        )
-        model.constraints = _Built(
-            constraint_rows.size, functools.partial(constraint_rows.objects, table)
-        )
-        model._validate(origins[r] for r in np.flatnonzero(potential_rows.arity == 0))
+        model._set(table, potential_rows, constraint_rows, templates, weights, origins)
         return model
 
-    def _validate(self, degenerate_origins):
-        template_id = self.potential_rows.template_id
-        unknown = (template_id < 0) | (template_id >= len(self.templates))
-        if unknown.any():
-            raise ModelError(
-                "potential references unknown template %d" % template_id[unknown.argmax()]
-            )
-        for origin in degenerate_origins:
+    def _set(self, table, potential_rows, constraint_rows, templates, weights, origins):
+        self.table = table
+        self.templates: tuple[TemplateInfo, ...] = tuple(templates)
+        self.weights = _checked_weights(weights, len(self.templates))
+        self.potential_rows, self.constraint_rows = potential_rows, constraint_rows
+        self.origins = origins
+        self.potentials: Sequence[HingePotential] = _Built(
+            potential_rows.size, functools.partial(potential_rows.objects, table, origins)
+        )
+        self.constraints: Sequence[LinearConstraint] = _Built(
+            constraint_rows.size, functools.partial(constraint_rows.objects, table)
+        )
+        for r in np.flatnonzero(potential_rows.arity == 0):
             # Degenerate groundings are kept (they contribute 0) so that
             # modeling bugs stay visible.
             warnings.warn(
-                "potential with constant linear function (%s)" % (origin or "unknown"),
-                stacklevel=3,
+                "potential with constant linear function (%s)" % (origins[r] or "unknown"),
+                stacklevel=4,
             )
-        counts = np.bincount(template_id, minlength=len(self.templates))
+        counts = np.bincount(potential_rows.template_id, minlength=len(self.templates))
         for tid, info in enumerate(self.templates):
             if info.groundings != counts[tid]:
                 raise ModelError(
@@ -482,9 +494,12 @@ class HlMrf:
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> dict:
-        def linfun_dict(lf):
-            return {"terms": [[i, c] for i, c in lf.terms], "offset": lf.offset}
+        """The version-1 document of the model, written from its rows."""
 
+        def linfuns(rows):
+            return [{"terms": t, "offset": o} for t, o in rows.functions(self.table)]
+
+        rows, constraint_rows = self.potential_rows, self.constraint_rows
         return {
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,
@@ -501,52 +516,52 @@ class HlMrf:
                 for t, w in zip(self.templates, self.weights)
             ],
             "potentials": [
-                {
-                    "linfun": linfun_dict(p.linfun),
-                    "exponent": p.exponent,
-                    "template": p.template_id,
-                    "origin": p.origin,
-                }
-                for p in self.potentials
+                {"linfun": lf, "exponent": e, "template": t, "origin": self.origins[r]}
+                for r, (lf, e, t) in enumerate(
+                    zip(linfuns(rows), rows.exponent.tolist(), rows.template_id.tolist())
+                )
             ],
             "constraints": [
-                {"linfun": linfun_dict(c.linfun), "relation": c.relation.value}
-                for c in self.constraints
+                {"linfun": lf, "relation": (Relation.EQ if eq else Relation.LEQ).value}
+                for lf, eq in zip(linfuns(constraint_rows), constraint_rows.is_eq.tolist())
             ],
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "HlMrf":
-        if data.get("format") != FORMAT_NAME:
+    def from_dict(cls, data) -> "HlMrf":
+        """A model from a version-1 document; a malformed one raises `ModelError`."""
+        if not isinstance(data, dict) or data.get("format") != FORMAT_NAME:
             raise ModelError("not a %s document" % FORMAT_NAME)
-        if data.get("version") != FORMAT_VERSION:
-            raise ModelError("unsupported model format version %r" % data.get("version"))
-
-        for kind in ("potential", "constraint"):
-            _index_array(
-                [i for row in data[kind + "s"] for i, _ in row["linfun"]["terms"]],
-                "%s references unknown variable" % kind,
+        version = data.get("version")
+        if isinstance(version, bool) or version != FORMAT_VERSION:
+            raise ModelError("unsupported model format version %r" % (version,))
+        model = cls.__new__(cls)
+        try:
+            variables, templates = data["variables"], data["templates"]
+            for i, v in enumerate(variables):
+                if not (isinstance(v["predicate"], str) and isinstance(v["args"], list)
+                        and all(isinstance(a, str) for a in v["args"])):
+                    raise ModelError("variable %d needs a predicate name and string args" % i)
+            table = VariableTable(
+                [GroundAtom(v["predicate"], tuple(v["args"])) for v in variables],
+                {i: v["observed"] for i, v in enumerate(variables) if v["observed"] is not None},
             )
-
-        def linfun(d):
-            return LinearFunction([(int(i), float(c)) for i, c in d["terms"]], d["offset"])
-
-        labels = [GroundAtom(v["predicate"], tuple(v["args"])) for v in data["variables"]]
-        observed = {
-            i: v["observed"] for i, v in enumerate(data["variables"]) if v["observed"] is not None
-        }
-        table = VariableTable(labels, observed)
-        templates = [TemplateInfo(t["source"], t["groundings"]) for t in data["templates"]]
-        weights = [t["weight"] for t in data["templates"]]
-        potentials = [
-            HingePotential(linfun(p["linfun"]), p["exponent"], p["template"], p.get("origin", ""))
-            for p in data["potentials"]
-        ]
-        constraints = [
-            LinearConstraint(linfun(c["linfun"]), Relation(c["relation"]))
-            for c in data["constraints"]
-        ]
-        return cls(table, potentials, constraints, templates, weights)
+            for key in ("groundings", "weight"):
+                what = "%s is not a finite number:" % key
+                _numbers([t[key] for t in templates], lambda k: "template %d" % k, what)
+            model._build(
+                table,
+                [(p["linfun"]["terms"], p["linfun"]["offset"], p["exponent"], p["template"],
+                  p.get("origin", "")) for p in data["potentials"]],
+                [(c["linfun"]["terms"], c["linfun"]["offset"],
+                  Relation(c["relation"]) is Relation.EQ) for c in data["constraints"]],
+                tuple(TemplateInfo(t["source"], t["groundings"]) for t in templates),
+                [t["weight"] for t in templates],
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            what = "missing key %s" % exc if isinstance(exc, KeyError) else exc
+            raise ModelError("malformed %s document: %s" % (FORMAT_NAME, what)) from None
+        return model
 
     def to_json(self, **kwargs) -> str:
         kwargs.setdefault("sort_keys", True)

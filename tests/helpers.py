@@ -85,13 +85,62 @@ def random_mrf(rng, n_vars=None, n_pots=None, squared_allowed=True, constrained=
     return make_mrf(potentials, constraints, weights, n=n)
 
 
+def fold_observed(lf, table):
+    """``lf`` with fixed values substituted for observed variables into the offset."""
+    offset = lf.offset
+    kept = []
+    for idx, coeff in lf.terms:
+        if idx in table.observed:
+            offset += coeff * table.observed[idx]
+        else:
+            kept.append((idx, coeff))
+    return LinearFunction(kept, offset)
+
+
+def reference_to_dict(mrf):
+    """A model's version-1 document, written from its objects (reference writer)."""
+
+    def linfun_dict(lf):
+        return {"terms": [[i, c] for i, c in lf.terms], "offset": lf.offset}
+
+    return {
+        "format": "softlogic-ground-model",
+        "version": 1,
+        "variables": [
+            {
+                "predicate": atom.predicate,
+                "args": list(atom.args),
+                "observed": mrf.table.observed.get(i),
+            }
+            for i, atom in enumerate(mrf.table.labels)
+        ],
+        "templates": [
+            {"source": t.source, "groundings": t.groundings, "weight": float(w)}
+            for t, w in zip(mrf.templates, mrf.weights)
+        ],
+        "potentials": [
+            {
+                "linfun": linfun_dict(p.linfun),
+                "exponent": p.exponent,
+                "template": p.template_id,
+                "origin": p.origin,
+            }
+            for p in mrf.potentials
+        ],
+        "constraints": [
+            {"linfun": linfun_dict(c.linfun), "relation": c.relation.value}
+            for c in mrf.constraints
+        ],
+    }
+
+
 def batch_energy(mrf, assignments):
     """Energy of many assignments at once (rows of ``assignments``)."""
     table = mrf.table
     total = np.zeros(assignments.shape[0])
     for pot in mrf.potentials:
-        lf = pot.linfun.fold_observed(table)
-        positions = [table.free_position(i) for i, _ in lf.terms]
+        lf = fold_observed(pot.linfun, table)
+        positions = [table.position[i] for i, _ in lf.terms]
         coeffs = np.array([c for _, c in lf.terms])
         lin = assignments[:, positions] @ coeffs + lf.offset if positions else lf.offset
         value = np.maximum(lin, 0.0) ** pot.exponent
@@ -103,8 +152,8 @@ def batch_feasible(mrf, assignments, tol=1e-9):
     table = mrf.table
     ok = np.ones(assignments.shape[0], dtype=bool)
     for con in mrf.constraints:
-        lf = con.linfun.fold_observed(table)
-        positions = [table.free_position(i) for i, _ in lf.terms]
+        lf = fold_observed(con.linfun, table)
+        positions = [table.position[i] for i, _ in lf.terms]
         coeffs = np.array([c for _, c in lf.terms])
         value = assignments[:, positions] @ coeffs + lf.offset
         if con.relation is Relation.EQ:
@@ -340,15 +389,15 @@ def reference_mple(instance, weights, quadrature=257, block_samples=1000, seed=0
     weights = np.asarray(weights, dtype=float)
     folded = []
     for pot in mrf.potentials:
-        lf = pot.linfun.fold_observed(table)
-        positions = np.array([table.free_position(i) for i, _ in lf.terms], dtype=np.intp)
+        lf = fold_observed(pot.linfun, table)
+        positions = np.array([table.position[i] for i, _ in lf.terms], dtype=np.intp)
         coeffs = np.array([c for _, c in lf.terms])
         folded.append((positions, coeffs, lf.offset, pot.exponent, pot.template_id))
     blocks = []
     for con in mrf.constraints:
-        lf = con.linfun.fold_observed(table)
+        lf = fold_observed(con.linfun, table)
         if lf.terms:
-            blocks.append(tuple(table.free_position(i) for i, _ in lf.terms))
+            blocks.append(tuple(table.position[i] for i, _ in lf.terms))
     in_block = {p for block in blocks for p in block}
     singletons = [p for p in range(mrf.n_free) if p not in in_block]
 

@@ -106,6 +106,27 @@ class TestInfer:
 
         assert objective(out_model) == pytest.approx(objective(out_direct), abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["constraints"][0].update(relation="geq"),
+             "'geq' is not a valid Relation"),
+            (lambda d: d["potentials"][0]["linfun"]["terms"][0].__setitem__(1, float("nan")),
+             "potential 0 has non-finite coefficient nan"),
+            (lambda d: d.pop("potentials"), "missing key 'potentials'"),
+        ],
+    )
+    def test_malformed_model_file_reported(self, fixture_paths, tmp_path, capsys, edit, message):
+        program, data = fixture_paths
+        model_path = tmp_path / "ground.json"
+        run(capsys, "ground", "--program", program, "--data", data, "--out", model_path)
+        doc = json.loads(model_path.read_text())
+        edit(doc)
+        model_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "infer", "--model", model_path)
+        assert code == 1 and not out
+        assert err.startswith("error: ") and message in err
+
     def test_end_to_end_determinism(self, fixture_paths, capsys):
         program, data = fixture_paths
         _, first, _ = run(capsys, "infer", "--program", program, "--data", data)

@@ -1,15 +1,24 @@
-"""Fuzzing of the front end: only located `LangError`s may escape.
+"""Fuzzing of the readers of user files.
 
 `tokenize`, `parse_program` and `load_data` read user files, so whatever
 text they get they either succeed or raise a `LangError` carrying an
 integer line and column. Inputs are arbitrary text and valid rule or data
 text with a few characters inserted, deleted or replaced.
+
+`HlMrf.from_json` reads model files: whatever JSON document it gets, it
+either succeeds or raises a `ModelError`. Inputs are a valid document with
+a few values replaced by arbitrary JSON values or deleted.
 """
+
+import copy
+import json
+import warnings
 
 from hypothesis import example, given, settings, strategies as st
 
 from softlogic.ground import load_data
 from softlogic.lang import LangError, parse_program, tokenize
+from softlogic.model import HlMrf, ModelError
 
 VALID_PROGRAM = """// opinion priors
 0.5 : Opinion(U) -> Liberal(U) ^2
@@ -94,3 +103,83 @@ def test_load_data(text):
 def test_valid_texts_read():
     assert len(parse_program(VALID_PROGRAM).rules) == 7
     assert len(load_data(VALID_DATA).observations) == 4
+
+
+VALID_MODEL = {
+    "format": "softlogic-ground-model",
+    "version": 1,
+    "variables": [
+        {"predicate": "Liberal", "args": ["u1"], "observed": None},
+        {"predicate": "Liberal", "args": ["u2"], "observed": 0.25},
+        {"predicate": "Conservative", "args": ["u1"], "observed": None},
+    ],
+    "templates": [
+        {"source": "0.5 : Opinion(U) -> Liberal(U)", "groundings": 2, "weight": 0.5},
+        {"source": "Liberal(U) + Conservative(U) = 1 .", "groundings": 0, "weight": 0.0},
+    ],
+    "potentials": [
+        {"linfun": {"terms": [[0, -1.0], [1, 0.5]], "offset": 0.75}, "exponent": 1,
+         "template": 0, "origin": "rule 0 {U=u1}"},
+        {"linfun": {"terms": [[2, 1.0], [2, -0.5], [0, 1.0]], "offset": -1.0}, "exponent": 2,
+         "template": 0},
+    ],
+    "constraints": [
+        {"linfun": {"terms": [[0, 1.0], [2, 1.0]], "offset": -1.0}, "relation": "eq"},
+        {"linfun": {"terms": [[1, 1.0], [0, 1.0]], "offset": -1.0}, "relation": "leq"},
+    ],
+}
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from([0, 1, 2, -1, 0.5, 10**400, "eq", "leq", "1"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, path=()):
+    """Every place in a JSON document, the document itself first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = copy.deepcopy(VALID_MODEL)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(_json_values)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            parent[path[-1]] = draw(_json_values)
+        else:
+            del parent[path[-1]]
+    return doc
+
+
+def test_valid_model_reads():
+    mrf = HlMrf.from_json(json.dumps(VALID_MODEL))
+    assert (mrf.n_free, mrf.potential_rows.size, mrf.constraint_rows.size) == (2, 2, 2)
+
+
+@settings(max_examples=600, deadline=None)
+@given(doc=mutated_documents())
+def test_model_from_json(doc):
+    text = json.dumps(doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            HlMrf.from_json(text)
+        except ModelError:
+            pass

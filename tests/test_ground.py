@@ -20,7 +20,7 @@ from softlogic.lang import parse_program
 from softlogic.model import ConstraintRows, GroundAtom, HlMrf, PotentialRows, Relation
 from softlogic.synth import DEFAULT_EDGE_WEIGHTS, SynthNetworkSpec, generate_network
 
-from helpers import reference_ground_program
+from helpers import fold_observed, reference_ground_program
 
 DOCUMENT_DATA = """
 Document = {"d1", "d2"}
@@ -180,7 +180,7 @@ class TestLogicalGrounding:
         (pot,) = grounds[0].potentials
         values = np.zeros(1)
         table, _ = build_variable_table(data)
-        assert max(pot.linfun.fold_observed(table).offset, 0.0) == 0.0
+        assert max(fold_observed(pot.linfun, table).offset, 0.0) == 0.0
         pruned = ground_logical_rule(prog.rules[0], data, prune=True)
         assert pruned == []
 
@@ -452,10 +452,10 @@ class TestGroundProgram:
         rng = np.random.default_rng(0)
         for _ in range(20):
             y_free = rng.uniform(0, 1, size=free.n_free)
-            y_free[free.table.free_position(pinned_idx)] = 0.8
+            y_free[free.table.position[pinned_idx]] = 0.8
             y_obs = np.array(
                 [
-                    y_free[free.table.free_position(i)]
+                    y_free[free.table.position[i]]
                     for i, atom in enumerate(free.table.labels)
                     if atom != GroundAtom("Link", ("a", "b"))
                 ]

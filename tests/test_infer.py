@@ -32,6 +32,7 @@ from helpers import (
     check_convergence,
     consensus_update,
     eq,
+    fold_observed,
     grid_minimize,
     hinge,
     leq,
@@ -374,7 +375,7 @@ class TestSolveMap:
             SolveOptions(**{field: bad})
 
     @pytest.mark.parametrize("field", ["max_iter", "workers"])
-    @pytest.mark.parametrize("bad", [0, -3, 2.5, "2"])
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, "2", True])
     def test_counts_must_be_positive_integers(self, field, bad):
         with pytest.raises(ModelError, match=field):
             SolveOptions(**{field: bad})
@@ -451,18 +452,18 @@ class TestEngineMatchesScalarOps:
         table = mrf.table
 
         def positions(lf):
-            return np.array([table.free_position(i) for i, _ in lf.terms], dtype=int)
+            return np.array([table.position[i] for i, _ in lf.terms], dtype=int)
 
         solvers = []
         for pot in mrf.potentials:
-            lf = pot.linfun.fold_observed(table)
+            lf = fold_observed(pot.linfun, table)
             folded = HingePotential(lf, pot.exponent, pot.template_id)
             w = mrf.weights[pot.template_id]
             solvers.append(
                 (positions(lf), lambda z, p=folded, w=w: solve_potential_subproblem(p, w, z, rho))
             )
         for con in mrf.constraints:
-            lf = con.linfun.fold_observed(table)
+            lf = fold_observed(con.linfun, table)
             folded = LinearConstraint(lf, con.relation)
             solvers.append(
                 (positions(lf), lambda z, c=folded: solve_constraint_subproblem(c, z, rho))

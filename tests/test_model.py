@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from softlogic.ground import ground_program, load_data
+from softlogic.infer import SolveOptions, solve_map
+from softlogic.lang import parse_program
 from softlogic.model import (
     GroundAtom,
     HingePotential,
@@ -17,7 +20,19 @@ from softlogic.model import (
     VariableTable,
 )
 
-from helpers import batch_energy, batch_feasible, eq, hinge, leq, make_mrf, random_mrf
+from softlogic.synth import SynthNetworkSpec, generate_network
+
+from helpers import (
+    batch_energy,
+    batch_feasible,
+    eq,
+    fold_observed,
+    hinge,
+    leq,
+    make_mrf,
+    random_mrf,
+    reference_to_dict,
+)
 
 
 class TestLinearFunction:
@@ -33,7 +48,7 @@ class TestLinearFunction:
     def test_fold_observed(self):
         table = VariableTable([GroundAtom("a"), GroundAtom("b")], {1: 0.25})
         lf = LinearFunction([(0, 1.0), (1, 2.0)], -0.5)
-        folded = lf.fold_observed(table)
+        folded = fold_observed(lf, table)
         assert folded.terms == ((0, 1.0),)
         assert folded.offset == pytest.approx(0.0)
 
@@ -176,6 +191,72 @@ class TestValidation:
             mrf = make_mrf([hinge([], -1.0)], weights=[1.0])
         assert mrf.energy([0.3]) == 0.0
 
+    def test_potential_over_observed_variables_warns(self):
+        with pytest.warns(UserWarning, match="constant linear function"):
+            mrf = make_mrf([hinge([(0, 1.0)], -1.0)], weights=[1.0], n=2, observed={0: 0.5})
+        assert mrf.energy([0.3]) == 0.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_coefficients_and_offsets_rejected(self, bad):
+        cases = [
+            ([hinge([(0, bad)], 0.0)], [], "potential 0 has non-finite coefficient"),
+            ([hinge([(0, 1.0)], 0.0), hinge([(0, 1.0)], bad)], [],
+             "potential 1 has non-finite offset"),
+            ([], [leq([(0, 1.0)], 0.0), leq([(0, bad)], 0.0)],
+             "constraint 1 has non-finite coefficient"),
+            ([], [eq([(0, 1.0)], bad)], "constraint 0 has non-finite offset"),
+        ]
+        for potentials, constraints, message in cases:
+            with pytest.raises(ModelError, match=message):
+                make_mrf(potentials, constraints, weights=[1.0] if potentials else [])
+        doc = make_mrf([hinge([(0, 1.0)], 0.0)], [leq([(0, 1.0)], -1.0)], weights=[1.0]).to_dict()
+        for kind in ("potential", "constraint"):
+            for field in ("coefficient", "offset"):
+                edited = json.loads(json.dumps(doc))
+                linfun = edited[kind + "s"][0]["linfun"]
+                if field == "offset":
+                    linfun["offset"] = bad
+                else:
+                    linfun["terms"][0][1] = bad
+                with pytest.raises(ModelError, match="%s 0 has non-finite %s" % (kind, field)):
+                    HlMrf.from_json(json.dumps(edited))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["constraints"][0].update(relation="geq"),
+             "'geq' is not a valid Relation"),
+            (lambda d: d.pop("potentials"), "missing key 'potentials'"),
+            (lambda d: d["templates"][0].update(groundings="1"),
+             "template 0 groundings is not a finite number: '1'"),
+            (lambda d: d["templates"][0].update(weight="1"),
+             "template 0 weight is not a finite number: '1'"),
+            (lambda d: d["potentials"][0].update(exponent=True),
+             "potential 0 has an exponent other than 1 or 2: True"),
+            (lambda d: d["potentials"][0].update(template=False), "unknown template False"),
+            (lambda d: d["variables"][0].update(observed=True), "observed value True"),
+            (lambda d: d["variables"][0].update(args="ab"), "variable 0 needs"),
+            (lambda d: d["potentials"][0]["linfun"]["terms"][0].append(1.0),
+             "document: too many values to unpack"),
+            (lambda d: d["constraints"][0]["linfun"].update(terms=3),
+             "document: object of type 'int' has no len"),
+            (lambda d: d["potentials"][0]["linfun"]["terms"][0].__setitem__(0, True),
+             "potential 0 references unknown variable True"),
+            (lambda d: d["potentials"].__setitem__(0, []), "malformed"),
+            (lambda d: d.update(variables=5), "malformed"),
+        ],
+    )
+    def test_malformed_document_rejected(self, edit, message):
+        doc = make_mrf([hinge([(0, 1.0)], 0.0)], [leq([(0, 1.0)], -1.0)], weights=[1.0]).to_dict()
+        edit(doc)
+        with pytest.raises(ModelError, match=message):
+            HlMrf.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["[]", "1", '"softlogic-ground-model"', "null"])
+    def test_document_must_be_an_object(self, text):
+        with pytest.raises(ModelError, match="not a softlogic-ground-model document"):
+            HlMrf.from_json(text)
+
 
 class TestSerialization:
     def test_round_trip_bytes(self):
@@ -203,6 +284,97 @@ class TestSerialization:
         doc = json.loads(make_mrf([hinge([(0, 1.0)], 0.0)], weights=[1.0]).to_json())
         assert doc["format"] == "softlogic-ground-model"
         assert doc["version"] == 1
+
+    def test_object_model_saves_folded_rows(self):
+        mrf = make_mrf(
+            [hinge([(1, -2.0), (0, 1.0)], 0.25)], [leq([(0, 1.0), (1, 1.0)], -1.0)],
+            weights=[1.0], n=2, observed={1: 0.5},
+        )
+        doc = mrf.to_dict()
+        assert doc["potentials"][0]["linfun"] == {"terms": [[0, 1.0]], "offset": -0.75}
+        assert doc["constraints"][0]["linfun"] == {"terms": [[0, 1.0]], "offset": -0.5}
+        text = mrf.to_json()
+        assert HlMrf.from_json(text).to_json() == text
+
+
+ARITHMETIC_PROGRAM = """0.5 : Opinion(U) -> Liberal(U) ^2
+0.9 : Liberal(A) & Edge1(A, B) & (A != B) -> Liberal(B)
+Liberal(U) + Conservative(U) = 1 .
+10 : Extroverted(X) <= 1 / |Y| Extroverted(+Y) ^2
+{Y : Edge1(X, Y) || Edge1(Y, X)}
+2 : Liberal(U) >= 0.3 Opinion(U)
+1 : Liberal(U) = Conservative(U)
+"""
+
+ARITHMETIC_DATA = """User = {"u1", "u2", "u3", "u4"}
+Opinion(User) (closed)
+Edge1(User, User) (closed)
+Liberal(User)
+Conservative(User)
+Extroverted(User)
+Opinion("u1") = 0.25
+Opinion("u2") = 0.1
+Edge1("u1", "u2") = 1
+Edge1("u2", "u3") = 1
+Edge1("u4", "u3") = 0.5
+Liberal("u3") = 0.5
+Extroverted("u2") = 0.75
+"""
+
+
+def grounded_model(source, prune):
+    """A grounded synth network ``(users, squared)`` or the arithmetic program."""
+    if source == "arithmetic":
+        program_text, data_text = ARITHMETIC_PROGRAM, ARITHMETIC_DATA
+    else:
+        data_text, program_text = generate_network(
+            SynthNetworkSpec(n_users=source[0], seed=1), squared=source[1]
+        )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return ground_program(parse_program(program_text), load_data(data_text), prune=prune)
+
+
+SAVED_MODELS = [
+    ((200, False), True),
+    ((200, True), True),
+    ((15, False), False),
+    ((15, True), False),
+    ("arithmetic", True),
+    ("arithmetic", False),
+]
+
+
+class TestSavedModelsMatchObjectWriter:
+    """Model files written from rows against the object-based reference writer."""
+
+    @pytest.mark.parametrize("source, prune", SAVED_MODELS)
+    def test_documents_identical(self, source, prune):
+        mrf = grounded_model(source, prune)
+        text = mrf.to_json()
+        assert text == json.dumps(reference_to_dict(mrf), sort_keys=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert HlMrf.from_json(text).to_json() == text
+
+    @pytest.mark.parametrize("source, prune", SAVED_MODELS)
+    def test_loaded_rows_and_solution_identical(self, source, prune):
+        mrf = grounded_model(source, prune)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            loaded = HlMrf.from_json(mrf.to_json())
+        fields = ["positions", "coeffs", "arity", "offsets", "indptr", "norm2"]
+        for name, extra in [("potential_rows", ["exponent", "template_id"]),
+                            ("constraint_rows", ["is_eq"])]:
+            for field in fields + extra:
+                saved = getattr(getattr(mrf, name), field)
+                again = getattr(getattr(loaded, name), field)
+                assert saved.dtype == again.dtype, (name, field)
+                np.testing.assert_array_equal(saved, again, err_msg="%s.%s" % (name, field))
+        y, diag = solve_map(mrf, SolveOptions())
+        y_loaded, diag_loaded = solve_map(loaded, SolveOptions())
+        assert diag_loaded.iterations == diag.iterations
+        assert y_loaded.tobytes() == y.tobytes()
 
 
 unit = st.floats(0.0, 1.0)
