@@ -19,9 +19,9 @@ import numpy as np
 
 from . import logic
 from .ground import ground_program, load_data
+from .ground.data import statement_error, statements
 from .infer import SolveOptions, solve_map, solve_map_lazy
 from .lang import LangError, parse_program
-from .lang.lexer import tokenize
 from .learn import TrainingInstance, lme_train, perceptron_train
 from .model import GroundAtom, HlMrf, ModelError
 from .synth import DEFAULT_ALPHA, DEFAULT_GAMMAS, SynthNetworkSpec, generate_network
@@ -173,32 +173,15 @@ def _format_assignment(mrf: HlMrf, values_by_index) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_truth(text: str, mrf: HlMrf):
-    tokens = tokenize(text)
+def _parse_truth(text: str, mrf: HlMrf, path: str):
     values = {}
-    pos = 0
-
-    def expect(kind, what):
-        nonlocal pos
-        tok = tokens[pos]
-        if tok.kind != kind:
-            raise CliError(
-                "truth file %d:%d: expected %s, found %r"
-                % (tok.line, tok.column, what, tok.text or "end of input")
-            )
-        pos += 1
-        return tok
-
-    while tokens[pos].kind != "EOF":
-        name = expect("IDENT", "a predicate name").value
-        expect("LPAREN", "'('")
-        args = [expect("STRING", "a quoted constant").value]
-        while tokens[pos].kind == "COMMA":
-            pos += 1
-            args.append(expect("STRING", "a quoted constant").value)
-        expect("RPAREN", "')'")
-        expect("EQ", "'='")
-        values[GroundAtom(name, tuple(args))] = expect("NUMBER", "a value").value
+    try:
+        for kind, name, items, value, offset in statements(text):
+            if kind != "observation":
+                raise statement_error(text, offset, "expected an observation")
+            values[GroundAtom(name, items)] = value
+    except LangError as exc:
+        raise CliError("truth file %s:%s" % (path, exc)) from None
 
     truth = np.empty(mrf.table.n_free)
     missing = []
@@ -297,7 +280,7 @@ def _cmd_learn(args, config):
     program = parse_program(_read(args.program))
     data = load_data(_read(args.data))
     mrf = ground_program(program, data, prune=bool(args.prune))
-    truth = _parse_truth(_read(args.truth), mrf)
+    truth = _parse_truth(_read(args.truth), mrf, args.truth)
     instance = TrainingInstance(mrf, truth)
     opts = _solve_options(args, config)
     method = args.method

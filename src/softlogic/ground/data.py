@@ -10,17 +10,22 @@ declared before use:
 
 Unlisted atoms of closed predicates are observed at 0; unlisted atoms of
 open predicates stay unobserved. Constants may belong to several types.
+Constants take double or single quotes and backslash escapes, and ``//``
+and ``/* */`` comments may stand between any two tokens. `statements` reads
+one whole statement at a time with one regular expression; only a statement
+that fails is tokenized, to locate the error.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..lang.ast import LangError
-from ..lang.lexer import tokenize
+from ..lang.lexer import IDENT, NUMBER, STRING, tokenize, unquote
 from ..model import GroundAtom
 
 
@@ -89,7 +94,9 @@ class DataSet:
         self._sorted: dict[str, tuple[str, ...]] = {}
         for type_name, constants in (universe or {}).items():
             self.define_type(type_name, constants)
-        self.predicates: dict[str, PredicateDef] = {p.name: p for p in predicates}
+        self.predicates: dict[str, PredicateDef] = {}
+        for p in predicates:
+            self.declare_predicate(p.name, p.arg_types, p.closed)
         self.observations: dict[GroundAtom, float] = {}
         self._coding: Coding | None = None
         # Functionally defined predicates: name -> fn(*constants) -> [0, 1].
@@ -110,6 +117,15 @@ class DataSet:
         self._members[name] = members
         self._sorted[name] = tuple(sorted(constants))
         self._coding = None
+
+    def declare_predicate(self, name: str, arg_types, closed: bool = False):
+        """Declare a predicate over defined types."""
+        if name in self.predicates:
+            raise DataError("predicate %s declared twice" % name)
+        for t in arg_types:
+            if t not in self.universe:
+                raise DataError("predicate %s uses undefined type %s" % (name, t))
+        self.predicates[name] = PredicateDef(name, tuple(arg_types), closed)
 
     def has_constant(self, type_name: str, constant: str) -> bool:
         """Whether a constant is declared with a type (False for unknown types)."""
@@ -139,7 +155,7 @@ class DataSet:
         return self._coding
 
     def register_functional(self, name: str, arg_types, fn):
-        self.predicates[name] = PredicateDef(name, tuple(arg_types), closed=True)
+        self.declare_predicate(name, arg_types, closed=True)
         self.functionals[name] = fn
 
     def constants_of(self, type_name: str) -> tuple[str, ...]:
@@ -188,84 +204,75 @@ class DataSet:
         return 0.0 if pred.closed else None
 
 
-def load_data(text: str) -> DataSet:
-    """Parse the text format described in the module docstring."""
+# A comment matches only as a whole: a line comment runs to the end of its
+# line and a block comment to its first "*/", however the match backtracks.
+_COMMENT = r"//[^\n]*(?![^\n])|/\*(?:[^*]|\*(?!/))*\*/"
+_GAP = r"[ \t\r\n]*(?:(?:%s)[ \t\r\n]*)*" % _COMMENT
+_STATEMENT = re.compile(
+    r"""{gap}(?:(?P<name>{ident}){gap}(?:
+      =(?P<type>{gap}\{{(?:{gap}{string}(?:{gap},{gap}{string})*)?{gap}\}})
+    | \((?P<predicate>{gap}{ident}(?:{gap},{gap}{ident})*{gap})\)
+      (?P<closed>{gap}\({gap}closed{gap}\))?
+    | \((?P<observation>{gap}{string}(?:{gap},{gap}{string})*{gap})\){gap}={gap}(?P<value>{number})
+    ))?""".format(gap=_GAP, ident=IDENT, string=STRING, number=NUMBER),
+    re.VERBOSE | re.DOTALL,
+)
+_KINDS = {"type": "type", "predicate": "predicate", "closed": "predicate", "value": "observation"}
+_ITEM = re.compile(r"%s|(%s|%s)" % (_COMMENT, STRING, IDENT), re.DOTALL)
+
+
+def statements(text: str):
+    """Yield each statement of a data text as (kind, name, items, value, offset).
+
+    ``kind`` is "type", "predicate" or "observation"; ``value`` is the observed
+    value, else whether the predicate is closed; ``offset`` is where the name
+    starts. A statement that does not parse raises a located error.
+    """
+    for m in _STATEMENT.finditer(text):
+        last = m.lastgroup
+        if last is None and m.end() == len(text):
+            return
+        if last is None or not m["name"][0].isalpha():
+            raise statement_error(text, m.end() if last is None else m.start("name"))
+        kind = _KINDS[last]
+        items = [s if kind == "predicate" else unquote(s) for s in _ITEM.findall(m[kind]) if s]
+        value = float(m["value"]) if kind == "observation" else last == "closed"
+        yield kind, m["name"], tuple(items), value, m.start("name")
+
+
+def statement_error(text: str, offset: int, message: str | None = None) -> DataError:
+    """The error at the statement starting at ``offset``: ``message``, or why
+    the statement does not parse. A lexing error anywhere is raised instead.
+    """
     tokens = tokenize(text)
+    k = len(tokenize(text[:offset])) - 1  # the statement's first token
+    at, after = tokens[k], tokens[k + 1]
+    if message is None:
+        if at.kind != "IDENT":
+            message = "expected a type or predicate name, found %r" % at.text
+        elif after.kind == "EQ":
+            message = "malformed type definition"
+        elif after.kind != "LPAREN":
+            message, at = "expected '=' or '(' after %s" % at.text, after
+        elif tokens[k + 2].kind in ("IDENT", "STRING"):
+            kind = "predicate declaration" if tokens[k + 2].kind == "IDENT" else "observation"
+            message = "malformed " + kind
+        else:
+            message, at = "expected type names or quoted constants after '('", tokens[k + 2]
+    return DataError(message, at.line, at.column)
+
+
+def load_data(text: str) -> DataSet:
+    """Read the text format described in the module docstring."""
     data = DataSet()
-    pos = 0
-
-    def peek(ahead=0):
-        return tokens[min(pos + ahead, len(tokens) - 1)]
-
-    def fail(message, tok=None):
-        tok = tok or peek()
-        raise DataError(message, tok.line, tok.column)
-
-    def expect(kind, what):
-        nonlocal pos
-        tok = peek()
-        if tok.kind != kind:
-            fail("expected %s, found %r" % (what, tok.text or "end of input"))
-        pos += 1
-        return tok
-
-    while peek().kind != "EOF":
-        name_tok = expect("IDENT", "a type or predicate name")
-        name = name_tok.value
-        tok = peek()
-        if tok.kind == "EQ":
-            pos += 1
-            expect("LBRACE", "'{'")
-            constants = []
-            if peek().kind != "RBRACE":
-                constants.append(expect("STRING", "a quoted constant").value)
-                while peek().kind == "COMMA":
-                    pos += 1
-                    constants.append(expect("STRING", "a quoted constant").value)
-            expect("RBRACE", "'}'")
-            try:
-                data.define_type(name, constants)
-            except DataError as exc:
-                fail(str(exc), name_tok)
-            continue
-        if tok.kind != "LPAREN":
-            fail("expected '=' or '(' after %s" % name)
-        pos += 1
-        first = peek()
-        if first.kind == "IDENT":  # predicate declaration
-            arg_types = [expect("IDENT", "a type name").value]
-            while peek().kind == "COMMA":
-                pos += 1
-                arg_types.append(expect("IDENT", "a type name").value)
-            expect("RPAREN", "')'")
-            closed = False
-            if (
-                peek().kind == "LPAREN"
-                and peek(1).kind == "IDENT"
-                and peek(1).value == "closed"
-                and peek(2).kind == "RPAREN"
-            ):
-                pos += 3
-                closed = True
-            if name in data.predicates:
-                fail("predicate %s declared twice" % name, name_tok)
-            for t in arg_types:
-                if t not in data.universe:
-                    fail("predicate %s uses undefined type %s" % (name, t), name_tok)
-            data.predicates[name] = PredicateDef(name, tuple(arg_types), closed)
-            continue
-        if first.kind == "STRING":  # observation
-            args = [expect("STRING", "a quoted constant").value]
-            while peek().kind == "COMMA":
-                pos += 1
-                args.append(expect("STRING", "a quoted constant").value)
-            expect("RPAREN", "')'")
-            expect("EQ", "'='")
-            value_tok = expect("NUMBER", "a value in [0, 1]")
-            try:
-                data.add_observation(GroundAtom(name, tuple(args)), value_tok.value)
-            except DataError as exc:
-                fail(str(exc), name_tok)
-            continue
-        fail("expected type names or quoted constants after '('")
+    for kind, name, items, value, offset in statements(text):
+        try:
+            if kind == "observation":
+                data.add_observation(GroundAtom(name, items), value)
+            elif kind == "type":
+                data.define_type(name, items)
+            else:
+                data.declare_predicate(name, items, value)
+        except DataError as exc:
+            raise statement_error(text, offset, str(exc)) from None
     return data

@@ -1,4 +1,5 @@
-"""Tokenizer shared by the rule parser and the data-file reader.
+"""Tokenizer of the rule parser; the data reader shares its token spellings
+and tokenizes a data text only to locate an error.
 
 One master regular expression, run with `re.finditer`, matches each token
 or comment together with the blanks before it. Newlines are matched on
@@ -65,6 +66,11 @@ _ONE_CHAR = {
     "@": "AT",
 }
 
+# Token spellings (constants need re.DOTALL; names also need str.isalpha).
+STRING = r"""(?:"(?:[^"\\\n]|\\.)*"|'(?:[^'\\\n]|\\.)*')"""
+NUMBER = r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
+IDENT = r"[^\W\d_]\w*"
+
 # Alternatives are tried in order at each position, so comments come
 # before "/" and two-character operators before one-character ones.
 _MASTER = re.compile(
@@ -75,15 +81,15 @@ _MASTER = re.compile(
     | (?P<COMMENT>//[^\n]*)
     | (?P<BLOCK>/\*.*?\*/)
     | (?P<OPEN_BLOCK>/\*)
-    | (?P<STRING>"(?:[^"\\\n]|\\.)*" | '(?:[^'\\\n]|\\.)*')
-    | (?P<NUMBER>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-    | (?P<IDENT>[^\W\d_]\w*)
+    | (?P<STRING>%s)
+    | (?P<NUMBER>%s)
+    | (?P<IDENT>%s)
     | (?P<OP>%s)
     | (?P<BAD>.)
     | (?P<END>$)
     )
     """
-    % "|".join(re.escape(op) for op in [*_TWO_CHAR, *_ONE_CHAR]),
+    % (STRING, NUMBER, IDENT, "|".join(re.escape(op) for op in [*_TWO_CHAR, *_ONE_CHAR])),
     re.VERBOSE | re.DOTALL,
 )
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
@@ -95,6 +101,11 @@ _OPERATORS = {**_TWO_CHAR, **_ONE_CHAR}
 )
 # Builds a Token from a 5-tuple without the Python-level NamedTuple __new__.
 _token = functools.partial(tuple.__new__, Token)
+
+
+def unquote(raw: str) -> str:
+    """A quoted constant's value: the text between its quotes, escapes resolved."""
+    return _ESCAPE.sub(r"\1", raw[1:-1]) if "\\" in raw else raw[1:-1]
 
 
 def _string_error(text: str, start: int) -> str:
@@ -136,9 +147,7 @@ def tokenize(text: str):
         if group == _OP:
             append(_token((_OPERATORS[raw], raw, line, column, None)))
         elif group == _STRING:
-            body = raw[1:-1]
-            value = _ESCAPE.sub(r"\1", body) if "\\" in body else body
-            append(_token(("STRING", raw, line, column, value)))
+            append(_token(("STRING", raw, line, column, unquote(raw))))
         elif group == _IDENT and raw[0].isalpha():
             append(_token(("IDENT", raw, line, column, raw)))
         elif group == _NUMBER:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from softlogic.ground import GroundingError, GroundingWarning
+from softlogic.ground import DataError, DataSet, GroundingError, GroundingWarning, PredicateDef
 from softlogic.infer import SolveOptions
 from softlogic.lang.ast import (
     And,
@@ -23,6 +23,7 @@ from softlogic.lang.ast import (
     Or,
     Variable,
 )
+from softlogic.lang.lexer import tokenize
 from softlogic.lang.parser import normalize_logical
 from softlogic.model import (
     GroundAtom,
@@ -742,3 +743,93 @@ def reference_ground_program(program, data, prune=False):
     if errors:
         raise GroundingError("; ".join(errors))
     return HlMrf(VariableTable(labels, observed), potentials, constraints, templates, weights)
+
+
+# -- token-walk reference data reader -----------------------------------------
+
+
+def reference_load_data(text: str) -> DataSet:
+    """The token-walk data reader that `load_data`'s statement scanner replaced.
+
+    It tokenizes the whole text first, so a lexing error anywhere comes
+    first, then reads one statement at a time from the tokens.
+    """
+    tokens = tokenize(text)
+    data = DataSet()
+    pos = 0
+
+    def peek(ahead=0):
+        return tokens[min(pos + ahead, len(tokens) - 1)]
+
+    def fail(message, tok=None):
+        tok = tok or peek()
+        raise DataError(message, tok.line, tok.column)
+
+    def expect(kind, what):
+        nonlocal pos
+        tok = peek()
+        if tok.kind != kind:
+            fail("expected %s, found %r" % (what, tok.text or "end of input"))
+        pos += 1
+        return tok
+
+    while peek().kind != "EOF":
+        name_tok = expect("IDENT", "a type or predicate name")
+        name = name_tok.value
+        tok = peek()
+        if tok.kind == "EQ":
+            pos += 1
+            expect("LBRACE", "'{'")
+            constants = []
+            if peek().kind != "RBRACE":
+                constants.append(expect("STRING", "a quoted constant").value)
+                while peek().kind == "COMMA":
+                    pos += 1
+                    constants.append(expect("STRING", "a quoted constant").value)
+            expect("RBRACE", "'}'")
+            try:
+                data.define_type(name, constants)
+            except DataError as exc:
+                fail(str(exc), name_tok)
+            continue
+        if tok.kind != "LPAREN":
+            fail("expected '=' or '(' after %s" % name)
+        pos += 1
+        first = peek()
+        if first.kind == "IDENT":  # predicate declaration
+            arg_types = [expect("IDENT", "a type name").value]
+            while peek().kind == "COMMA":
+                pos += 1
+                arg_types.append(expect("IDENT", "a type name").value)
+            expect("RPAREN", "')'")
+            closed = False
+            if (
+                peek().kind == "LPAREN"
+                and peek(1).kind == "IDENT"
+                and peek(1).value == "closed"
+                and peek(2).kind == "RPAREN"
+            ):
+                pos += 3
+                closed = True
+            if name in data.predicates:
+                fail("predicate %s declared twice" % name, name_tok)
+            for t in arg_types:
+                if t not in data.universe:
+                    fail("predicate %s uses undefined type %s" % (name, t), name_tok)
+            data.predicates[name] = PredicateDef(name, tuple(arg_types), closed)
+            continue
+        if first.kind == "STRING":  # observation
+            args = [expect("STRING", "a quoted constant").value]
+            while peek().kind == "COMMA":
+                pos += 1
+                args.append(expect("STRING", "a quoted constant").value)
+            expect("RPAREN", "')'")
+            expect("EQ", "'='")
+            value_tok = expect("NUMBER", "a value in [0, 1]")
+            try:
+                data.add_observation(GroundAtom(name, tuple(args)), value_tok.value)
+            except DataError as exc:
+                fail(str(exc), name_tok)
+            continue
+        fail("expected type names or quoted constants after '('")
+    return data

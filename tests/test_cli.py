@@ -252,6 +252,35 @@ class TestLearnCommand:
         )
         assert code == 1 and "missing" in err
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ('On("a") = 1\nAlso("a" = 0\n', ":2:1: malformed observation"),
+            ('On("a") = 1\nItem = {"a"}\nAlso("a") = 0\n', ":2:1: expected an observation"),
+            ('On("a") = 1\nAlso("a") = 0 ²\n', ":2:15: unexpected character"),
+        ],
+    )
+    def test_malformed_truth_file_located(self, fixture_paths, tmp_path, capsys, text, where):
+        program, data = fixture_paths
+        truth = tmp_path / "truth.data"
+        truth.write_text(text)
+        code, _, err = run(
+            capsys,
+            "learn", "--program", program, "--data", data, "--truth", truth,
+        )
+        assert code == 1 and "truth file %s%s" % (truth, where) in err
+
+    def test_truth_file_with_comments(self, fixture_paths, tmp_path, capsys):
+        program, data = fixture_paths
+        truth = tmp_path / "truth.data"
+        truth.write_text('// labels\nOn("a") = 1 /* on */\nAlso(/* a */ \'a\') = 0 // off\n')
+        code, _, _ = run(
+            capsys,
+            "learn", "--program", program, "--data", data, "--truth", truth,
+            "--method", "mle", "--steps", "2", "--out", tmp_path / "weights.txt",
+        )
+        assert code == 0
+
 
 class TestRound:
     def test_boolean_output(self, tmp_path, capsys):

@@ -3,7 +3,9 @@
 `tokenize`, `parse_program` and `load_data` read user files, so whatever
 text they get they either succeed or raise a `LangError` carrying an
 integer line and column. Inputs are arbitrary text and valid rule or data
-text with a few characters inserted, deleted or replaced.
+text with a few characters inserted, deleted or replaced. On the same
+inputs `load_data` reads what the token-walk reader in `helpers` reads and
+fails where it fails.
 
 `HlMrf.from_json` reads model files: whatever JSON document it gets, it
 either succeeds or raises a `ModelError`. Inputs are a valid document with
@@ -12,13 +14,16 @@ a few values replaced by arbitrary JSON values or deleted.
 
 import copy
 import json
+import re
 import warnings
 
 from hypothesis import example, given, settings, strategies as st
 
-from softlogic.ground import load_data
+from softlogic.ground import DataError, DataSet, load_data
 from softlogic.lang import LangError, parse_program, tokenize
 from softlogic.model import HlMrf, ModelError
+
+from helpers import reference_load_data
 
 VALID_PROGRAM = """// opinion priors
 0.5 : Opinion(U) -> Liberal(U) ^2
@@ -40,6 +45,17 @@ Opinion("u2") = 1e-1 // trailing comment
 Edge1("u1", "u2") = 1
 /* block
    comment */ Liberal("u3") = 0.5
+"""
+
+# Single quotes, escapes, comment marks inside constants, and a comment
+# between every two tokens.
+COMMENTED_DATA = """/*0*/User/*1*/=/*2*/{/*3*/'u\\'1'/*4*/,//5
+"u\\"2"/*6*/,/*7*/"a\\
+b"/**/,'c//d',"e/*f*/"/*8*/}//9
+Opinion/**/(/**/User/**/)/**/(/**/closed/**/)//10
+Edge1(User,/* , */User)Opinion/**/(/**/'u\\'1'/**/)/**/=/**/0.5//11
+Edge1("e/*f*/", 'c//d')/* "x" */=1e-1/* a "quoted" // comment */Opinion("a\\
+b") = 1
 """
 
 # Characters the lexer treats specially, plus non-ASCII letters and digits
@@ -100,9 +116,42 @@ def test_load_data(text):
     _only_located_lang_errors(load_data, text)
 
 
+def _outcome(read, text):
+    try:
+        return read(text)
+    except LangError as exc:
+        return exc
+
+
+# Syntax errors the statement scanner reports as a malformed statement.
+_RENAMED = re.compile(r"\d+:\d+: expected (?!a type or predicate name).*, found ")
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_texts(VALID_DATA) | _texts(COMMENTED_DATA))
+@example('T = {"a" //"b"}\n')  # a line comment runs to its line's end
+@example('T = {"a"}\n/* c */ ) /* d */\nP(T)\n')  # a block comment to its first "*/"
+@example('T = {"a\\\nb"}\nP(T)\nP("zz") = 1')  # an escaped newline is no line break
+@example('T = {"a"}\nP(Missing)\n"open')  # a lexing error anywhere comes first
+@example('½ = {"a"}')  # a name starts with a letter
+def test_load_data_matches_token_walk(text):
+    new, ref = _outcome(load_data, text), _outcome(reference_load_data, text)
+    if isinstance(ref, DataSet):
+        assert isinstance(new, DataSet), new
+        assert new.universe == ref.universe
+        assert new.predicates == ref.predicates
+        assert new.observations == ref.observations
+    elif isinstance(ref, DataError) and _RENAMED.match(str(ref)):
+        assert isinstance(new, DataError) and isinstance(new.line, int), (new, ref)
+        assert isinstance(new.column, int)
+    else:
+        assert (type(new), str(new)) == (type(ref), str(ref))
+
+
 def test_valid_texts_read():
     assert len(parse_program(VALID_PROGRAM).rules) == 7
     assert len(load_data(VALID_DATA).observations) == 4
+    assert len(load_data(COMMENTED_DATA).observations) == 3
 
 
 VALID_MODEL = {

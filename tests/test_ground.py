@@ -6,8 +6,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from softlogic.ground import (
     DataError,
+    DataSet,
     GroundingError,
     GroundingWarning,
+    PredicateDef,
     build_variable_table,
     ground_arithmetic_rule,
     ground_logical_rule,
@@ -87,6 +89,19 @@ class TestLoadData:
     def test_undefined_type_in_predicate(self):
         with pytest.raises(DataError):
             load_data("P(Missing)")
+
+    def test_constructor_declares_predicates_through_the_loader_checks(self):
+        with pytest.raises(DataError, match="predicate P uses undefined type Missing"):
+            DataSet({"T": ["a"]}, [PredicateDef("P", ("Missing",))])
+        with pytest.raises(DataError, match="predicate P declared twice"):
+            DataSet({"T": ["a"]}, [PredicateDef("P", ("T",)), PredicateDef("P", ("T",), True)])
+
+    def test_functional_predicate_declared_once(self):
+        data = load_data('T = {"a"}\nP(T)\n')
+        with pytest.raises(DataError, match="predicate P declared twice"):
+            data.register_functional("P", ("T",), lambda a: 1.0)
+        with pytest.raises(DataError, match="uses undefined type U"):
+            data.register_functional("Q", ("U",), lambda a: 1.0)
 
     def test_multi_typed_constants(self):
         data = load_data(ADVISOR_DATA)
