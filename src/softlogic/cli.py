@@ -173,13 +173,21 @@ def _format_assignment(mrf: HlMrf, values_by_index) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_truth(text: str, mrf: HlMrf, path: str):
+def _parse_truth(text: str, mrf: HlMrf, path: str, predicates):
+    """The value of each free atom of ``mrf``; atoms must be of the given ``predicates``."""
     values = {}
     try:
         for kind, name, items, value, offset in statements(text):
             if kind != "observation":
                 raise statement_error(text, offset, "expected an observation")
-            values[GroundAtom(name, items)] = value
+            atom = GroundAtom(name, items)
+            if name not in predicates or predicates[name].arity != len(items):
+                raise statement_error(text, offset, "no predicate %s/%d" % (name, len(items)))
+            if atom in values:
+                raise statement_error(text, offset, "%s given twice" % atom)
+            if not 0.0 <= value <= 1.0:
+                raise statement_error(text, offset, "truth value %g outside [0, 1]" % value)
+            values[atom] = value
     except LangError as exc:
         raise CliError("truth file %s:%s" % (path, exc)) from None
 
@@ -280,7 +288,7 @@ def _cmd_learn(args, config):
     program = parse_program(_read(args.program))
     data = load_data(_read(args.data))
     mrf = ground_program(program, data, prune=bool(args.prune))
-    truth = _parse_truth(_read(args.truth), mrf, args.truth)
+    truth = _parse_truth(_read(args.truth), mrf, args.truth, data.predicates)
     instance = TrainingInstance(mrf, truth)
     opts = _solve_options(args, config)
     method = args.method

@@ -1,11 +1,13 @@
-"""MAP inference by consensus ADMM.
+"""MAP inference by consensus ADMM in scaled form (Boyd et al. 2011, 3.1.1).
 
 Each potential and each hard constraint owns a local copy of the variables
-it touches, plus matching Lagrange multipliers. One iteration steps the
-multipliers, solves every local subproblem in closed form, then averages
-copies back into the consensus vector and clips it to [0, 1]. Convergence
-is declared from the primal and dual residual tests with absolute and
-relative tolerances.
+it touches and a scaled dual ``u``, its multipliers over ``rho``. All copies
+live in a few flat buffers indexed by one flat array of variables; the
+blocks of one arity see theirs term-major, as ``(arity, blocks)`` views. One
+iteration steps ``u`` by the last residual, solves every block in closed
+form from its target ``z = y - u``, then averages ``local + u`` into the
+consensus ``y``, clipped to [0, 1]. The new residual ``local - y`` is both
+the primal residual of the stopping test and the next dual step.
 
 Every block's local subproblem has one closed form. For the target ``z``
 and the block's row ``l(x) = a @ x + b``, the minimizer steps along ``a``:
@@ -22,9 +24,8 @@ the penalty ``rho``:
 
 A series of solves of one structure with nearby weights, as in learning,
 can pass one `WarmStart` to `solve_map`: each solve then starts from the
-last one's consensus vector, local copies and multipliers instead of from
-``y = 0.5`` with zero multipliers, as Boyd et al. (2011) suggest for a
-series of related problems.
+last one's ``y``, local copies and duals, not from ``y = 0.5`` with zero
+duals, as Boyd et al. (2011) suggest for related problems.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FoldedRows, HlMrf, ModelError
+from .model import FoldedRows, HlMrf, ModelError, dot
 
 _STALL_WINDOW = 1000
 
@@ -99,30 +100,34 @@ class Diagnostics:
 
 
 class _Group:
-    """Same-arity blocks stacked into arrays, each with its own gain and bounds."""
+    """Same-arity blocks, each with its own gain and bounds, stored term-major.
 
-    def __init__(self, idx, coeffs, offsets, gain, floor, cap):
-        self.idx = idx
+    Row ``j`` of ``coeffs`` and of the views that `bind` makes holds the
+    ``j``-th term of every block. `update` steps ``u`` by the residual that
+    ``scratch`` holds, then writes the new local copies in place.
+    """
+
+    def __init__(self, span, coeffs, offsets, gain, floor, cap):
+        self.span = span  # this group's part of the flat buffers
         self.coeffs = coeffs
         self.offsets = offsets
         self.gain = gain
         self.floor = floor
         self.cap = cap
-        self.local = None
-        self.multiplier = None
 
-    def reset(self, consensus):
-        self.local = consensus[self.idx].copy()
-        self.multiplier = np.zeros_like(self.local)
+    def bind(self, buffers):
+        views = (b[self.span].reshape(self.coeffs.shape) for b in buffers)
+        self.local, self.u, self.target, self.scratch = views
 
-    def update(self, consensus, rho, rows=slice(None)):
-        yb = consensus[self.idx[rows]]
-        self.multiplier[rows] += rho * (self.local[rows] - yb)
-        z = yb - self.multiplier[rows] / rho
-        a = self.coeffs[rows]
-        lz = np.einsum("ij,ij->i", a, z) + self.offsets[rows]
-        step = np.clip(self.gain[rows] * lz, self.floor[rows], self.cap[rows])
-        self.local[rows] = z - step[:, None] * a
+    def update(self, cols=slice(None)):
+        a, local, u, scratch = (x[:, cols] for x in (self.coeffs, self.local, self.u, self.scratch))
+        u += scratch
+        z = np.subtract(self.target[:, cols], u, out=local)
+        step = np.einsum("ij,ij->j", a, z)
+        step += self.offsets[cols]  # l(z)
+        step *= self.gain[cols]
+        np.minimum(np.maximum(step, self.floor[cols], out=step), self.cap[cols], out=step)
+        local -= np.multiply(a, step, out=scratch)
 
 
 def _inverse(values):
@@ -179,18 +184,29 @@ class _CompiledModel:
              np.ones(nz.size, bool), np.zeros(nz.size), term_step, term_step),
         )
         arities = np.unique(np.concatenate([rows.arity[mask] for rows, mask, *_ in blocks]))
-        self.groups = []
+        self.groups, positions = [], [np.zeros(0, np.intp)]
         for arity in arities[arities > 0]:
             parts = []
             for rows, mask, *params in blocks:
                 r = np.flatnonzero(mask & (rows.arity == arity))
-                parts.append((*rows.padded(r, arity), rows.offsets[r], *(p[r] for p in params)))
-            self.groups.append(_Group(*(np.concatenate(p) for p in zip(*parts))))
+                parts.append((*rows.by_term(r, arity), rows.offsets[r], *(p[r] for p in params)))
+            idx, *columns = (np.concatenate(p, axis=-1) for p in zip(*parts))
+            start = sum(p.size for p in positions)
+            self.groups.append(_Group(slice(start, start + idx.size), *columns))
+            positions.append(idx.ravel())
 
-        self.counts = np.zeros(self.n)
+        self.idx = np.concatenate(positions)  # each copy's variable, group by group
+        counts = np.bincount(self.idx, minlength=self.n).astype(float)
+        self.touched = slice(None) if counts.all() else np.flatnonzero(counts)
+        self.counts = counts[self.touched]  # copies of each touched variable
+        self.target, self.scratch = np.empty(self.idx.size), np.empty(self.idx.size)
+        self.rho = rho
+
+    def bind(self, local, u):
+        """Make ``local`` and ``u`` the state buffers and hand every group its views."""
+        self.buffers = (local, u, self.target, self.scratch)
         for g in self.groups:
-            self.counts += np.bincount(g.idx.ravel(), minlength=self.n)
-        self.total_copies = float(self.counts.sum())
+            g.bind(self.buffers)
 
     def layout(self):
         """What fixes the groups' shapes: the rows, their masks and the linear support."""
@@ -199,10 +215,10 @@ class _CompiledModel:
 
     def energy(self, y):
         pots = self.mrf.potential_rows
-        return float(self.weights @ pots.hinges(pots.values(y)))
+        return dot(self.weights, pots.hinges(pots.values(y)))
 
     def objective(self, y):
-        return self.energy(y) + float(self.linear @ y)
+        return self.energy(y) + dot(self.linear, y)
 
     def max_violation(self, y):
         """Largest selected hard-constraint violation at ``y`` (0 without any)."""
@@ -212,7 +228,7 @@ class _CompiledModel:
     def report(self, y, diag):
         """``diag`` with the energy, objective and largest violation at ``y``."""
         diag.energy = self.energy(y)
-        diag.objective = diag.energy + float(self.linear @ y)
+        diag.objective = diag.energy + dot(self.linear, y)
         diag.max_violation = self.max_violation(y)
         return diag
 
@@ -222,18 +238,19 @@ class WarmStart:
 
     Empty until a `solve_map` call fills it. A filled state fits models that
     share the folded rows (as `HlMrf.with_weights` copies do) and the
-    support of the linear terms; the weights and the linear coefficients
-    may change. Only one state is kept: a solve takes it over and leaves
-    its own final state in its place.
+    support of the linear terms; the weights, the linear coefficients and
+    ``rho`` may change (the scaled duals are rescaled to the new ``rho``).
+    Only one state is kept: a solve takes over its buffers, without a copy,
+    and leaves its own final state in their place.
     """
 
     def __init__(self):
         self.layout = None
         self.y = None
-        self.states = None  # (local, multiplier) per group
+        self.state = None  # (local, u, rho): the flat buffers and u's penalty
 
     def restore(self, compiled: _CompiledModel, initial):
-        """Hand the stored state to ``compiled``'s groups and return its ``y``."""
+        """Hand the stored buffers to ``compiled`` and return its ``y``."""
         if initial is not None:
             raise ModelError("a filled warm start cannot be combined with an initial point")
         (rows, masks), (own_rows, own_masks) = compiled.layout(), self.layout
@@ -242,46 +259,38 @@ class WarmStart:
             and all(np.array_equal(a, b) for a, b in zip(masks, own_masks))
         ):
             raise ModelError("warm start belongs to a model of another structure")
-        y, states = self.y, self.states
-        self.layout = self.y = self.states = None
-        for g, (local, multiplier) in zip(compiled.groups, states):
-            g.local, g.multiplier = local, multiplier
+        y, (local, u, rho) = self.y, self.state
+        self.layout = self.y = self.state = None
+        if rho != compiled.rho:
+            u *= rho / compiled.rho  # the same multipliers ``rho * u``
+        compiled.bind(local, u)
         return y
 
     def keep(self, compiled: _CompiledModel, y):
         self.layout = compiled.layout()
         self.y = y.copy()
-        self.states = [(g.local, g.multiplier) for g in compiled.groups]
+        self.state = (*compiled.buffers[:2], compiled.rho)
 
 
 def _run_admm(compiled: _CompiledModel, opts: SolveOptions, initial=None, warm=None):
-    n = compiled.n
+    n, idx, touched, counts = compiled.n, compiled.idx, compiled.touched, compiled.counts
     if warm is not None and warm.y is not None:
         y = warm.restore(compiled, initial)
     else:
         y = np.full(n, 0.5) if initial is None else np.asarray(initial, dtype=float).copy()
-        for g in compiled.groups:
-            g.reset(y)
-    if compiled.total_copies == 0:
+        compiled.bind(y[idx], np.zeros(idx.size))
+    if idx.size == 0:
         return y, compiled.report(y, Diagnostics(converged=True))
+    local, u, target, scratch = compiled.buffers
+    np.subtract(local, np.take(y, idx, out=target), out=scratch)  # the first dual step
 
     rho = opts.rho
-    sqrt_copies = np.sqrt(compiled.total_copies)
+    sqrt_copies = np.sqrt(idx.size)
     pool = None
-    slices = None
     if opts.workers > 1:
         pool = ThreadPoolExecutor(max_workers=opts.workers)
-        slices = {
-            id(g): [
-                s
-                for s in (
-                    slice(start, min(start + chunk, g.idx.shape[0]))
-                    for chunk in [max(1, -(-g.idx.shape[0] // opts.workers))]
-                    for start in range(0, g.idx.shape[0], chunk)
-                )
-            ]
-            for g in compiled.groups
-        }
+        strides = [slice(k, None, opts.workers) for k in range(opts.workers)]
+        slices = [(g, cols) for g in compiled.groups for cols in strides]
 
     diag = Diagnostics()
     best_primal = np.inf
@@ -290,38 +299,24 @@ def _run_admm(compiled: _CompiledModel, opts: SolveOptions, initial=None, warm=N
         for it in range(1, opts.max_iter + 1):
             if pool is None:
                 for g in compiled.groups:
-                    g.update(y, rho)
+                    g.update()
             else:
-                futures = [
-                    pool.submit(g.update, y, rho, rows)
-                    for g in compiled.groups
-                    for rows in slices[id(g)]
-                ]
-                for f in futures:
+                for f in [pool.submit(g.update, cols) for g, cols in slices]:
                     f.result()
 
-            total = np.zeros(n)
-            for g in compiled.groups:
-                total += np.bincount(
-                    g.idx.ravel(), (g.local + g.multiplier / rho).ravel(), minlength=n
-                )
-            touched = compiled.counts > 0
-            y_new = y.copy()
-            y_new[touched] = np.clip(total[touched] / compiled.counts[touched], 0.0, 1.0)
+            total = np.bincount(idx, np.add(local, u, out=scratch), minlength=n)
+            new = np.clip(total[touched] / counts, 0.0, 1.0)
+            delta = new - y[touched]
+            y[touched] = new
+            # Every index is in range, so mode="clip" only skips the bounds check.
+            np.subtract(local, np.take(y, idx, out=target, mode="clip"), out=scratch)
 
-            primal_sq = local_sq = mult_sq = 0.0
-            for g in compiled.groups:
-                diff = g.local - y_new[g.idx]
-                primal_sq += float(np.einsum("ij,ij->", diff, diff))
-                local_sq += float(np.einsum("ij,ij->", g.local, g.local))
-                mult_sq += float(np.einsum("ij,ij->", g.multiplier, g.multiplier))
-            primal = np.sqrt(primal_sq)
-            dual = rho * np.sqrt(float(compiled.counts @ (y_new - y) ** 2))
-            eps_pri = opts.eps_abs * sqrt_copies + opts.eps_rel * max(
-                np.sqrt(local_sq), np.sqrt(float(compiled.counts @ y_new**2))
+            primal = np.sqrt(dot(scratch, scratch))
+            dual = rho * np.sqrt(dot(counts, delta * delta))
+            eps_pri = opts.eps_abs * sqrt_copies + opts.eps_rel * np.sqrt(
+                max(dot(local, local), dot(counts, new * new))
             )
-            eps_dual = opts.eps_abs * sqrt_copies + opts.eps_rel * np.sqrt(mult_sq)
-            y = y_new
+            eps_dual = opts.eps_abs * sqrt_copies + opts.eps_rel * rho * np.sqrt(dot(u, u))
 
             if opts.trace is not None:
                 opts.trace(it, primal, dual, compiled.objective(y))
@@ -419,7 +414,7 @@ def solve_map_lazy(mrf: HlMrf, opts: SolveOptions | None = None, extra_linear=No
 
     diag.iterations = total_iterations
     diag.energy = mrf.energy(y)
-    diag.objective = diag.energy + float(linear @ y)
+    diag.objective = diag.energy + dot(linear, y)
     diag.max_violation = float(cons.violations(cons.values(y)).max(initial=0.0))
     diag.activated_potentials = int(pot_mask.sum())
     diag.activated_constraints = int(con_mask.sum())

@@ -194,6 +194,11 @@ def _numbers(values, row, what, ok=np.isfinite) -> np.ndarray:
     raise ModelError("%s %s %r" % (row(k), what, values[k]))
 
 
+def dot(a, b) -> float:
+    """``a @ b`` without BLAS, whose threads can take milliseconds on long vectors."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def _indices(size):
     """An ``ok`` test for `_numbers`: integers in ``[0, size)``."""
     return lambda a: (a >= 0) & (a < size) & (a == np.floor(a))
@@ -289,9 +294,9 @@ class FoldedRows:
         s = slice(self.indptr[r], self.indptr[r + 1])
         return self.positions[s], self.coeffs[s], self.offsets[r]
 
-    def padded(self, rows, arity: int):
-        """Positions and coeffs of ``rows``, all of one arity, as 2-D arrays."""
-        at = self.indptr[rows][:, None] + np.arange(arity)
+    def by_term(self, rows, arity: int):
+        """Positions and coeffs of ``rows``, all of one arity, as ``(arity, rows)`` arrays."""
+        at = self.indptr[rows] + np.arange(arity)[:, None]
         return self.positions[at], self.coeffs[at]
 
 
@@ -474,7 +479,7 @@ class HlMrf:
 
     def energy(self, y) -> float:
         """Total weighted hinge loss ``sum_j w_j (max{l_j, 0})^p_j``."""
-        return float(self.weights[self.potential_rows.template_id] @ self._hinges(y))
+        return dot(self.weights[self.potential_rows.template_id], self._hinges(y))
 
     def template_features(self, y) -> np.ndarray:
         """Per-template sums of unweighted potential values."""

@@ -270,6 +270,30 @@ class TestLearnCommand:
         )
         assert code == 1 and "truth file %s%s" % (truth, where) in err
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ('On("a") = 1\nOnn("zz") = 1\nAlso("a") = 0\n', ":2:1: no predicate Onn/1"),
+            ('On("a", "a") = 1\nAlso("a") = 0\n', ":1:1: no predicate On/2"),
+            ('On("a") = 1\nAlso("a") = 0\nOn("a") = 0\n', ':3:1: On("a") given twice'),
+            ('On("a") = 1\nAlso("a") = 1.5\n', ":2:1: truth value 1.5 outside [0, 1]"),
+        ],
+        ids=["unknown-predicate", "wrong-arity", "repeated-atom", "out-of-range"],
+    )
+    def test_truth_statement_off_the_model_located(
+        self, fixture_paths, tmp_path, capsys, text, where
+    ):
+        # Each of these used to be ignored, overwritten, or rejected later
+        # without naming the file.
+        program, data = fixture_paths
+        truth = tmp_path / "truth.data"
+        truth.write_text(text)
+        code, _, err = run(
+            capsys,
+            "learn", "--program", program, "--data", data, "--truth", truth,
+        )
+        assert code == 1 and "truth file %s%s" % (truth, where) in err
+
     def test_truth_file_with_comments(self, fixture_paths, tmp_path, capsys):
         program, data = fixture_paths
         truth = tmp_path / "truth.data"

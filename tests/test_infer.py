@@ -436,6 +436,53 @@ def mixed_model(rng, n=6):
     return mrf, linear
 
 
+def scalar_solvers(mrf, linear, rho):
+    """Each block's positions with its scalar reference subproblem at ``rho``."""
+    table = mrf.table
+
+    def positions(lf):
+        return np.array([table.position[i] for i, _ in lf.terms], dtype=int)
+
+    solvers = []
+    for pot in mrf.potentials:
+        lf = fold_observed(pot.linfun, table)
+        folded = HingePotential(lf, pot.exponent, pot.template_id)
+        w = mrf.weights[pot.template_id]
+        solvers.append(
+            (positions(lf), lambda z, p=folded, w=w: solve_potential_subproblem(p, w, z, rho))
+        )
+    for con in mrf.constraints:
+        lf = fold_observed(con.linfun, table)
+        folded = LinearConstraint(lf, con.relation)
+        solvers.append(
+            (positions(lf), lambda z, c=folded: solve_constraint_subproblem(c, z, rho))
+        )
+    for i in np.flatnonzero(linear):
+        solvers.append((np.array([i]), lambda z, c=linear[i]: z - c / rho))
+    return solvers
+
+
+def cold_state(mrf, solvers, rho):
+    consensus = np.full(mrf.n_free, 0.5)
+    blocks = [AdmmBlock(idx, consensus[idx].copy(), np.zeros(idx.size)) for idx, _ in solvers]
+    return AdmmState(blocks, consensus.copy(), consensus.copy(), rho)
+
+
+def scalar_iterations(state, solvers, iterations):
+    """Run ``iterations`` ADMM steps of the scalar reference ops on ``state``."""
+    rho = state.rho
+    for _ in range(iterations):
+        for block, (_, solve) in zip(state.blocks, solvers):
+            target = state.consensus[block.indices]
+            block.multiplier = block.multiplier + rho * (block.local - target)
+            block.local = solve(target - block.multiplier / rho)
+        consensus_update(state)
+    return state
+
+
+NO_STOP = dict(eps_abs=1e-15, eps_rel=1e-15)
+
+
 class TestEngineMatchesScalarOps:
     @pytest.mark.parametrize("rho", [0.5, 1.0, 3.0])
     @pytest.mark.parametrize("seed", range(20))
@@ -449,41 +496,49 @@ class TestEngineMatchesScalarOps:
         y_engine, diag = solve_map(mrf, opts, extra_linear=linear)
         assert diag.iterations == 2
 
-        table = mrf.table
-
-        def positions(lf):
-            return np.array([table.position[i] for i, _ in lf.terms], dtype=int)
-
-        solvers = []
-        for pot in mrf.potentials:
-            lf = fold_observed(pot.linfun, table)
-            folded = HingePotential(lf, pot.exponent, pot.template_id)
-            w = mrf.weights[pot.template_id]
-            solvers.append(
-                (positions(lf), lambda z, p=folded, w=w: solve_potential_subproblem(p, w, z, rho))
-            )
-        for con in mrf.constraints:
-            lf = fold_observed(con.linfun, table)
-            folded = LinearConstraint(lf, con.relation)
-            solvers.append(
-                (positions(lf), lambda z, c=folded: solve_constraint_subproblem(c, z, rho))
-            )
-        for i in np.flatnonzero(linear):
-            solvers.append((np.array([i]), lambda z, c=linear[i]: z - c / rho))
-
-        consensus = np.full(mrf.n_free, 0.5)
-        blocks = [AdmmBlock(idx, consensus[idx].copy(), np.zeros(idx.size)) for idx, _ in solvers]
-        state = AdmmState(blocks, consensus.copy(), consensus.copy(), rho)
-        for _ in range(2):
-            for block, (_, solve) in zip(state.blocks, solvers):
-                target = state.consensus[block.indices]
-                block.multiplier = block.multiplier + rho * (block.local - target)
-                block.local = solve(target - block.multiplier / rho)
-            consensus_update(state)
+        solvers = scalar_solvers(mrf, linear, rho)
+        state = scalar_iterations(cold_state(mrf, solvers, rho), solvers, 2)
         np.testing.assert_allclose(y_engine, state.consensus, rtol=0, atol=1e-12)
         check = check_convergence(state, opts.eps_abs, opts.eps_rel)
         assert diag.primal_residual == pytest.approx(check.primal_residual, rel=0, abs=1e-12)
         assert diag.dual_residual == pytest.approx(check.dual_residual, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_thirty_iterations_match_scalar_ops(self, seed, rho, workers):
+        # Long enough for every kind of block to leave its start, on both
+        # the serial and the threaded update.
+        mrf, linear = mixed_model(np.random.default_rng(seed))
+        opts = SolveOptions(rho=rho, max_iter=30, workers=workers, **NO_STOP)
+        y_engine, diag = solve_map(mrf, opts, extra_linear=linear)
+        assert diag.iterations == 30
+
+        solvers = scalar_solvers(mrf, linear, rho)
+        state = scalar_iterations(cold_state(mrf, solvers, rho), solvers, 30)
+        np.testing.assert_allclose(y_engine, state.consensus, rtol=0, atol=1e-12)
+        check = check_convergence(state, opts.eps_abs, opts.eps_rel)
+        assert diag.primal_residual == pytest.approx(check.primal_residual, rel=0, abs=1e-12)
+        assert diag.dual_residual == pytest.approx(check.dual_residual, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("rho_then, rho_now", [(1.0, 3.0), (3.0, 0.5)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_warm_start_at_another_penalty_continues_scalar_ops(self, seed, rho_then, rho_now):
+        # The reference keeps its unscaled multipliers when the penalty
+        # changes, so a restored state must carry the same multipliers.
+        mrf, linear = mixed_model(np.random.default_rng(seed))
+        warm = WarmStart()
+        first = SolveOptions(rho=rho_then, max_iter=10, **NO_STOP)
+        solve_map(mrf, first, extra_linear=linear, warm=warm)
+        second = SolveOptions(rho=rho_now, max_iter=20, **NO_STOP)
+        y_engine, diag = solve_map(mrf, second, extra_linear=linear, warm=warm)
+        assert diag.iterations == 20
+
+        solvers = scalar_solvers(mrf, linear, rho_then)
+        state = scalar_iterations(cold_state(mrf, solvers, rho_then), solvers, 10)
+        state.rho = rho_now
+        scalar_iterations(state, scalar_solvers(mrf, linear, rho_now), 20)
+        np.testing.assert_allclose(y_engine, state.consensus, rtol=0, atol=1e-12)
 
 
 def squared_model(rng, n=6):
@@ -609,6 +664,16 @@ class TestLazyInference:
         y_full, full = solve_map(mrf, TIGHT, extra_linear=linear)
         np.testing.assert_allclose(y_lazy, y_full, atol=1e-6)
         assert lazy.objective == pytest.approx(full.objective, abs=1e-6)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_full_solve_on_mixed_models(self, seed):
+        # Rounds compile subsets of every block kind and restart from the
+        # last round's answer.
+        mrf, linear = mixed_model(np.random.default_rng(seed))
+        y_lazy, lazy = solve_map_lazy(mrf, TIGHT, extra_linear=linear)
+        _, full = solve_map(mrf, TIGHT, extra_linear=linear)
+        assert lazy.objective == pytest.approx(full.objective, abs=1e-6)
+        assert mrf.check_feasible(y_lazy, tol=1e-6)[0]
 
     def test_matches_full_solve_on_random_sparse_models(self):
         rng = np.random.default_rng(19)
