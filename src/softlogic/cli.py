@@ -3,9 +3,9 @@
 Subcommands: ground, infer, learn, round, synth-network, validate. Exit
 codes: 0 on success, 1 on runtime failures (including errors in user
 files, reported with source locations), 2 on usage errors. Option values
-resolve as flags > config file > built-in defaults; the config file is
-plain ``key = value`` lines keyed by option names with dashes or
-underscores.
+resolve as flags > config file > the library's defaults: an option that
+neither sets is not passed on. The config file is plain ``key = value``
+lines keyed by option names with dashes or underscores.
 """
 
 from __future__ import annotations
@@ -27,21 +27,6 @@ from .model import GroundAtom, HlMrf, ModelError
 from .synth import DEFAULT_ALPHA, DEFAULT_GAMMAS, SynthNetworkSpec, generate_network
 
 WEIGHTS_HEADER = "# softlogic-weights v1"
-
-_DEFAULTS = {
-    "rho": 1.0,
-    "eps_abs": 1e-5,
-    "eps_rel": 1e-3,
-    "max_iter": 25000,
-    "workers": 1,
-    "steps": 100,
-    "step_size": 1.0,
-    "C": 0.1,
-    "tol": 1e-4,
-    "seed": 0,
-    "users": 500,
-    "alpha": DEFAULT_ALPHA,
-}
 
 
 class CliError(RuntimeError):
@@ -79,7 +64,8 @@ def _load_config(path):
     return values
 
 
-def _resolve(args, config, name, cast=float):
+def _resolve(args, config, name, cast=float, default=None):
+    """The option's flag value, else its config value, else ``default``."""
     given = getattr(args, name, None)
     if given is not None:
         return given
@@ -91,7 +77,13 @@ def _resolve(args, config, name, cast=float):
         if not math.isfinite(value):
             raise CliError("config value for %s is not finite: %r" % (name, config[name]))
         return value
-    return _DEFAULTS[name]
+    return default
+
+
+def _given(args, config, **casts):
+    """The options among ``casts`` (name -> type) that a flag or the config sets."""
+    values = {name: _resolve(args, config, name, cast) for name, cast in casts.items()}
+    return {name: value for name, value in values.items() if value is not None}
 
 
 def _solve_options(args, config, trace_stream=None):
@@ -105,14 +97,9 @@ def _solve_options(args, config, trace_stream=None):
                 file=trace_stream or sys.stderr,
             )
 
-    return SolveOptions(
-        rho=_resolve(args, config, "rho"),
-        eps_abs=_resolve(args, config, "eps_abs"),
-        eps_rel=_resolve(args, config, "eps_rel"),
-        max_iter=int(_resolve(args, config, "max_iter", int)),
-        workers=int(_resolve(args, config, "workers", int)),
-        trace=trace,
-    )
+    solver = _given(args, config, rho=float, eps_abs=float, eps_rel=float, max_iter=int,
+                    workers=int)
+    return SolveOptions(trace=trace, **solver)
 
 
 def _load_model(args, config) -> HlMrf:
@@ -294,28 +281,20 @@ def _cmd_learn(args, config):
     method = args.method
     if method == "mle":
         weights = perceptron_train(
-            [instance],
-            steps=int(_resolve(args, config, "steps", int)),
-            step_size=_resolve(args, config, "step_size"),
-            init=np.array(mrf.weights),
-            opts=opts,
+            [instance], init=np.array(mrf.weights), opts=opts,
+            **_given(args, config, steps=int, step_size=float),
         )
     elif method == "mple":
         from .learn import mple_log_and_gradient  # local to keep startup light
 
-        steps = int(_resolve(args, config, "steps", int))
-        step_size = _resolve(args, config, "step_size")
+        steps = _resolve(args, config, "steps", int, default=100)
+        step_size = _resolve(args, config, "step_size", default=1.0)
         weights = np.array(mrf.weights, dtype=float)
         for _ in range(steps):
             _, grad = mple_log_and_gradient(instance, weights)
             weights = np.maximum(weights + step_size * grad, 0.0)
     elif method == "lme":
-        result = lme_train(
-            [instance],
-            C=_resolve(args, config, "C"),
-            tol=_resolve(args, config, "tol"),
-            opts=opts,
-        )
+        result = lme_train([instance], opts=opts, **_given(args, config, C=float, tol=float))
         weights = result.weights
     else:
         raise CliError("unknown learning method %r" % method)
@@ -327,14 +306,14 @@ def _cmd_synth(args, config):
     gammas = DEFAULT_GAMMAS
     if args.gammas:
         gammas = tuple(float(g) for g in args.gammas.split(","))
-    alpha = _resolve(args, config, "alpha")
+    alpha = _resolve(args, config, "alpha", default=DEFAULT_ALPHA)
     spec = SynthNetworkSpec(
-        n_users=int(_resolve(args, config, "users", int)),
+        n_users=_resolve(args, config, "users", int, default=500),
         edge_params=tuple((g, alpha) for g in gammas),
-        seed=int(_resolve(args, config, "seed", int)),
         lambda_edges=tuple(
             0.9 - 0.75 * i / max(1, len(gammas) - 1) for i in range(len(gammas))
         ),
+        **_given(args, config, seed=int),
     )
     data_text, program_text = generate_network(spec, squared=bool(args.squared))
     _write(args.out_data, data_text)

@@ -9,27 +9,30 @@ then constants), so grounding the same inputs twice yields byte-identical
 models.
 
 Every rule is grounded set at a time, bottom up, as in Tuffy and in PSL's
-database grounding. `DataSet.coding` gives every constant an integer
-code, its rank in the sorted union of all constants, so code order is
-string order, and keeps each predicate's observations as an argument-code
-matrix and a value vector. A rule's substitutions are a join over those
-arrays: with pruning, a negated closed atom of a logical rule contributes
-only its nonzero observations, joined on sorted integer keys, and every
-other variable ranges over its typed domain; a `np.lexsort` of the code
-columns then gives the lexicographic order. Each ground atom is looked up
-set at a time too (observations by sorted keys, open atoms' table indices
-as mixed-radix codes over the sorted type constants, functional
-predicates once per distinct atom), and the offsets, the merged terms and
-the prune test are array expressions.
+database grounding. `DataSet.coding` is the data set's one cached
+`Coding`: it gives every constant an integer code, its rank in the sorted
+union of all constants, so code order is string order, keeps each
+predicate's observations as an argument-code matrix and a value vector,
+and holds the variable table, ``Coding.table``. A rule's substitutions
+are a join over those arrays: with pruning, a negated closed atom of a
+logical rule contributes only its nonzero observations, joined on sorted
+integer keys, and every other variable ranges over its typed domain; a
+`np.lexsort` of the code columns then gives the lexicographic order. Each
+ground atom is looked up set at a time too (observations by sorted keys,
+open atoms' table indices as mixed-radix codes over the sorted type
+constants, functional predicates once per distinct atom), and the
+offsets, the merged terms and the prune test are array expressions.
 
 An arithmetic rule pairs every substitution with every candidate of each
 sum variable; its select clause is a mask over those pairs, its
 cardinalities are counts of the surviving pairs, and a term's summands
 are the join of its sum variables' pairs. Both kinds of rule end in the
-same tail and return a `GroundRules`, the rule's rows, and
+same tail and return a `GroundRules` over the model's own row type, a
+`PotentialRows` or `ConstraintRows` over free positions, and
 `ground_program` concatenates those rows into the model with
-`HlMrf.from_rows`. `GroundRule`, `HingePotential` and `LinearConstraint`
-objects and origin strings are built only when something reads them.
+`FoldedRows.concatenate` and `HlMrf.from_rows`. `GroundRule`,
+`HingePotential` and `LinearConstraint` objects and origin strings are
+built only when something reads them.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ import functools
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -66,12 +68,8 @@ from ..model import (
     HingePotential,
     HlMrf,
     LinearConstraint,
-    LinearFunction,
     PotentialRows,
-    Relation,
     TemplateInfo,
-    VariableTable,
-    _concat,
     _merge_terms,
 )
 from .data import DataError, DataSet
@@ -95,67 +93,39 @@ class GroundRule:
     constraints: tuple[LinearConstraint, ...] = ()
 
 
-class _Rows(NamedTuple):
-    """Linear functions in CSR form over table indices."""
-
-    indices: np.ndarray
-    coeffs: np.ndarray
-    arity: np.ndarray
-    offsets: np.ndarray
-
-
 class GroundRules(Sequence):
     """The groundings of one rule as rows; each `GroundRule` is built on access.
 
-    Grounding ``k`` substitutes ``constants[codes[k]]`` for the variables
-    ``names``. Its potentials (``exponent`` set) or constraints (with
-    ``relation``) are the ``rows`` with ``row_ground == k``.
+    Grounding ``k`` substitutes ``coding.constants[codes[k]]`` for the
+    variables ``names``. Its potentials or constraints, as ``rows`` is a
+    `PotentialRows` or a `ConstraintRows`, are the rows with
+    ``row_ground == k``.
     """
 
-    def __init__(self, rule_id, names, codes, constants, rows: _Rows, row_ground,
-                 exponent=None, relation=Relation.LEQ):
+    def __init__(self, rule_id, names, codes, coding, rows, row_ground):
         self.rule_id = rule_id
         self.names = tuple(names)
         self.codes = codes
-        self.constants = constants
+        self.coding = coding
         self.rows = rows
         self.row_ground = row_ground
-        self.exponent = exponent
-        self.relation = relation
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows.offsets)
-
-    def substitution(self, k) -> tuple[tuple[str, str], ...]:
-        return tuple(zip(self.names, (self.constants[c] for c in self.codes[k].tolist())))
-
-    def origin(self, row) -> str:
-        return _origin(self.rule_id, self.names, self.codes[self.row_ground[row]], self.constants)
 
     @functools.cached_property
-    def _indptr(self):
-        return np.concatenate(([0], np.cumsum(self.rows.arity))).tolist()
-
-    def _function(self, row) -> LinearFunction:
-        a, b = self._indptr[row], self._indptr[row + 1]
-        terms = zip(self.rows.indices[a:b].tolist(), self.rows.coeffs[a:b].tolist())
-        return LinearFunction(terms, self.rows.offsets[row])
+    def _objects(self):
+        if isinstance(self.rows, PotentialRows):
+            return self.rows.objects(self.coding.table, _Origins([self]))
+        return self.rows.objects(self.coding.table)
 
     def __len__(self):
         return len(self.codes)
 
     def __getitem__(self, k):
         k = range(len(self))[k]
-        sub = self.substitution(k)
+        constants = self.coding.constants
+        sub = tuple(zip(self.names, (constants[c] for c in self.codes[k].tolist())))
         first, last = np.searchsorted(self.row_ground, [k, k + 1]).tolist()
-        funs = [self._function(r) for r in range(first, last)]
-        if self.exponent is None:
-            constraints = tuple(LinearConstraint(f, self.relation) for f in funs)
-            return GroundRule(self.rule_id, sub, constraints=constraints)
-        origin = _origin(self.rule_id, self.names, self.codes[k], self.constants)
-        potentials = tuple(HingePotential(f, self.exponent, self.rule_id, origin) for f in funs)
-        return GroundRule(self.rule_id, sub, potentials=potentials)
+        kind = "potentials" if isinstance(self.rows, PotentialRows) else "constraints"
+        return GroundRule(self.rule_id, sub, **{kind: tuple(self._objects[first:last])})
 
     def __eq__(self, other):
         if isinstance(other, (list, tuple, GroundRules)):
@@ -165,64 +135,9 @@ class GroundRules(Sequence):
     __hash__ = None
 
 
-class _Layout:
-    """A data set's variable table and where each open atom sits in it.
-
-    Closed and functional predicates never become model variables: their
-    values are constants folded into linear functions at grounding time.
-    Open atoms with an explicit observation enter the table as observed.
-    """
-
-    def __init__(self, data: DataSet):
-        self.data = data
-        self.coding = data.coding()
-        self.radix = max(1, len(self.coding.constants))
-        self.base: dict[str, int] = {}
-        labels = []
-        for name in sorted(data.predicates):
-            if data.predicates[name].closed or name in data.functionals:
-                continue
-            self.base[name] = len(labels)
-            labels.extend(data.atoms_of(name))
-        observed = {}
-        for name in self.base:
-            if name in self.coding.observed:
-                codes, values = self.coding.observed[name]
-                observed.update(zip(self.indices(name, codes).tolist(), values.tolist()))
-        self.table = VariableTable(labels, observed)
-
-    def indices(self, predicate, args) -> np.ndarray:
-        """Table indices of open atoms (rows of argument codes).
-
-        `DataSet.atoms_of` is a product over sorted type constants, so an
-        atom's index is the mixed-radix number of its constants' ranks.
-        """
-        index = np.zeros(len(args), dtype=np.intp)
-        for position, type_name in enumerate(self.data.predicates[predicate].arg_types):
-            constants = self.coding.types[type_name]
-            index = index * len(constants) + np.searchsorted(constants, args[:, position])
-        return index + self.base[predicate]
-
-    def values(self, predicate, args):
-        """Value of each atom (rows of argument codes); NaN if unobserved.
-
-        Also returns the first row whose functional value lies outside
-        [0, 1], with its error, or None; such values read as 0.
-        """
-        if predicate in self.data.functionals:
-            return _functional_values(self, predicate, args)
-        closed = self.data.predicates[predicate].closed
-        values = np.full(len(args), 0.0 if closed else np.nan)
-        if predicate in self.coding.observed:
-            codes, observed = self.coding.observed[predicate]
-            at, found = _find(*_keys(self.radix, codes, args))
-            values[found] = observed[at[found]]
-        return values, None
-
-
 def build_variable_table(data: DataSet):
     """Index the base atoms of open predicates; returns (table, atom -> index)."""
-    table = _Layout(data).table
+    table = data.coding().table
     return table, {atom: i for i, atom in enumerate(table.labels)}
 
 
@@ -314,14 +229,14 @@ def _join(left, right, radix):
     return names, np.hstack([lrows[lpick], rrows[rpick][:, extra]])
 
 
-def _substitutions(literals, domains, layout, prune):
+def _substitutions(literals, domains, data, prune):
     """Consistent substitutions as a code matrix, variables by name, rows sorted.
 
     With pruning, a negated closed atom that is 0 satisfies the ground
     clause outright, so such an atom contributes only its nonzero
     observations; every other variable ranges over its domain.
     """
-    data, coding = layout.data, layout.coding
+    coding = data.coding()
     relations = []
     for lit in literals:
         atom = lit.atom
@@ -352,11 +267,11 @@ def _substitutions(literals, domains, layout, prune):
             key=lambda k: (bool(names) and not set(relations[k][0]) & set(names),
                            len(relations[k][1]), k),
         )
-        names, rows = _join((names, rows), relations.pop(best), layout.radix)
+        names, rows = _join((names, rows), relations.pop(best), coding.radix)
     ordered = sorted(domains)
     for name in ordered:
         if name not in names:
-            names, rows = _join((names, rows), ((name,), domains[name][:, None]), layout.radix)
+            names, rows = _join((names, rows), ((name,), domains[name][:, None]), coding.radix)
     rows = rows[:, [names.index(v) for v in ordered]]
     if ordered:
         rows = rows[np.lexsort(rows.T[::-1])]
@@ -374,16 +289,34 @@ def _atom_args(atom, names, subs, coding):
     return np.stack(columns, axis=1) if columns else np.zeros((len(subs), 0), dtype=np.intp)
 
 
-def _functional_values(layout, predicate, args):
+def _values(data, predicate, args):
+    """Value of each atom (rows of argument codes); NaN if unobserved.
+
+    Also returns the first row whose functional value lies outside [0, 1],
+    with its error, or None; such values read as 0.
+    """
+    if predicate in data.functionals:
+        return _functional_values(data, predicate, args)
+    coding = data.coding()
+    values = np.full(len(args), 0.0 if data.predicates[predicate].closed else np.nan)
+    if predicate in coding.observed:
+        codes, observed = coding.observed[predicate]
+        at, found = _find(*_keys(coding.radix, codes, args))
+        values[found] = observed[at[found]]
+    return values, None
+
+
+def _functional_values(data, predicate, args):
     """Values of a functional predicate, one call per distinct atom.
 
     Returns the values and the first row whose value lies outside [0, 1]
     with its error (or None); such values read as 0.
     """
-    (keys,) = _keys(layout.radix, args)
+    coding = data.coding()
+    (keys,) = _keys(coding.radix, args)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    fn = layout.data.functionals[predicate]
-    constants = layout.coding.constants
+    fn = data.functionals[predicate]
+    constants = coding.constants
     distinct = [float(fn(*(constants[c] for c in row))) for row in args[first].tolist()]
     values = np.array(distinct, dtype=float)[inverse.ravel()]
     bad = ~((values >= 0.0) & (values <= 1.0))
@@ -410,10 +343,12 @@ def _comparison_truth(comp, names, subs, coding):
 
 
 def _finish(rule, rule_id, names, subs, coding, rows, row_ground, errors, location, prune,
-            relation=Relation.LEQ, live=None, drops=()):
+            is_eq=False, live=None, drops=()):
     """The `GroundRules` of a rule's rows: the tail both kinds of rule share.
 
-    Row ``r`` belongs to grounding ``row_ground[r]`` (ascending); only the
+    ``rows`` are ``(indices, coeffs, arity, offsets)`` in CSR form over
+    table indices of free atoms, hard rows equalities if ``is_eq``. Row
+    ``r`` belongs to grounding ``row_ground[r]`` (ascending); only the
     ``live`` groundings emit rows. With pruning, a hinge that can never be
     active on the unit box and a hard row without a free atom are dropped.
     A hard row without free atoms that the observations violate is an
@@ -431,7 +366,7 @@ def _finish(rule, rule_id, names, subs, coding, rows, row_ground, errors, locati
             positive = np.bincount(term_row, np.maximum(coeffs, 0.0), minlength=n_rows)
             keep &= (arity > 0) & (offsets + positive > 0.0)
     else:
-        excess = np.abs(offsets) if relation is Relation.EQ else offsets
+        excess = np.abs(offsets) if is_eq else offsets
         violated = keep & (arity == 0) & (excess > 1e-9)
         if violated.any():
             k = row_ground[violated.argmax()]
@@ -451,21 +386,23 @@ def _finish(rule, rule_id, names, subs, coding, rows, row_ground, errors, locati
 
     kept_terms = np.repeat(keep, arity)
     grounds, row_ground = np.unique(row_ground[keep], return_inverse=True)
-    rows = _Rows(indices[kept_terms], coeffs[kept_terms], arity[keep], offsets[keep])
-    return GroundRules(
-        rule_id, names, subs[grounds], coding.constants, rows, row_ground.ravel(),
-        exponent, relation,
-    )
+    folded = (coding.table.position[indices[kept_terms]], coeffs[kept_terms], arity[keep],
+              offsets[keep])
+    size = len(row_ground)
+    if exponent is None:
+        rows = ConstraintRows(*folded, np.full(size, is_eq))
+    else:
+        rows = PotentialRows(*folded, np.full(size, exponent, np.intp),
+                             np.full(size, rule_id, np.intp))
+    return GroundRules(rule_id, names, subs[grounds], coding, rows, row_ground.ravel())
 
 
-def ground_logical_rule(rule, data, layout=None, rule_id=0, prune=False, location=(None, None)):
+def ground_logical_rule(rule, data, rule_id=0, prune=False, location=(None, None)):
     """All groundings of one logical rule, as a `GroundRules`.
 
     Weighted rules yield one hinge potential per grounding (squared when the
     rule is), unweighted rules yield one `<= 0` hard constraint.
     """
-    if layout is None:
-        layout = _Layout(data)
     if rule.literals is None:
         rule = normalize_logical(rule)
     regular = [lit for lit in rule.literals if isinstance(lit.atom, Atom)]
@@ -480,9 +417,9 @@ def ground_logical_rule(rule, data, layout=None, rule_id=0, prune=False, locatio
                     *location,
                 )
 
-    coding = layout.coding
+    coding = data.coding()
     names = tuple(sorted(domains))
-    subs = _substitutions(regular, domains, layout, prune)
+    subs = _substitutions(regular, domains, data, prune)
     n = len(subs)
     offsets = np.ones(n)
     term_row, term_index, term_coeff = [], [], []
@@ -494,17 +431,17 @@ def ground_logical_rule(rule, data, layout=None, rule_id=0, prune=False, locatio
             continue
         atom = lit.atom
         args = _atom_args(atom, names, subs, coding)
-        values, error = layout.values(atom.predicate, args)
+        values, error = _values(data, atom.predicate, args)
         if error is not None:
             errors.append((error[0], (position,), error[1]))
         free = np.isnan(values)
         offsets -= np.where(free, float(lit.negated), (1.0 - values) if lit.negated else values)
         if free.any():  # only open atoms can be unobserved
             term_row.append(np.flatnonzero(free))
-            term_index.append(layout.indices(atom.predicate, args[free]))
+            term_index.append(coding.indices(atom.predicate, args[free]))
             term_coeff.append(np.full(term_row[-1].size, 1.0 if lit.negated else -1.0))
 
-    rows = _Rows(*_merge_terms(term_row, term_index, term_coeff, n), offsets)
+    rows = (*_merge_terms(term_row, term_index, term_coeff, n), offsets)
     return _finish(rule, rule_id, names, subs, coding, rows, np.arange(n), errors, location, prune)
 
 
@@ -529,7 +466,7 @@ def _check_select(select, data, rule_vars, location):
             _infer_domains([atom], data, location)
 
 
-def _select_mask(clause, names, rows, layout):
+def _select_mask(clause, names, rows, data):
     """Where a select clause holds on each row of codes, and the errors met.
 
     An atom holds where its value is nonzero. As in a short-circuit
@@ -537,6 +474,7 @@ def _select_mask(clause, names, rows, layout):
     still change. An error is ``(row, atom number, error)``, atoms numbered
     left to right.
     """
+    coding = data.coding()
     found = []
     seen = 0
 
@@ -554,10 +492,10 @@ def _select_mask(clause, names, rows, layout):
             return (active & ~body) | holds(expr.head, body)
         at = np.flatnonzero(active)
         if isinstance(expr, ComparisonAtom):
-            values, error = _comparison_truth(expr, names, rows[at], layout.coding), None
+            values, error = _comparison_truth(expr, names, rows[at], coding), None
         else:
-            args = _atom_args(expr, names, rows[at], layout.coding)
-            values, error = layout.values(expr.predicate, args)
+            args = _atom_args(expr, names, rows[at], coding)
+            values, error = _values(data, expr.predicate, args)
         if error is not None:
             found.append((at[error[0]], seen, error[1]))
         seen += 1
@@ -597,7 +535,7 @@ def _eval_coeff(node, cards, location):
     raise GroundingError("cannot evaluate coefficient %r" % (node,), *location)
 
 
-def ground_arithmetic_rule(rule, data, layout=None, rule_id=0, prune=False, location=(None, None)):
+def ground_arithmetic_rule(rule, data, rule_id=0, prune=False, location=(None, None)):
     """All groundings of one arithmetic rule, as a `GroundRules`.
 
     Sum variables expand to sums over their select-filtered candidates with
@@ -607,9 +545,7 @@ def ground_arithmetic_rule(rule, data, layout=None, rule_id=0, prune=False, loca
     A grounding whose coefficient divides by an empty sum is dropped with a
     `GroundingWarning`.
     """
-    if layout is None:
-        layout = _Layout(data)
-    coding = layout.coding
+    coding = data.coding()
     atoms = [t.atom for t in rule.lhs + rule.rhs if t.atom is not None]
     domains = _infer_domains(atoms, data, location)
     sum_types = {
@@ -628,7 +564,7 @@ def ground_arithmetic_rule(rule, data, layout=None, rule_id=0, prune=False, loca
         _check_select(select, data, domains, location)
 
     names = tuple(sorted(domains))
-    subs = _substitutions((), domains, layout, prune=False)
+    subs = _substitutions((), domains, data, prune=False)
     n = len(subs)
     # Errors rank as the scalar order meets them within a grounding: select
     # clauses, coefficients, atom values, then the hard-rule check.
@@ -640,7 +576,7 @@ def ground_arithmetic_rule(rule, data, layout=None, rule_id=0, prune=False, loca
         pick = np.arange(n * len(pool))  # pair i: grounding i // len(pool), candidate i % len(pool)
         if name in clauses:
             rows = np.column_stack([np.repeat(subs, len(pool), axis=0), np.tile(pool, n)])
-            keep, found = _select_mask(clauses[name], names + (name,), rows, layout)
+            keep, found = _select_mask(clauses[name], names + (name,), rows, data)
             errors += [(i // len(pool), (0, k, i, atom), error) for i, atom, error in found]
             pick = np.flatnonzero(keep)
         pairs[name] = (("#", name), np.column_stack([pick // len(pool), pool[pick % len(pool)]]))
@@ -650,7 +586,7 @@ def ground_arithmetic_rule(rule, data, layout=None, rule_id=0, prune=False, loca
         [np.bincount(pairs[name][1][:, 0], minlength=n) for name in sums], dtype=np.intp
     ).reshape(len(sums), n).T
     terms = [(sign, term) for sign, side in ((1.0, rule.lhs), (-1.0, rule.rhs)) for term in side]
-    (keys,) = _keys(layout.radix + 1, cards)
+    (keys,) = _keys(coding.radix + 1, cards)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     coeffs = np.zeros((len(first), len(terms)))
     empty = np.zeros(len(first), dtype=bool)
@@ -685,12 +621,12 @@ def ground_arithmetic_rule(rule, data, layout=None, rule_id=0, prune=False, loca
             continue
         expansion = live
         for name in term.atom.sum_variables:
-            expansion = _join(expansion, pairs[name], layout.radix)
+            expansion = _join(expansion, pairs[name], coding.radix)
         columns, expanded = expansion
         row = expanded[:, 0]
         atom_names = names + columns[1:]
         args = _atom_args(term.atom, atom_names, np.hstack([subs[row], expanded[:, 1:]]), coding)
-        values, error = layout.values(term.atom.predicate, args)
+        values, error = _values(data, term.atom.predicate, args)
         if error is not None:
             errors.append((row[error[0]], (2, position), error[1]))
         free = np.isnan(values)
@@ -698,7 +634,7 @@ def ground_arithmetic_rule(rule, data, layout=None, rule_id=0, prune=False, loca
         np.add.at(offsets, row[~free], coeff[row[~free]] * values[~free])
         if free.any():  # only open atoms can be unobserved
             term_row.append(row[free])
-            term_index.append(layout.indices(term.atom.predicate, args[free]))
+            term_index.append(coding.indices(term.atom.predicate, args[free]))
             term_coeff.append(coeff[row[free]])
 
     indices, merged, arity = _merge_terms(term_row, term_index, term_coeff, n)
@@ -713,38 +649,28 @@ def ground_arithmetic_rule(rule, data, layout=None, rule_id=0, prune=False, loca
         )
         offsets = np.stack([offsets, -offsets], axis=1).ravel()
         row_ground = np.repeat(row_ground, 2)
-    relation = Relation.EQ if rule.weight is None and rule.relation == "=" else Relation.LEQ
-    rows = _Rows(indices, merged, arity, offsets)
+    is_eq = rule.weight is None and rule.relation == "="
     return _finish(
-        rule, rule_id, names, subs, coding, rows, row_ground, errors, location, prune,
-        relation, ~empty, drops,
-    )
-
-
-def _per_row(blocks, value, dtype):
-    return _concat([np.full(b.n_rows, value(b)) for b in blocks], dtype)
-
-
-def _rows(blocks, layout):
-    """The rows of several rules, concatenated, over free positions."""
-    return (
-        layout.table.position[_concat([b.rows.indices for b in blocks], np.intp)],
-        _concat([b.rows.coeffs for b in blocks], float),
-        _concat([b.rows.arity for b in blocks], np.intp),
-        _concat([b.rows.offsets for b in blocks], float),
+        rule, rule_id, names, subs, coding, (indices, merged, arity, offsets), row_ground,
+        errors, location, prune, is_eq, ~empty, drops,
     )
 
 
 class _Origins:
-    """Origin strings of the potential rows of several rules, built on access."""
+    """Origin strings of the potential rows of several rules, built on access.
+
+    Keeps what the strings are made of, not the rules' rows.
+    """
 
     def __init__(self, blocks):
-        self.blocks = blocks
-        self.starts = np.cumsum([0] + [b.n_rows for b in blocks]).tolist()
+        self.blocks = [(b.rule_id, b.names, b.codes, b.row_ground, b.coding.constants)
+                       for b in blocks]
+        self.starts = np.cumsum([0] + [b.rows.size for b in blocks]).tolist()
 
     def __getitem__(self, r):
         k = bisect.bisect_right(self.starts, r) - 1
-        return self.blocks[k].origin(r - self.starts[k])
+        rule_id, names, codes, row_ground, constants = self.blocks[k]
+        return _origin(rule_id, names, codes[row_ground[r - self.starts[k]]], constants)
 
 
 def ground_program(program, data, prune=False) -> HlMrf:
@@ -754,7 +680,6 @@ def ground_program(program, data, prune=False) -> HlMrf:
     hard rules, whose templates have no potentials). Per-rule errors are
     aggregated with their source locations.
     """
-    layout = _Layout(data)
     blocks = []
     templates = []
     weights = []
@@ -764,34 +689,22 @@ def ground_program(program, data, prune=False) -> HlMrf:
         source = " ".join(rule.render().split())
         count = 0
         try:
-            if rule.kind == "logical":
-                grounds = ground_logical_rule(
-                    rule, data, layout, rule_id=rule_id, prune=prune, location=span
-                )
-            else:
-                grounds = ground_arithmetic_rule(
-                    rule, data, layout, rule_id=rule_id, prune=prune, location=span
-                )
+            ground = ground_logical_rule if rule.kind == "logical" else ground_arithmetic_rule
+            grounds = ground(rule, data, rule_id=rule_id, prune=prune, location=span)
             blocks.append(grounds)
-            if grounds.exponent is not None:
-                count = grounds.n_rows
+            if isinstance(grounds.rows, PotentialRows):
+                count = grounds.rows.size
         except LangError as exc:
             errors.append(str(exc))
         templates.append(TemplateInfo(source, count))
         weights.append(rule.weight if rule.weight is not None else 0.0)
     if errors:
         raise GroundingError("; ".join(errors))
-    potentials = [b for b in blocks if b.exponent is not None]
-    constraints = [b for b in blocks if b.exponent is None]
-    potential_rows = PotentialRows(
-        *_rows(potentials, layout),
-        _per_row(potentials, lambda b: b.exponent, np.intp),
-        _per_row(potentials, lambda b: b.rule_id, np.intp),
-    )
-    constraint_rows = ConstraintRows(
-        *_rows(constraints, layout),
-        _per_row(constraints, lambda b: b.relation is Relation.EQ, bool),
+    potentials = [b for b in blocks if isinstance(b.rows, PotentialRows)]
+    constraint_rows = ConstraintRows.concatenate(
+        [b.rows for b in blocks if isinstance(b.rows, ConstraintRows)]
     )
     return HlMrf.from_rows(
-        layout.table, potential_rows, constraint_rows, templates, weights, _Origins(potentials)
+        data.coding().table, PotentialRows.concatenate([b.rows for b in potentials]),
+        constraint_rows, templates, weights, _Origins(potentials),
     )

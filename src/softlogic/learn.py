@@ -231,6 +231,7 @@ class SeparationResult:
     violator: np.ndarray
     loss: float
     violation: float  # margin violation ignoring slack
+    feature_gap: np.ndarray  # Phi(truth) - Phi(violator)
     converged: bool = True
 
 
@@ -288,7 +289,7 @@ def lme_separation_oracle(
     loss = float(np.abs(truth - violator).sum())
     gap = model.template_features(truth) - model.template_features(violator)
     violation = float(weights @ gap) + loss
-    return SeparationResult(violator, loss, violation, converged)
+    return SeparationResult(violator, loss, violation, gap, converged)
 
 
 @dataclass
@@ -398,10 +399,7 @@ def lme_train(
         loss = 0.0
         for instance, warm in zip(instances, warms):
             result = lme_separation_oracle(instance, weights, opts, warm=warm)
-            model = instance.mrf.with_weights(weights)
-            gap += model.template_features(instance.truth) - model.template_features(
-                result.violator
-            )
+            gap += result.feature_gap
             loss += result.loss
         violation = float(weights @ gap) + loss - slack
         if violation <= tol:

@@ -264,8 +264,11 @@ class FoldedRows:
     ``s = slice(indptr[r], indptr[r + 1])`` (CSR form); ``positions`` index
     the free assignment and ``arity`` counts each row's terms. Rows left
     with no free term are constants and still count. ``norm2[r]`` is the
-    squared norm of row ``r``'s coefficients.
+    squared norm of row ``r``'s coefficients. ``FIELDS`` names the
+    constructor's arrays, in order, with their dtypes.
     """
+
+    FIELDS = (("positions", np.intp), ("coeffs", float), ("arity", np.intp), ("offsets", float))
 
     def __init__(self, positions, coeffs, arity, offsets):
         self.size = offsets.size
@@ -273,9 +276,24 @@ class FoldedRows:
         self.coeffs = coeffs
         self.arity = arity
         self.offsets = offsets
-        self.indptr = np.concatenate(([0], np.cumsum(arity)))
-        self.term_row = np.repeat(np.arange(self.size), arity)
-        self.norm2 = np.bincount(self.term_row, coeffs * coeffs, minlength=self.size)
+
+    @classmethod
+    def concatenate(cls, parts):
+        """The rows of ``parts``, all of this class, one part after another."""
+        return cls(*(_concat([getattr(p, name) for p in parts], dtype)
+                     for name, dtype in cls.FIELDS))
+
+    @functools.cached_property
+    def indptr(self):
+        return np.concatenate(([0], np.cumsum(self.arity)))
+
+    @functools.cached_property
+    def term_row(self):
+        return np.repeat(np.arange(self.size), self.arity)
+
+    @functools.cached_property
+    def norm2(self):
+        return np.bincount(self.term_row, self.coeffs * self.coeffs, minlength=self.size)
 
     def functions(self, table: VariableTable):
         """Each row as the ``(terms, offset)`` that `fold_rows` takes, over table indices."""
@@ -303,6 +321,8 @@ class FoldedRows:
 class PotentialRows(FoldedRows):
     """Folded hinge potentials with their exponents and template ids."""
 
+    FIELDS = FoldedRows.FIELDS + (("exponent", np.intp), ("template_id", np.intp))
+
     def __init__(self, positions, coeffs, arity, offsets, exponent, template_id):
         super().__init__(positions, coeffs, arity, offsets)
         self.exponent = exponent
@@ -324,6 +344,8 @@ class PotentialRows(FoldedRows):
 
 class ConstraintRows(FoldedRows):
     """Folded hard constraints with their relations."""
+
+    FIELDS = FoldedRows.FIELDS + (("is_eq", bool),)
 
     def __init__(self, positions, coeffs, arity, offsets, is_eq):
         super().__init__(positions, coeffs, arity, offsets)

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from softlogic.cli import run_cli
+from softlogic.cli import _solve_options, build_parser, run_cli
+from softlogic.infer import SolveOptions
 from softlogic.model import HlMrf
 
 from test_lang import PATTERN_CORPUS
@@ -185,6 +187,17 @@ class TestConfig:
         )
         assert code == 1 and "key = value" in err
 
+    @pytest.mark.parametrize("command", ["infer", "round", "learn"])
+    def test_unset_solver_options_are_the_library_defaults(self, command):
+        argv = [command, "--program", "p.psl", "--data", "d.data"]
+        args = build_parser().parse_args(argv + (["--truth", "t"] if command == "learn" else []))
+        defaults = SolveOptions()
+        for config, changed in (({}, {}), ({"max_iter": "7"}, {"max_iter": 7})):
+            opts = _solve_options(args, config)
+            for field in dataclasses.fields(SolveOptions):
+                if field.name != "trace":
+                    expected = changed.get(field.name, getattr(defaults, field.name))
+                    assert getattr(opts, field.name) == expected, field.name
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_config_value_names_key(self, fixture_paths, tmp_path, capsys, value):

@@ -139,6 +139,32 @@ class TestVariableTable:
         assert observed_atoms == {GroundAtom("Advises", ("Alexis", "Don"))}
 
 
+class TestCachedCoding:
+    def test_grounding_reuses_the_data_sets_coding(self):
+        data = load_data(FRIENDS_DATA)
+        mrf = ground_program(parse_program("0.5 : Friends(A, B) -> Friends(B, A)"), data)
+        assert mrf.table is data.coding().table
+
+    def test_predicate_declared_after_grounding_enters_the_table(self):
+        data = load_data(FRIENDS_DATA)
+        first = ground_program(parse_program("0.5 : Friends(A, B) -> Friends(B, A)"), data)
+        data.declare_predicate("Likes", ("Person",))
+        second = ground_program(parse_program("0.5 : Friends(A, B) -> Likes(B)"), data)
+        likes = [GroundAtom("Likes", (p,)) for p in ("p1", "p2", "p3")]
+        assert not set(likes) & set(first.table.labels)
+        assert second.table.labels == first.table.labels + tuple(likes)  # Likes sorts after
+        assert second.potentials[0].linfun.terms == ((0, 1.0), (9, -1.0))  # Friends - Likes
+
+    def test_functional_registered_after_grounding_stays_out_of_the_table(self):
+        data = load_data(FRIENDS_DATA)
+        first = ground_program(parse_program("0.5 : Friends(A, B) -> Friends(B, A)"), data)
+        data.register_functional("Near", ("Person", "Person"), lambda a, b: 0.5 + 0.5 * (a == b))
+        second = ground_program(parse_program("0.5 : Near(A, B) -> Friends(A, B)"), data)
+        assert second.table.labels == first.table.labels
+        assert [p.linfun.offset for p in second.potentials[:3]] == [1.0, 0.5, 0.5]
+        assert second.potentials[1].linfun.terms == ((1, -1.0),)
+
+
 class TestLogicalGrounding:
     def test_friends_transitivity_full_enumeration(self):
         data = load_data(FRIENDS_DATA)
@@ -637,6 +663,29 @@ def test_synthetic_network_matches_reference(users, prune, squared):
     y_loaded, diag_loaded = solve_map(loaded, opts)
     assert diag.iterations == diag_loaded.iterations
     np.testing.assert_array_equal(y, y_loaded)
+
+
+@pytest.mark.parametrize("program_text", [
+    # only hard rules: no potential rows
+    "Liberal(U) + Conservative(U) = 1 .\nLiberal(A) & Edge1(A, B) -> Liberal(B) .\n",
+    # no hard rules: no constraint rows
+    "0.5 : Opinion(U) -> Liberal(U)\n0.9 : Liberal(A) & Edge1(A, B) -> Liberal(B) ^2\n",
+])
+@pytest.mark.parametrize("prune", [False, True])
+def test_one_sided_programs_match_reference(program_text, prune):
+    data_text, _ = generate_network(SynthNetworkSpec(n_users=30, seed=2))
+    program = parse_program(program_text)
+    data = load_data(data_text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # constant potentials when not pruning
+        model = ground_program(program, data, prune=prune)
+        text = model.to_json()
+        assert text == reference_ground_program(program, data, prune=prune).to_json()
+        assert HlMrf.from_json(text).to_json() == text
+    hard = program.rules[0].weight is None
+    empty = model.potential_rows if hard else model.constraint_rows
+    assert empty.size == 0 and empty.positions.dtype == np.intp
+    assert len(model.constraints if hard else model.potentials) > 0
 
 
 def test_wide_rows_are_ranked_in_order():

@@ -9,12 +9,15 @@ from softlogic.ground import ground_program, load_data
 from softlogic.infer import SolveOptions, solve_map
 from softlogic.lang import parse_program
 from softlogic.model import (
+    ConstraintRows,
+    FoldedRows,
     GroundAtom,
     HingePotential,
     HlMrf,
     LinearConstraint,
     LinearFunction,
     ModelError,
+    PotentialRows,
     Relation,
     TemplateInfo,
     VariableTable,
@@ -426,6 +429,33 @@ def reference_features(mrf, y):
                             np.eye(len(mrf.templates))[t])
         features.append(batch_energy(one_hot, y[None, :])[0])
     return np.array(features)
+
+
+class TestFoldedRowsConcatenation:
+    @pytest.mark.parametrize("cls", [FoldedRows, PotentialRows, ConstraintRows])
+    def test_no_parts_give_empty_rows_of_each_dtype(self, cls):
+        dtypes = dict(positions=np.intp, coeffs=np.float64, arity=np.intp, offsets=np.float64,
+                      exponent=np.intp, template_id=np.intp, is_eq=np.bool_)
+        rows = cls.concatenate([])
+        assert rows.size == 0
+        for name, _ in cls.FIELDS:
+            array = getattr(rows, name)
+            assert array.shape == (0,) and array.dtype == dtypes[name], name
+        assert rows.indptr.tolist() == [0]
+        assert rows.values(np.zeros(3)).shape == (0,)
+
+    def test_parts_keep_their_rows_in_order(self):
+        first = PotentialRows(np.array([0, 1]), np.array([1.0, -2.0]), np.array([2]),
+                              np.array([0.5]), np.array([1]), np.array([0]))
+        second = PotentialRows(np.array([1]), np.array([3.0]), np.array([0, 1]),
+                               np.array([0.25, -1.0]), np.array([2, 1]), np.array([1, 1]))
+        rows = PotentialRows.concatenate([first, second])
+        y = np.array([0.3, 0.7])
+        np.testing.assert_array_equal(rows.values(y), np.append(first.values(y), second.values(y)))
+        np.testing.assert_allclose(rows.values(y), [0.3 - 1.4 + 0.5, 0.25, 2.1 - 1.0])
+        assert rows.indptr.tolist() == [0, 2, 2, 3]
+        assert rows.exponent.tolist() == [1, 2, 1] and rows.template_id.tolist() == [0, 1, 1]
+        np.testing.assert_array_equal(rows.norm2, [5.0, 0.0, 9.0])
 
 
 class TestFoldedRowsMatchScalarOracles:
