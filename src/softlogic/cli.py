@@ -20,9 +20,9 @@ import numpy as np
 from . import logic
 from .ground import ground_program, load_data
 from .ground.data import statement_error, statements
-from .infer import SolveOptions, solve_map, solve_map_lazy
+from .infer import SolveOptions, _check_count, _check_real, solve_map, solve_map_lazy
 from .lang import LangError, parse_program
-from .learn import TrainingInstance, lme_train, perceptron_train
+from .learn import TrainingInstance, lme_train, mple_log_and_gradient, perceptron_train
 from .model import GroundAtom, HlMrf, ModelError
 from .synth import DEFAULT_ALPHA, DEFAULT_GAMMAS, SynthNetworkSpec, generate_network
 
@@ -285,10 +285,10 @@ def _cmd_learn(args, config):
             **_given(args, config, steps=int, step_size=float),
         )
     elif method == "mple":
-        from .learn import mple_log_and_gradient  # local to keep startup light
-
         steps = _resolve(args, config, "steps", int, default=100)
         step_size = _resolve(args, config, "step_size", default=1.0)
+        _check_count("steps", steps)
+        _check_real("step_size", step_size)
         weights = np.array(mrf.weights, dtype=float)
         for _ in range(steps):
             _, grad = mple_log_and_gradient(instance, weights)

@@ -23,9 +23,10 @@ the penalty ``rho``:
 - raw linear term ``c * y_i``: ``g = 0`` and ``lo = hi = c/rho``.
 
 A series of solves of one structure with nearby weights, as in learning,
-can pass one `WarmStart` to `solve_map`: each solve then starts from the
-last one's ``y``, local copies and duals, not from ``y = 0.5`` with zero
-duals, as Boyd et al. (2011) suggest for related problems.
+can pass one `WarmStart` to `solve_map`. It keeps the compiled structure
+and buffers: each later solve resets only the gains and bounds, and starts
+from the last one's ``y``, local copies and duals, not from ``y = 0.5``
+with zero duals, as Boyd et al. (2011) suggest for related problems.
 """
 
 from __future__ import annotations
@@ -65,13 +66,10 @@ class SolveOptions:
     trace: object = None  # callable(iteration, primal, dual, objective)
 
     def __post_init__(self):
-        for name in ("rho", "eps_abs", "eps_rel", "activation_threshold"):
-            if not math.isfinite(getattr(self, name)):
-                raise ModelError("%s must be finite, got %r" % (name, getattr(self, name)))
-        if self.rho <= 0:
-            raise ModelError("rho must be positive")
-        if self.eps_abs <= 0 or self.eps_rel <= 0:
-            raise ModelError("tolerances must be positive")
+        for name in ("rho", "eps_abs", "eps_rel"):
+            _check_real(name, getattr(self, name))
+        if not math.isfinite(self.activation_threshold):
+            raise ModelError("activation_threshold must be finite")
         for name in ("max_iter", "workers"):
             _check_count(name, getattr(self, name))
 
@@ -79,6 +77,15 @@ class SolveOptions:
 def _check_count(name: str, value):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ModelError("%s must be an integer >= 1, got %r" % (name, value))
+
+
+def _check_real(name: str, value, zero_ok: bool = False):
+    """Raise a `ModelError` naming ``name`` unless ``value`` is a finite real
+    number > 0, or >= 0 if ``zero_ok``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and (value > 0 or (zero_ok and value == 0))):
+        bound = ">= 0" if zero_ok else "> 0"
+        raise ModelError("%s must be finite and %s, got %r" % (name, bound, value))
 
 
 @dataclass
@@ -102,22 +109,17 @@ class Diagnostics:
 class _Group:
     """Same-arity blocks, each with its own gain and bounds, stored term-major.
 
-    Row ``j`` of ``coeffs`` and of the views that `bind` makes holds the
-    ``j``-th term of every block. `update` steps ``u`` by the residual that
-    ``scratch`` holds, then writes the new local copies in place.
+    Row ``j`` of ``coeffs`` and of the buffer views holds the ``j``-th term
+    of every block; ``rows`` are the blocks' rows in the parameter arrays.
+    `update` steps ``u`` by the residual that ``scratch`` holds, then
+    writes the new local copies in place.
     """
 
-    def __init__(self, span, coeffs, offsets, gain, floor, cap):
+    def __init__(self, span, coeffs, offsets, rows):
         self.span = span  # this group's part of the flat buffers
         self.coeffs = coeffs
         self.offsets = offsets
-        self.gain = gain
-        self.floor = floor
-        self.cap = cap
-
-    def bind(self, buffers):
-        views = (b[self.span].reshape(self.coeffs.shape) for b in buffers)
-        self.local, self.u, self.target, self.scratch = views
+        self.rows = rows
 
     def update(self, cols=slice(None)):
         a, local, u, scratch = (x[:, cols] for x in (self.coeffs, self.local, self.u, self.scratch))
@@ -148,22 +150,21 @@ def _linear_objective(extra_linear, n):
 class _CompiledModel:
     """The model's selected non-constant rows as blocks, one group per arity.
 
-    A group holds its arity's constraint rows, then its potential rows,
-    then its linear terms, each in row order, so the consensus sums, and
-    with them the iterates, do not depend on how the rows were selected.
-    ``pot_mask`` and ``con_mask`` select rows, and ``rho`` fixes each
-    block's gain and bounds (see the module docstring).
+    Built once, with its buffers, from the rows, the masks ``pot_mask`` and
+    ``con_mask`` that select them, ``support``, the variables with a linear
+    term, and the start ``y``. A group holds its arity's constraint rows,
+    then its potential rows, then its linear terms, each in row order, so
+    the consensus sums, and with them the iterates, do not depend on how
+    the rows were selected. `set_parameters` fixes each block's gain and
+    bounds (see the module docstring). A solve leaves its answer as ``y``.
     """
 
-    def __init__(self, mrf: HlMrf, rho, pot_mask=None, con_mask=None, extra_linear=None):
-        self.mrf = mrf
+    def __init__(self, mrf: HlMrf, support, y, pot_mask=None, con_mask=None):
         self.n = mrf.table.n_free
-        pots, cons = mrf.potential_rows, mrf.constraint_rows
-        self.pot_mask = np.ones(pots.size, bool) if pot_mask is None else pot_mask
+        self.rows = pots, cons = mrf.potential_rows, mrf.constraint_rows
+        self.support = support
+        pot_mask = np.ones(pots.size, bool) if pot_mask is None else pot_mask
         self.con_mask = np.ones(cons.size, bool) if con_mask is None else con_mask
-        self.linear = _linear_objective(extra_linear, self.n)
-        weights = mrf.weights[pots.template_id]
-        self.weights = np.where(self.pot_mask, weights, 0.0)
 
         violated = self.con_mask & (cons.arity == 0) & (cons.violations(cons.offsets) > 1e-9)
         if violated.any():
@@ -171,25 +172,20 @@ class _CompiledModel:
         if np.any(self.con_mask & (cons.arity > 0) & (cons.norm2 == 0.0)):
             raise ModelError("constraint has an all-zero normal vector")
 
-        linear_hinge = pots.exponent == 1
-        squared_gain = 2 * weights / (rho + 2 * weights * pots.norm2)
-        nz = np.flatnonzero(self.linear)
-        term_step = self.linear[nz] / rho
-        blocks = (  # rows, mask, gain, floor, cap
-            (cons, self.con_mask, _inverse(cons.norm2),
-             np.where(cons.is_eq, -np.inf, 0.0), np.full(cons.size, np.inf)),
-            (pots, self.pot_mask, np.where(linear_hinge, _inverse(pots.norm2), squared_gain),
-             np.zeros(pots.size), np.where(linear_hinge, weights / rho, np.inf)),
-            (FoldedRows(nz, np.ones(nz.size), np.ones(nz.size, np.intp), np.zeros(nz.size)),
-             np.ones(nz.size, bool), np.zeros(nz.size), term_step, term_step),
+        ones = np.ones(support.size)
+        blocks = (  # rows, mask, first entry in the parameter arrays
+            (cons, self.con_mask, 0),
+            (pots, pot_mask, cons.size),
+            (FoldedRows(support, ones, ones.astype(np.intp), np.zeros(support.size)),
+             np.ones(support.size, bool), cons.size + pots.size),
         )
-        arities = np.unique(np.concatenate([rows.arity[mask] for rows, mask, *_ in blocks]))
+        arities = np.unique(np.concatenate([rows.arity[mask] for rows, mask, _ in blocks]))
         self.groups, positions = [], [np.zeros(0, np.intp)]
         for arity in arities[arities > 0]:
             parts = []
-            for rows, mask, *params in blocks:
+            for rows, mask, first in blocks:
                 r = np.flatnonzero(mask & (rows.arity == arity))
-                parts.append((*rows.by_term(r, arity), rows.offsets[r], *(p[r] for p in params)))
+                parts.append((*rows.by_term(r, arity), rows.offsets[r], first + r))
             idx, *columns = (np.concatenate(p, axis=-1) for p in zip(*parts))
             start = sum(p.size for p in positions)
             self.groups.append(_Group(slice(start, start + idx.size), *columns))
@@ -199,86 +195,73 @@ class _CompiledModel:
         counts = np.bincount(self.idx, minlength=self.n).astype(float)
         self.touched = slice(None) if counts.all() else np.flatnonzero(counts)
         self.counts = counts[self.touched]  # copies of each touched variable
-        self.target, self.scratch = np.empty(self.idx.size), np.empty(self.idx.size)
-        self.rho = rho
-
-    def bind(self, local, u):
-        """Make ``local`` and ``u`` the state buffers and hand every group its views."""
-        self.buffers = (local, u, self.target, self.scratch)
+        # local copies from y, zero duals, and the target and residual buffers
+        self.buffers = y[self.idx], np.zeros(self.idx.size), *np.empty((2, self.idx.size))
         for g in self.groups:
-            g.bind(self.buffers)
+            views = (b[g.span].reshape(g.coeffs.shape) for b in self.buffers)
+            g.local, g.u, g.target, g.scratch = views
+        self.y = self.rho = None
 
-    def layout(self):
-        """What fixes the groups' shapes: the rows, their masks and the linear support."""
-        rows = (self.mrf.potential_rows, self.mrf.constraint_rows)
-        return rows, (self.pot_mask, self.con_mask, self.linear != 0.0)
-
-    def energy(self, y):
-        pots = self.mrf.potential_rows
-        return dot(self.weights, pots.hinges(pots.values(y)))
+    def set_parameters(self, mrf: HlMrf, linear, rho):
+        """Each block's gain and bounds from ``mrf``'s weights, the linear
+        terms and ``rho``, over constraints, potentials, then linear terms;
+        the scaled duals ``u`` are rescaled to a new ``rho``."""
+        pots, cons = self.rows
+        weights, linear_hinge = mrf.weights[pots.template_id], pots.exponent == 1
+        term_step = linear[self.support] / rho
+        squared_gain = 2 * weights / (rho + 2 * weights * pots.norm2)
+        gain, floor, cap = map(np.concatenate, zip(
+            (_inverse(cons.norm2), np.where(cons.is_eq, -np.inf, 0.0), np.full(cons.size, np.inf)),
+            (np.where(linear_hinge, _inverse(pots.norm2), squared_gain), np.zeros(pots.size),
+             np.where(linear_hinge, weights / rho, np.inf)),
+            (np.zeros(self.support.size), term_step, term_step),
+        ))
+        for g in self.groups:
+            g.gain, g.floor, g.cap = gain[g.rows], floor[g.rows], cap[g.rows]
+        if self.rho is not None and rho != self.rho:
+            u = self.buffers[1]
+            u *= self.rho / rho  # the same multipliers ``rho * u``
+        self.mrf, self.linear, self.rho = mrf, linear, rho
 
     def objective(self, y):
-        return self.energy(y) + dot(self.linear, y)
+        return self.mrf.energy(y) + dot(self.linear, y)
 
     def max_violation(self, y):
         """Largest selected hard-constraint violation at ``y`` (0 without any)."""
-        cons = self.mrf.constraint_rows
+        cons = self.rows[1]
         return float(cons.violations(cons.values(y))[self.con_mask].max(initial=0.0))
 
     def report(self, y, diag):
         """``diag`` with the energy, objective and largest violation at ``y``."""
-        diag.energy = self.energy(y)
+        diag.energy = self.mrf.energy(y)
         diag.objective = diag.energy + dot(self.linear, y)
         diag.max_violation = self.max_violation(y)
         return diag
 
 
 class WarmStart:
-    """The final ADMM state of one solve, to start the next of the same structure.
+    """The compiled model of one solve, to start the next of the same structure.
 
-    Empty until a `solve_map` call fills it. A filled state fits models that
-    share the folded rows (as `HlMrf.with_weights` copies do) and the
-    support of the linear terms; the weights, the linear coefficients and
-    ``rho`` may change (the scaled duals are rescaled to the new ``rho``).
-    Only one state is kept: a solve takes over its buffers, without a copy,
-    and leaves its own final state in their place.
+    Empty until a `solve_map` call fills it. A filled warm start fits models
+    that share the folded rows (as `HlMrf.with_weights` copies do) and the
+    support of the linear terms. The next solve keeps the compiled
+    structure and its buffers; it resets only the gains and bounds, so the
+    weights, the linear coefficients and ``rho`` may change (the scaled
+    duals are rescaled to the new ``rho``), and starts from the last
+    solve's ``y``, local copies and duals.
     """
 
     def __init__(self):
-        self.layout = None
-        self.y = None
-        self.state = None  # (local, u, rho): the flat buffers and u's penalty
+        self.compiled = None
 
-    def restore(self, compiled: _CompiledModel, initial):
-        """Hand the stored buffers to ``compiled`` and return its ``y``."""
-        if initial is not None:
-            raise ModelError("a filled warm start cannot be combined with an initial point")
-        (rows, masks), (own_rows, own_masks) = compiled.layout(), self.layout
-        if not (
-            all(a is b for a, b in zip(rows, own_rows))
-            and all(np.array_equal(a, b) for a, b in zip(masks, own_masks))
-        ):
-            raise ModelError("warm start belongs to a model of another structure")
-        y, (local, u, rho) = self.y, self.state
-        self.layout = self.y = self.state = None
-        if rho != compiled.rho:
-            u *= rho / compiled.rho  # the same multipliers ``rho * u``
-        compiled.bind(local, u)
-        return y
-
-    def keep(self, compiled: _CompiledModel, y):
-        self.layout = compiled.layout()
-        self.y = y.copy()
-        self.state = (*compiled.buffers[:2], compiled.rho)
+    @property
+    def y(self):
+        return None if self.compiled is None else self.compiled.y
 
 
-def _run_admm(compiled: _CompiledModel, opts: SolveOptions, initial=None, warm=None):
+def _run_admm(compiled: _CompiledModel, opts: SolveOptions, y):
+    """Iterate from ``y``, updated in place, and ``compiled``'s local copies and duals."""
     n, idx, touched, counts = compiled.n, compiled.idx, compiled.touched, compiled.counts
-    if warm is not None and warm.y is not None:
-        y = warm.restore(compiled, initial)
-    else:
-        y = np.full(n, 0.5) if initial is None else np.asarray(initial, dtype=float).copy()
-        compiled.bind(y[idx], np.zeros(idx.size))
     if idx.size == 0:
         return y, compiled.report(y, Diagnostics(converged=True))
     local, u, target, scratch = compiled.buffers
@@ -365,15 +348,30 @@ def solve_map(
     free variables. ``extra_linear`` adds raw linear objective terms (used
     by loss-augmented inference); ``initial`` overrides the centered start.
     A `WarmStart` ``warm`` starts the solve from the state it holds, if
-    any, and receives the final state.
+    any, and keeps this solve's compiled model and final state.
     """
     opts = opts or SolveOptions()
     if mrf.table.n_free < 1:
         raise ModelError("model has no free variables")
-    compiled = _CompiledModel(mrf, opts.rho, extra_linear=extra_linear)
-    y, diag = _run_admm(compiled, opts, initial, warm)
+    linear = _linear_objective(extra_linear, mrf.table.n_free)
+    compiled = None if warm is None else warm.compiled
+    if compiled is None:
+        y = np.full(mrf.table.n_free, 0.5) if initial is None else np.array(initial, dtype=float)
+        compiled = _CompiledModel(mrf, np.flatnonzero(linear), y)
+    else:
+        if initial is not None:
+            raise ModelError("a filled warm start cannot be combined with an initial point")
+        if not (
+            all(a is b for a, b in zip(compiled.rows, (mrf.potential_rows, mrf.constraint_rows)))
+            and np.array_equal(compiled.support, np.flatnonzero(linear))
+        ):
+            raise ModelError("warm start belongs to a model of another structure")
+        warm.compiled = None  # until this solve's final state is complete
+        y = compiled.y.copy()  # the last answer, returned to its caller, stays as it was
+    compiled.set_parameters(mrf, linear, opts.rho)
+    y, diag = _run_admm(compiled, opts, y)
     if warm is not None:
-        warm.keep(compiled, y)
+        compiled.y, warm.compiled = y, compiled
     return y, diag
 
 
@@ -408,8 +406,9 @@ def solve_map_lazy(mrf: HlMrf, opts: SolveOptions | None = None, extra_linear=No
             break
         pot_mask |= new_pots
         con_mask |= new_cons
-        compiled = _CompiledModel(mrf, opts.rho, pot_mask, con_mask, linear)
-        y, diag = _run_admm(compiled, opts, initial=y)
+        compiled = _CompiledModel(mrf, np.flatnonzero(linear), y, pot_mask, con_mask)
+        compiled.set_parameters(mrf, linear, opts.rho)
+        y, diag = _run_admm(compiled, opts, y)
         total_iterations += diag.iterations
 
     diag.iterations = total_iterations

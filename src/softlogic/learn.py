@@ -9,19 +9,19 @@ loss-augmented separation oracle.
 Learning solves one MAP problem per gradient step, cutting-plane round or
 difference-of-convex iteration, each with the structure of the last and
 nearby weights. The perceptron and large-margin learners keep one
-`infer.WarmStart` per instance for the length of a call, so each solve
-starts from the previous one's ADMM state; no state outlives the call.
+`infer.WarmStart` per instance for the length of a call: the instance's
+ADMM structure is compiled once, and each solve resets only its gains and
+bounds and starts from the previous one's ADMM state; no state outlives
+the call.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .infer import SolveOptions, WarmStart, _check_count, solve_map
+from .infer import SolveOptions, WarmStart, _check_count, _check_real, solve_map
 from .model import HlMrf, ModelError
 
 
@@ -100,13 +100,7 @@ def perceptron_train(
     instances must be groundings of the same program (same template list).
     """
     _check_count("steps", steps)
-    if (
-        isinstance(step_size, bool)
-        or not isinstance(step_size, numbers.Real)
-        or not math.isfinite(step_size)
-        or step_size <= 0
-    ):
-        raise ModelError("step_size must be finite and > 0, got %r" % (step_size,))
+    _check_real("step_size", step_size)
     instances = _checked_instances(instances)
     n_templates = len(instances[0].mrf.templates)
     weights = (
@@ -384,6 +378,8 @@ def lme_train(
     constraint is violated by at most ``tol``.
     """
     _check_count("max_rounds", max_rounds)
+    _check_real("C", C)
+    _check_real("tol", tol, zero_ok=True)
     instances = _checked_instances(instances)
     n_templates = len(instances[0].mrf.templates)
     cuts = CuttingPlaneSet(C=C)

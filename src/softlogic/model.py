@@ -466,11 +466,15 @@ class HlMrf:
         self.constraints: Sequence[LinearConstraint] = _Built(
             constraint_rows.size, functools.partial(constraint_rows.objects, table)
         )
-        for r in np.flatnonzero(potential_rows.arity == 0):
+        constant = np.flatnonzero(potential_rows.arity == 0)
+        constant_tids = potential_rows.template_id[constant]
+        for tid in np.unique(constant_tids):
             # Degenerate groundings are kept (they contribute 0) so that
-            # modeling bugs stay visible.
+            # modeling bugs stay visible: one warning per template.
+            rows = constant[constant_tids == tid]
             warnings.warn(
-                "potential with constant linear function (%s)" % (origins[r] or "unknown"),
+                "template %d has %d potential(s) with constant linear function, the first (%s)"
+                % (tid, rows.size, origins[rows[0]] or "unknown"),
                 stacklevel=4,
             )
         counts = np.bincount(potential_rows.template_id, minlength=len(self.templates))

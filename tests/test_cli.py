@@ -319,6 +319,36 @@ class TestLearnCommand:
         assert code == 0
 
 
+    @pytest.mark.parametrize(
+        "method, flags, name",
+        [
+            ("mple", ["--steps", "0"], "steps"),
+            ("mple", ["--steps", "-3"], "steps"),
+            ("mple", ["--step-size", "-1"], "step_size"),
+            ("mple", ["--step-size", "nan"], "step_size"),
+            ("mle", ["--steps", "0"], "steps"),
+            ("lme", ["--C", "nan"], "C"),
+            ("lme", ["--C", "0"], "C"),
+            ("lme", ["--tol", "nan"], "tol"),
+            ("lme", ["--tol", "-1"], "tol"),
+        ],
+    )
+    def test_bad_learning_arguments_rejected(
+        self, fixture_paths, tmp_path, capsys, method, flags, name
+    ):
+        program, data = fixture_paths
+        truth = tmp_path / "truth.data"
+        truth.write_text('On("a") = 1\nAlso("a") = 0\n')
+        out = tmp_path / "weights.txt"
+        code, _, err = run(
+            capsys,
+            "learn", "--program", program, "--data", data, "--truth", truth,
+            "--method", method, *flags, "--out", out,
+        )
+        assert code == 1 and err.startswith("error: %s must be" % name)
+        assert not out.exists()
+
+
 class TestRound:
     def test_boolean_output(self, tmp_path, capsys):
         program = tmp_path / "clauses.psl"

@@ -619,6 +619,28 @@ class TestWarmStart:
         assert diag.iterations <= 2
 
 
+    def test_warm_solve_leaves_the_returned_answer_alone(self):
+        mrf, linear = mixed_model(np.random.default_rng(2))
+        warm = WarmStart()
+        answers = [solve_map(mrf, TIGHT, extra_linear=linear, warm=warm)[0]]
+        kept = answers[0].copy()
+        for sign in (-1.0, 1.0):
+            answers.append(solve_map(mrf, TIGHT, extra_linear=sign * linear, warm=warm)[0])
+            assert answers[-1] is not answers[-2]
+        np.testing.assert_array_equal(answers[0], kept)
+        assert warm.y is answers[-1]
+
+    def test_new_weights_keep_the_compiled_structure(self):
+        rng = np.random.default_rng(5)
+        mrf = squared_model(rng)
+        warm = WarmStart()
+        solve_map(mrf, TIGHT, warm=warm)
+        compiled = warm.compiled
+        moved = mrf.with_weights(mrf.weights * rng.uniform(0.5, 1.5, size=mrf.weights.size))
+        solve_map(moved, SolveOptions(rho=2.0, eps_abs=1e-10, eps_rel=1e-10), warm=warm)
+        assert warm.compiled is compiled
+
+
 class TestLazyInference:
     def test_sparse_model_activates_under_thirty_percent(self):
         pots = []

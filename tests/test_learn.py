@@ -178,6 +178,13 @@ class TestPerceptron:
         (lme_train, {"max_rounds": 0}, "max_rounds"),
         (lme_train, {"max_rounds": 1.5}, "max_rounds"),
         (lme_train, {"max_rounds": True}, "max_rounds"),
+        (lme_train, {"C": float("nan")}, "C"),
+        (lme_train, {"C": float("inf")}, "C"),
+        (lme_train, {"C": 0.0}, "C"),
+        (lme_train, {"C": -1.0}, "C"),
+        (lme_train, {"tol": float("nan")}, "tol"),
+        (lme_train, {"tol": float("inf")}, "tol"),
+        (lme_train, {"tol": -1.0}, "tol"),
     ],
 )
 def test_learner_arguments_validated(train, kwargs, name):

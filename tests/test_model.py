@@ -199,6 +199,18 @@ class TestValidation:
             mrf = make_mrf([hinge([(0, 1.0)], -1.0)], weights=[1.0], n=2, observed={0: 0.5})
         assert mrf.energy([0.3]) == 0.0
 
+    def test_constant_potentials_warn_once_per_template(self):
+        data_text, program_text = generate_network(SynthNetworkSpec(n_users=60, seed=1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            mrf = ground_program(parse_program(program_text), load_data(data_text), prune=False)
+        rows = mrf.potential_rows
+        constant_tids = set(rows.template_id[rows.arity == 0].tolist())
+        messages = [str(w.message) for w in caught if "constant linear function" in str(w.message)]
+        assert constant_tids and len(messages) == len(constant_tids) <= len(mrf.templates)
+        total = sum(int(m.split(" has ")[1].split()[0]) for m in messages)
+        assert total == int((rows.arity == 0).sum())
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_coefficients_and_offsets_rejected(self, bad):
         cases = [
