@@ -237,12 +237,7 @@ def _cmd_validate(args, config):
 
 
 def _cmd_ground(args, config):
-    program = parse_program(_read(args.program))
-    data = load_data(_read(args.data))
-    mrf = ground_program(program, data, prune=bool(args.prune))
-    if getattr(args, "weights", None):
-        mrf = mrf.with_weights(_parse_weights(_read(args.weights), mrf))
-    _write(args.out, mrf.to_json(indent=None) + "\n")
+    _write(args.out, _load_model(args, config).to_json(indent=None) + "\n")
     return 0
 
 
@@ -332,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_model_source(p, model_ok=True):
         if model_ok:
             p.add_argument("--model", help="serialized ground model (JSON)")
-        p.add_argument("--program", help="rule file")
-        p.add_argument("--data", help="data file")
+        p.add_argument("--program", required=not model_ok, help="rule file")
+        p.add_argument("--data", required=not model_ok, help="data file")
         p.add_argument("--weights", help="weights file overriding rule weights")
         p.add_argument("--prune", action="store_true", help="drop never-active groundings")
 

@@ -62,6 +62,37 @@ class TestValidate:
         assert exc.value.code == 2
 
 
+class TestGround:
+    @pytest.mark.parametrize("command", ["ground", "learn"])
+    @pytest.mark.parametrize("missing", ["--program", "--data"])
+    def test_program_and_data_are_required(
+        self, fixture_paths, tmp_path, capsys, command, missing
+    ):
+        program, data = fixture_paths
+        sources = {"--program": program, "--data": data}
+        del sources[missing]
+        argv = [command, *(x for pair in sources.items() for x in pair)]
+        if command == "learn":
+            argv += ["--truth", tmp_path / "truth.data"]
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and missing in err and "Traceback" not in err
+
+    def test_weights_file_sets_the_saved_weights(self, fixture_paths, tmp_path, capsys):
+        program, data = fixture_paths
+        weights = tmp_path / "weights.txt"
+        weights.write_text("# softlogic-weights v1\n1\t2.5\tsource\n")
+        out = tmp_path / "model.json"
+        code, _, _ = run(
+            capsys, "ground", "--program", program, "--data", data, "--weights", weights,
+            "--out", out,
+        )
+        assert code == 0
+        assert HlMrf.from_json(out.read_text()).weights[:2].tolist() == [1.0, 2.5]
+
+
 class TestInfer:
     def test_constrained_squared_fixture(self, fixture_paths, capsys):
         program, data = fixture_paths

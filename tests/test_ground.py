@@ -129,6 +129,79 @@ class TestLoadData:
         assert pot.linfun.offset == pytest.approx(2 / 3)  # similarity folded in
 
 
+    @pytest.mark.parametrize("value", ["0.5", None, True, [0.5]])
+    def test_observed_value_must_be_a_real_number(self, value):
+        data = load_data('T = {"a"}\nP(T)\n')
+        with pytest.raises(DataError, match=r'P\("a"\) is not a real number'):
+            data.add_observation(GroundAtom("P", ("a",)), value)
+        assert len(data.observations) == 0
+
+    @pytest.mark.parametrize("args", ["a", ["a"], ("a", 1)])
+    def test_observed_arguments_must_be_a_tuple_of_strings(self, args):
+        data = load_data('T = {"a"}\nP(T)\nP("a") = 1\n')
+        with pytest.raises(DataError, match="predicate='P'.*must be a tuple of strings"):
+            data.add_observation(GroundAtom("P", args), 0.5)
+        assert dict(data.observations) == {GroundAtom("P", ("a",)): 1.0}
+
+    def test_predicate_needs_an_argument_type(self):
+        data = load_data('T = {"a"}\n')
+        with pytest.raises(DataError, match="predicate P has no argument types"):
+            data.declare_predicate("P", ())
+        with pytest.raises(DataError, match="predicate F has no argument types"):
+            data.register_functional("F", iter(()), lambda: 1.0)
+        assert not data.predicates
+
+
+class TestObservationRows:
+    def test_view_shows_later_observations(self):
+        data = load_data(FRIENDS_DATA)
+        view = data.observations
+        assert len(view) == 0 and GroundAtom("Friends", ("p1", "p2")) not in view
+        data.add_observation(GroundAtom("Friends", ("p1", "p2")), 0.25)
+        assert view[GroundAtom("Friends", ("p1", "p2"))] == 0.25
+        assert list(view) == [GroundAtom("Friends", ("p1", "p2"))]
+
+    def test_view_is_read_only(self):
+        data = load_data(ADVISOR_DATA)
+        coding = data.coding()
+        atom = GroundAtom("Advises", ("Bob", "Don"))
+        with pytest.raises(TypeError):
+            data.observations[atom] = 1.0
+        with pytest.raises((TypeError, AttributeError)):
+            del data.observations[GroundAtom("Advises", ("Alexis", "Don"))]
+        assert atom not in data.observations
+        assert data.coding() is coding
+
+    def test_repeated_atom_keeps_its_last_value_and_counts_once(self):
+        data = load_data(
+            'T = {"a", "b"}\nP(T)\nQ(T, T) (closed)\n'
+            'P("b") = 1\nQ("a", "b") = 0.5\nP("a") = 0.25\nP("b") = 0\n'
+        )
+        assert len(data.observations) == 3
+        assert dict(data.observations) == {
+            GroundAtom("P", ("a",)): 0.25,
+            GroundAtom("P", ("b",)): 0.0,
+            GroundAtom("Q", ("a", "b")): 0.5,
+        }
+        codes, values = data.coding().observed["P"]
+        assert codes.tolist() == [[0], [1]] and values.tolist() == [0.25, 0.0]
+
+    def test_coding_matches_the_view_on_a_synth_network(self):
+        data = load_data(generate_network(SynthNetworkSpec(n_users=60, seed=2))[0])
+        coding = data.coding()
+        by_predicate = {}
+        for atom, value in data.observations.items():
+            codes = [coding.code[a] for a in atom.args]
+            by_predicate.setdefault(atom.predicate, []).append((codes, value))
+        assert sorted(coding.observed) == sorted(by_predicate)
+        for name, rows in by_predicate.items():
+            rows.sort()
+            codes, values = coding.observed[name]
+            assert codes.dtype == np.intp and values.dtype == np.float64
+            np.testing.assert_array_equal(codes, np.array([r[0] for r in rows], dtype=np.intp))
+            np.testing.assert_array_equal(values, np.array([r[1] for r in rows]))
+
+
 class TestVariableTable:
     def test_open_atoms_indexed_closed_folded(self):
         data = load_data(ADVISOR_DATA)
