@@ -102,7 +102,10 @@ def _solve_options(args, config, trace_stream=None):
     return SolveOptions(trace=trace, **solver)
 
 
-def _load_model(args, config) -> HlMrf:
+def _load_model(args, config):
+    """The model of --model, or of --program grounded on --data, with
+    --weights applied; and the data set it was grounded on, if any."""
+    data = None
     if getattr(args, "model", None):
         mrf = HlMrf.from_json(_read(args.model))
     else:
@@ -113,7 +116,7 @@ def _load_model(args, config) -> HlMrf:
         mrf = ground_program(program, data, prune=bool(args.prune))
     if getattr(args, "weights", None):
         mrf = mrf.with_weights(_parse_weights(_read(args.weights), mrf))
-    return mrf
+    return mrf, data
 
 
 def _parse_weights(text: str, mrf: HlMrf):
@@ -237,12 +240,13 @@ def _cmd_validate(args, config):
 
 
 def _cmd_ground(args, config):
-    _write(args.out, _load_model(args, config).to_json(indent=None) + "\n")
+    mrf, _ = _load_model(args, config)
+    _write(args.out, mrf.to_json(indent=None) + "\n")
     return 0
 
 
 def _cmd_infer(args, config):
-    mrf = _load_model(args, config)
+    mrf, _ = _load_model(args, config)
     opts = _solve_options(args, config)
     solver = solve_map_lazy if args.lazy else solve_map
     y, diag = solver(mrf, opts)
@@ -254,7 +258,7 @@ def _cmd_infer(args, config):
 
 
 def _cmd_round(args, config):
-    mrf = _load_model(args, config)
+    mrf, _ = _load_model(args, config)
     opts = _solve_options(args, config)
     y, diag = solve_map(mrf, opts)
     clauses = _clauses_from_model(mrf)
@@ -267,9 +271,9 @@ def _cmd_round(args, config):
 
 
 def _cmd_learn(args, config):
-    program = parse_program(_read(args.program))
-    data = load_data(_read(args.data))
-    mrf = ground_program(program, data, prune=bool(args.prune))
+    # mle and mple start from the model's weights; lme's cutting planes
+    # start from the margin QP and use none.
+    mrf, data = _load_model(args, config)
     truth = _parse_truth(_read(args.truth), mrf, args.truth, data.predicates)
     instance = TrainingInstance(mrf, truth)
     opts = _solve_options(args, config)

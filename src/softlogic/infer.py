@@ -22,6 +22,19 @@ the penalty ``rho``:
 - equality constraint: ``g = 1/||a||^2``, unbounded;
 - raw linear term ``c * y_i``: ``g = 0`` and ``lo = hi = c/rho``.
 
+On a model whose potentials are all squared hinges, solved without raw
+linear terms, every block is over-relaxed (Boyd et al. 2011, 3.4.3): it
+keeps ``alpha * x + (1 - alpha) * y_old`` as its local copy, where ``x`` is
+the minimizer above and ``y_old`` the consensus it was solved against, so
+the consensus, the dual step and the stopping test all read the relaxed
+copy. ``alpha`` is the constant `_RELAXATION` (1.7); it took the
+benchmark's tight squared solve from 396 to 243 iterations. Relaxation
+pays on smooth, strongly convex objectives (Nishihara et al. 2015), and a
+linear hinge is neither: the benchmark's 2000-user linear model took 84
+iterations at ``alpha = 1``, 122 at 1.5 and 180 at 1.7. So any
+linear hinge, any raw linear term (as in loss-augmented inference) or a
+model without potentials keeps ``alpha = 1``, the plain step.
+
 A series of solves of one structure with nearby weights, as in learning,
 can pass one `WarmStart` to `solve_map`. It keeps the compiled structure
 and buffers: each later solve resets only the gains and bounds, and starts
@@ -41,6 +54,7 @@ import numpy as np
 from .model import FoldedRows, HlMrf, ModelError, dot
 
 _STALL_WINDOW = 1000
+_RELAXATION = 1.7  # alpha of the relaxed step on all-squared models
 
 
 @dataclass(frozen=True)
@@ -112,7 +126,9 @@ class _Group:
     Row ``j`` of ``coeffs`` and of the buffer views holds the ``j``-th term
     of every block; ``rows`` are the blocks' rows in the parameter arrays.
     `update` steps ``u`` by the residual that ``scratch`` holds, then
-    writes the new local copies in place.
+    writes the new local copies in place, relaxed by ``alpha`` unless it
+    is 1. ``target`` still holds ``y_old`` there, so the relaxed copy is
+    ``target - alpha * (u + step * a)``, with ``local`` as the temporary.
     """
 
     def __init__(self, span, coeffs, offsets, rows):
@@ -129,7 +145,13 @@ class _Group:
         step += self.offsets[cols]  # l(z)
         step *= self.gain[cols]
         np.minimum(np.maximum(step, self.floor[cols], out=step), self.cap[cols], out=step)
-        local -= np.multiply(a, step, out=scratch)
+        np.multiply(a, step, out=scratch)
+        if self.alpha == 1.0:
+            local -= scratch
+        else:
+            np.add(u, scratch, out=local)
+            local *= -self.alpha
+            local += self.target[:, cols]
 
 
 def _inverse(values):
@@ -156,7 +178,8 @@ class _CompiledModel:
     then its potential rows, then its linear terms, each in row order, so
     the consensus sums, and with them the iterates, do not depend on how
     the rows were selected. `set_parameters` fixes each block's gain and
-    bounds (see the module docstring). A solve leaves its answer as ``y``.
+    bounds and the relaxation ``alpha`` (see the module docstring). A solve
+    leaves its answer as ``y``.
     """
 
     def __init__(self, mrf: HlMrf, support, y, pot_mask=None, con_mask=None):
@@ -205,7 +228,8 @@ class _CompiledModel:
     def set_parameters(self, mrf: HlMrf, linear, rho):
         """Each block's gain and bounds from ``mrf``'s weights, the linear
         terms and ``rho``, over constraints, potentials, then linear terms;
-        the scaled duals ``u`` are rescaled to a new ``rho``."""
+        the scaled duals ``u`` are rescaled to a new ``rho``. Blocks are
+        relaxed only if every potential is squared and no linear term is."""
         pots, cons = self.rows
         weights, linear_hinge = mrf.weights[pots.template_id], pots.exponent == 1
         term_step = linear[self.support] / rho
@@ -216,8 +240,11 @@ class _CompiledModel:
              np.where(linear_hinge, weights / rho, np.inf)),
             (np.zeros(self.support.size), term_step, term_step),
         ))
+        relax = pots.size > 0 and not linear_hinge.any() and self.support.size == 0
+        alpha = _RELAXATION if relax else 1.0
         for g in self.groups:
             g.gain, g.floor, g.cap = gain[g.rows], floor[g.rows], cap[g.rows]
+            g.alpha = alpha
         if self.rho is not None and rho != self.rho:
             u = self.buffers[1]
             u *= self.rho / rho  # the same multipliers ``rho * u``

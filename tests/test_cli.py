@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from softlogic.cli import _solve_options, build_parser, run_cli
+from softlogic.ground import ground_program, load_data
 from softlogic.infer import SolveOptions
+from softlogic.lang import parse_program
+from softlogic.learn import TrainingInstance, perceptron_train
 from softlogic.model import HlMrf
 
 from test_lang import PATTERN_CORPUS
@@ -348,6 +351,35 @@ class TestLearnCommand:
             "--method", "mle", "--steps", "2", "--out", tmp_path / "weights.txt",
         )
         assert code == 0
+
+    def test_mle_starts_from_the_weights_file(self, fixture_paths, tmp_path, capsys):
+        program, data = fixture_paths
+        truth = tmp_path / "truth.data"
+        truth.write_text('On("a") = 1\nAlso("a") = 0\n')
+        weights = tmp_path / "start.txt"
+        weights.write_text("# softlogic-weights v1\n0\t5\tfirst\n1\t3\tsecond\n")
+
+        def learned(*flags):
+            out = tmp_path / "learned.txt"
+            code, _, _ = run(
+                capsys,
+                "learn", "--program", program, "--data", data, "--truth", truth,
+                "--method", "mle", "--steps", "1", "--out", out, *flags,
+            )
+            assert code == 0
+            return [float(line.split("\t")[1]) for line in out.read_text().splitlines()[1:]]
+
+        mrf = ground_program(parse_program(FIXTURE_PROGRAM), load_data(FIXTURE_DATA))
+        start = np.array(mrf.weights, dtype=float)
+        start[:2] = [5.0, 3.0]
+        labels = [mrf.table.labels[i].predicate for i in mrf.table.free_indices]
+        instance = TrainingInstance(
+            mrf.with_weights(start), np.array([float(p == "On") for p in labels])
+        )
+        expected = perceptron_train([instance], init=start, opts=SolveOptions(), steps=1)
+        given = learned("--weights", weights)
+        assert given == pytest.approx(expected.tolist(), rel=1e-11, abs=1e-12)
+        assert given[:2] != pytest.approx(learned()[:2], abs=1e-3)
 
 
     @pytest.mark.parametrize(

@@ -4,11 +4,13 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 import softlogic
 from softlogic import logic
 from softlogic.ground import ground_program, load_data
 from softlogic.infer import (
+    _RELAXATION,
     SolveOptions,
     WarmStart,
     project_feasible,
@@ -468,14 +470,15 @@ def cold_state(mrf, solvers, rho):
     return AdmmState(blocks, consensus.copy(), consensus.copy(), rho)
 
 
-def scalar_iterations(state, solvers, iterations):
-    """Run ``iterations`` ADMM steps of the scalar reference ops on ``state``."""
+def scalar_iterations(state, solvers, iterations, alpha=1.0):
+    """Run ``iterations`` ADMM steps of the scalar reference ops on ``state``,
+    each block's local copy relaxed by ``alpha`` toward its target."""
     rho = state.rho
     for _ in range(iterations):
         for block, (_, solve) in zip(state.blocks, solvers):
             target = state.consensus[block.indices]
             block.multiplier = block.multiplier + rho * (block.local - target)
-            block.local = solve(target - block.multiplier / rho)
+            block.local = alpha * solve(target - block.multiplier / rho) + (1 - alpha) * target
         consensus_update(state)
     return state
 
@@ -540,6 +543,48 @@ class TestEngineMatchesScalarOps:
         scalar_iterations(state, scalar_solvers(mrf, linear, rho_now), 20)
         np.testing.assert_allclose(y_engine, state.consensus, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_thirty_relaxed_iterations_match_scalar_ops(self, seed, rho, workers):
+        # Squared hinges only and an EQ constraint, no linear terms: every
+        # block is relaxed, on both the serial and the threaded update.
+        mrf = squared_model(np.random.default_rng(seed))
+        opts = SolveOptions(rho=rho, max_iter=30, workers=workers, **NO_STOP)
+        y_engine, diag = solve_map(mrf, opts)
+        assert diag.iterations == 30
+
+        solvers = scalar_solvers(mrf, np.zeros(mrf.n_free), rho)
+        state = scalar_iterations(cold_state(mrf, solvers, rho), solvers, 30, _RELAXATION)
+        np.testing.assert_allclose(y_engine, state.consensus, rtol=0, atol=1e-12)
+        check = check_convergence(state, opts.eps_abs, opts.eps_rel)
+        assert diag.primal_residual == pytest.approx(check.primal_residual, rel=0, abs=1e-12)
+        assert diag.dual_residual == pytest.approx(check.dual_residual, rel=0, abs=1e-12)
+        plain = scalar_iterations(cold_state(mrf, solvers, rho), solvers, 30)
+        assert np.abs(plain.consensus - y_engine).max() > 1e-6
+
+    @pytest.mark.parametrize("rho_then, rho_now", [(1.0, 3.0), (3.0, 0.5)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_relaxed_warm_start_at_another_penalty_continues_scalar_ops(
+        self, seed, rho_then, rho_now
+    ):
+        mrf = squared_model(np.random.default_rng(seed))
+        warm = WarmStart()
+        solve_map(mrf, SolveOptions(rho=rho_then, max_iter=10, **NO_STOP), warm=warm)
+        second = SolveOptions(rho=rho_now, max_iter=20, **NO_STOP)
+        y_engine, diag = solve_map(mrf, second, warm=warm)
+        assert diag.iterations == 20
+
+        none = np.zeros(mrf.n_free)
+        solvers = scalar_solvers(mrf, none, rho_then)
+        state = scalar_iterations(cold_state(mrf, solvers, rho_then), solvers, 10, _RELAXATION)
+        state.rho = rho_now
+        scalar_iterations(state, scalar_solvers(mrf, none, rho_now), 20, _RELAXATION)
+        np.testing.assert_allclose(y_engine, state.consensus, rtol=0, atol=1e-12)
+        check = check_convergence(state, second.eps_abs, second.eps_rel)
+        assert diag.primal_residual == pytest.approx(check.primal_residual, rel=0, abs=1e-12)
+        assert diag.dual_residual == pytest.approx(check.dual_residual, rel=0, abs=1e-12)
+
 
 def squared_model(rng, n=6):
     """Squared hinges only, pulling every variable to a random target from
@@ -555,6 +600,88 @@ def squared_model(rng, n=6):
         )
     weights = rng.uniform(0.2, 1.5, size=3)
     return make_mrf(potentials, [eq([(0, 1.0), (1, 1.0)], -1.0)], weights, n=n)
+
+
+def smooth_optimum(mrf):
+    """An independent optimum of a squared-hinge model: SLSQP over the unit
+    box and the hard constraints, from the energy's analytic gradient."""
+    pots, cons = mrf.potential_rows, mrf.constraint_rows
+    rows = [(*pots.row(j), mrf.weights[pots.template_id[j]]) for j in range(pots.size)]
+
+    def energy(y):
+        value, grad = 0.0, np.zeros_like(y)
+        for positions, coeffs, offset, w in rows:
+            h = max(float(coeffs @ y[positions] + offset), 0.0)
+            value += w * h * h
+            grad[positions] += 2.0 * w * h * coeffs
+        return value, grad
+
+    def constraint(k):
+        positions, coeffs, offset = cons.row(k)
+        sign = 1.0 if cons.is_eq[k] else -1.0  # SLSQP keeps inequalities >= 0
+        dense = np.zeros(mrf.n_free)
+        dense[positions] = sign * coeffs
+        return {
+            "type": "eq" if cons.is_eq[k] else "ineq",
+            "fun": lambda y: float(dense @ y + sign * offset),
+            "jac": lambda y: dense,
+        }
+
+    result = minimize(
+        energy, np.full(mrf.n_free, 0.5), jac=True, method="SLSQP",
+        bounds=[(0.0, 1.0)] * mrf.n_free,
+        constraints=[constraint(k) for k in range(cons.size)],
+        options={"ftol": 1e-15, "maxiter": 1000},
+    )
+    assert result.success, result.message
+    return result.x, energy(result.x)[0]
+
+
+class TestOverRelaxation:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_relaxed_solve_reaches_the_optimum(self, seed):
+        mrf = squared_model(np.random.default_rng(seed))
+        y, diag = solve_map(mrf, TIGHT)
+        y_star, best = smooth_optimum(mrf)
+        assert diag.converged
+        assert diag.energy == pytest.approx(best, abs=5e-9)
+        np.testing.assert_allclose(y, y_star, rtol=0, atol=1e-7)
+
+    def relaxation_off(self, monkeypatch, mrf, opts, **kwargs):
+        monkeypatch.setattr(softlogic.infer, "_RELAXATION", 1.0)
+        y, diag = solve_map(mrf, opts, **kwargs)
+        monkeypatch.undo()
+        return y, diag
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_squared_models_are_relaxed(self, monkeypatch, seed):
+        mrf = squared_model(np.random.default_rng(seed))
+        _, plain = self.relaxation_off(monkeypatch, mrf, TIGHT)
+        _, relaxed = solve_map(mrf, TIGHT)
+        assert relaxed.iterations < plain.iterations
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_linear_hinge_keeps_the_plain_step(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        squared = squared_model(rng)
+        mrf = make_mrf(
+            [*squared.potentials, hinge([(2, 1.0), (3, 1.0)], -0.5, exponent=1, template=3)],
+            squared.constraints, [*squared.weights, 0.7], n=squared.n_free,
+        )
+        y_plain, plain = self.relaxation_off(monkeypatch, mrf, TIGHT)
+        y, diag = solve_map(mrf, TIGHT)
+        assert diag.iterations == plain.iterations
+        np.testing.assert_array_equal(y, y_plain)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_linear_terms_keep_the_plain_step(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        mrf = squared_model(rng)
+        linear = rng.uniform(-1.0, 1.0, size=mrf.n_free)
+        y_plain, plain = self.relaxation_off(monkeypatch, mrf, TIGHT, extra_linear=linear)
+        y, diag = solve_map(mrf, TIGHT, extra_linear=linear)
+        assert diag.iterations == plain.iterations
+        np.testing.assert_array_equal(y, y_plain)
 
 
 class TestWarmStart:
