@@ -273,6 +273,8 @@ def _cmd_round(args, config):
 def _cmd_learn(args, config):
     # mle and mple start from the model's weights; lme's cutting planes
     # start from the margin QP and use none.
+    if args.method == "lme" and args.weights:
+        raise CliError("--weights is not used by --method lme")
     mrf, data = _load_model(args, config)
     truth = _parse_truth(_read(args.truth), mrf, args.truth, data.predicates)
     instance = TrainingInstance(mrf, truth)

@@ -22,18 +22,27 @@ the penalty ``rho``:
 - equality constraint: ``g = 1/||a||^2``, unbounded;
 - raw linear term ``c * y_i``: ``g = 0`` and ``lo = hi = c/rho``.
 
-On a model whose potentials are all squared hinges, solved without raw
-linear terms, every block is over-relaxed (Boyd et al. 2011, 3.4.3): it
-keeps ``alpha * x + (1 - alpha) * y_old`` as its local copy, where ``x`` is
-the minimizer above and ``y_old`` the consensus it was solved against, so
-the consensus, the dual step and the stopping test all read the relaxed
-copy. ``alpha`` is the constant `_RELAXATION` (1.7); it took the
-benchmark's tight squared solve from 396 to 243 iterations. Relaxation
-pays on smooth, strongly convex objectives (Nishihara et al. 2015), and a
-linear hinge is neither: the benchmark's 2000-user linear model took 84
-iterations at ``alpha = 1``, 122 at 1.5 and 180 at 1.7. So any
-linear hinge, any raw linear term (as in loss-augmented inference) or a
-model without potentials keeps ``alpha = 1``, the plain step.
+On a model with no linear hinge, every block of a solve that selects at
+least one potential is over-relaxed (Boyd et al. 2011, 3.4.3): it keeps
+``alpha * x + (1 - alpha) * y_old`` as its local copy, where ``x`` is the
+minimizer above and ``y_old`` the consensus it was solved against, so the
+consensus, the dual step and the stopping test all read the relaxed copy.
+``alpha`` is the constant `_RELAXATION` (1.7). Measured on the benchmark's
+networks, 2000 users and seeds 1-3 unless named, from ``alpha = 1`` to 1.7:
+
+- squared hinges, eps 1e-8: 396 -> 243 iterations on seed 1, and lazily,
+  over all rounds, 1,122-1,523 -> 685-954;
+- squared hinges with linear terms, `lme_train` at the default tolerances
+  (300 users, seeds 1-5; 1000 users, seeds 1-2): 2,126 -> 1,809 and
+  1,199 -> 982 iterations over all rounds, with 78 rounds on both sides;
+- linear hinges (exempt), default tolerances: 84 -> 180 iterations on
+  seed 1, 122 at 1.5;
+- hard constraints alone (exempt), a feasibility problem, eps 1e-8 from a
+  random start: 781-956 -> 1,569-1,957 iterations.
+
+A model with any linear hinge therefore keeps ``alpha = 1``, the plain
+step, and so does a solve with no potential selected, such as a lazy
+round that activated only constraints.
 
 A series of solves of one structure with nearby weights, as in learning,
 can pass one `WarmStart` to `solve_map`. It keeps the compiled structure
@@ -177,9 +186,9 @@ class _CompiledModel:
     term, and the start ``y``. A group holds its arity's constraint rows,
     then its potential rows, then its linear terms, each in row order, so
     the consensus sums, and with them the iterates, do not depend on how
-    the rows were selected. `set_parameters` fixes each block's gain and
-    bounds and the relaxation ``alpha`` (see the module docstring). A solve
-    leaves its answer as ``y``.
+    the rows were selected. Each group's relaxation ``alpha`` is fixed here
+    from the structure (see the module docstring); `set_parameters` fixes
+    each block's gain and bounds. A solve leaves its answer as ``y``.
     """
 
     def __init__(self, mrf: HlMrf, support, y, pot_mask=None, con_mask=None):
@@ -214,6 +223,11 @@ class _CompiledModel:
             self.groups.append(_Group(slice(start, start + idx.size), *columns))
             positions.append(idx.ravel())
 
+        # Relax only where it was measured to pay (see the module docstring).
+        relax = pot_mask.any() and not np.any(pots.exponent == 1)
+        for g in self.groups:
+            g.alpha = _RELAXATION if relax else 1.0
+
         self.idx = np.concatenate(positions)  # each copy's variable, group by group
         counts = np.bincount(self.idx, minlength=self.n).astype(float)
         self.touched = slice(None) if counts.all() else np.flatnonzero(counts)
@@ -228,8 +242,7 @@ class _CompiledModel:
     def set_parameters(self, mrf: HlMrf, linear, rho):
         """Each block's gain and bounds from ``mrf``'s weights, the linear
         terms and ``rho``, over constraints, potentials, then linear terms;
-        the scaled duals ``u`` are rescaled to a new ``rho``. Blocks are
-        relaxed only if every potential is squared and no linear term is."""
+        the scaled duals ``u`` are rescaled to a new ``rho``."""
         pots, cons = self.rows
         weights, linear_hinge = mrf.weights[pots.template_id], pots.exponent == 1
         term_step = linear[self.support] / rho
@@ -240,11 +253,8 @@ class _CompiledModel:
              np.where(linear_hinge, weights / rho, np.inf)),
             (np.zeros(self.support.size), term_step, term_step),
         ))
-        relax = pots.size > 0 and not linear_hinge.any() and self.support.size == 0
-        alpha = _RELAXATION if relax else 1.0
         for g in self.groups:
             g.gain, g.floor, g.cap = gain[g.rows], floor[g.rows], cap[g.rows]
-            g.alpha = alpha
         if self.rho is not None and rho != self.rho:
             u = self.buffers[1]
             u *= self.rho / rho  # the same multipliers ``rho * u``

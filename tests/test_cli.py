@@ -381,6 +381,20 @@ class TestLearnCommand:
         assert given == pytest.approx(expected.tolist(), rel=1e-11, abs=1e-12)
         assert given[:2] != pytest.approx(learned()[:2], abs=1e-3)
 
+    def test_lme_rejects_a_weights_file(self, fixture_paths, tmp_path, capsys):
+        program, data = fixture_paths
+        truth = tmp_path / "truth.data"
+        truth.write_text('On("a") = 1\nAlso("a") = 0\n')
+        weights = tmp_path / "start.txt"
+        weights.write_text("# softlogic-weights v1\n0\t5\tfirst\n")
+        out = tmp_path / "learned.txt"
+        code, _, err = run(
+            capsys,
+            "learn", "--program", program, "--data", data, "--truth", truth,
+            "--method", "lme", "--weights", weights, "--out", out,
+        )
+        assert code == 1 and err == "error: --weights is not used by --method lme\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "method, flags, name",

@@ -11,6 +11,7 @@ from softlogic import logic
 from softlogic.ground import ground_program, load_data
 from softlogic.infer import (
     _RELAXATION,
+    _CompiledModel,
     SolveOptions,
     WarmStart,
     project_feasible,
@@ -543,18 +544,22 @@ class TestEngineMatchesScalarOps:
         scalar_iterations(state, scalar_solvers(mrf, linear, rho_now), 20)
         np.testing.assert_allclose(y_engine, state.consensus, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("with_linear", [False, True])
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("rho", [0.5, 1.0, 3.0])
     @pytest.mark.parametrize("seed", range(6))
-    def test_thirty_relaxed_iterations_match_scalar_ops(self, seed, rho, workers):
-        # Squared hinges only and an EQ constraint, no linear terms: every
-        # block is relaxed, on both the serial and the threaded update.
-        mrf = squared_model(np.random.default_rng(seed))
+    def test_thirty_relaxed_iterations_match_scalar_ops(self, seed, rho, workers, with_linear):
+        # Squared hinges only and an EQ constraint, with or without linear
+        # terms: every block is relaxed, on both the serial and the
+        # threaded update.
+        rng = np.random.default_rng(seed)
+        mrf = squared_model(rng)
+        linear = rng.uniform(-1.0, 1.0, size=mrf.n_free) * with_linear
         opts = SolveOptions(rho=rho, max_iter=30, workers=workers, **NO_STOP)
-        y_engine, diag = solve_map(mrf, opts)
+        y_engine, diag = solve_map(mrf, opts, extra_linear=linear)
         assert diag.iterations == 30
 
-        solvers = scalar_solvers(mrf, np.zeros(mrf.n_free), rho)
+        solvers = scalar_solvers(mrf, linear, rho)
         state = scalar_iterations(cold_state(mrf, solvers, rho), solvers, 30, _RELAXATION)
         np.testing.assert_allclose(y_engine, state.consensus, rtol=0, atol=1e-12)
         check = check_convergence(state, opts.eps_abs, opts.eps_rel)
@@ -602,14 +607,16 @@ def squared_model(rng, n=6):
     return make_mrf(potentials, [eq([(0, 1.0), (1, 1.0)], -1.0)], weights, n=n)
 
 
-def smooth_optimum(mrf):
-    """An independent optimum of a squared-hinge model: SLSQP over the unit
-    box and the hard constraints, from the energy's analytic gradient."""
+def smooth_optimum(mrf, linear=None):
+    """An independent optimum of a squared-hinge model plus ``linear @ y``:
+    SLSQP over the unit box and the hard constraints, from the objective's
+    analytic gradient."""
     pots, cons = mrf.potential_rows, mrf.constraint_rows
     rows = [(*pots.row(j), mrf.weights[pots.template_id[j]]) for j in range(pots.size)]
+    linear = np.zeros(mrf.n_free) if linear is None else linear
 
     def energy(y):
-        value, grad = 0.0, np.zeros_like(y)
+        value, grad = float(linear @ y), linear.copy()
         for positions, coeffs, offset, w in rows:
             h = max(float(coeffs @ y[positions] + offset), 0.0)
             value += w * h * h
@@ -673,15 +680,37 @@ class TestOverRelaxation:
         assert diag.iterations == plain.iterations
         np.testing.assert_array_equal(y, y_plain)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_linear_terms_keep_the_plain_step(self, monkeypatch, seed):
+    @pytest.mark.parametrize("seed", range(8))
+    def test_relaxed_solve_with_linear_terms_reaches_the_optimum(self, seed):
         rng = np.random.default_rng(seed)
         mrf = squared_model(rng)
         linear = rng.uniform(-1.0, 1.0, size=mrf.n_free)
-        y_plain, plain = self.relaxation_off(monkeypatch, mrf, TIGHT, extra_linear=linear)
         y, diag = solve_map(mrf, TIGHT, extra_linear=linear)
-        assert diag.iterations == plain.iterations
+        y_star, best = smooth_optimum(mrf, linear)
+        assert diag.converged
+        assert diag.objective == pytest.approx(best, abs=5e-9)
+        np.testing.assert_allclose(y, y_star, rtol=0, atol=1e-7)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_constraints_alone_keep_the_plain_step(self, monkeypatch, seed):
+        n = 6
+        chain = [leq([(i, 1.0), (i + 1, -1.0)], 0.0) for i in range(1, n - 1)]
+        mrf = make_mrf([], [eq([(0, 1.0), (1, 1.0)], -1.0), *chain], n=n)
+        start = np.random.default_rng(seed).uniform(size=n)
+        y_plain, plain = self.relaxation_off(monkeypatch, mrf, TIGHT, initial=start)
+        y, diag = solve_map(mrf, TIGHT, initial=start)
+        assert diag.iterations == plain.iterations > 1
         np.testing.assert_array_equal(y, y_plain)
+
+    def test_a_lazy_round_without_potentials_keeps_the_plain_step(self):
+        mrf = squared_model(np.random.default_rng(0))
+        y, support = np.full(mrf.n_free, 0.5), np.zeros(0, np.intp)
+        selected = np.zeros(mrf.potential_rows.size, bool)
+        plain = _CompiledModel(mrf, support, y, selected)
+        selected[0] = True
+        relaxed = _CompiledModel(mrf, support, y, selected)
+        assert [g.alpha for g in plain.groups] == [1.0] * len(plain.groups)
+        assert [g.alpha for g in relaxed.groups] == [_RELAXATION] * len(relaxed.groups)
 
 
 class TestWarmStart:
