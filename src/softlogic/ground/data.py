@@ -15,11 +15,20 @@ and ``/* */`` comments may stand between any two tokens. `statements` reads
 one whole statement at a time with one regular expression; only a statement
 that fails is tokenized, to locate the error. Observations are stored once,
 as rows per predicate, which `Coding` reads and `DataSet.observations` views.
+
+`load_data` walks the statements up to the first observation. If the rest
+of the text is plain observations only (double-quoted constants without
+escapes, blanks between tokens, no comments), it reads them in one bulk
+pass: one `re.findall`, then every check of `DataSet.add_observation` on
+whole columns, per predicate, before anything is stored. Any other text,
+or any failed check, leaves the data set as it was, and the statement walk
+goes on from that observation and locates the error.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -279,6 +288,13 @@ _STATEMENT = re.compile(
 )
 _KINDS = {"type": "type", "predicate": "predicate", "closed": "predicate", "value": "observation"}
 _ITEM = re.compile(r"%s|(%s|%s)" % (_COMMENT, STRING, IDENT), re.DOTALL)
+# One plain observation as (name, arguments, value), or else the first
+# character of anything else, with an empty name.
+_PLAIN = re.compile(
+    r'{b}({ident}){b}\(({b}"[^"\\\n]*"(?:{b},{b}"[^"\\\n]*")*){b}\){b}={b}({number})'
+    r"|{b}[^ \t\r\n]".format(b=r"[ \t\r\n]*", ident=IDENT, number=NUMBER)
+)
+_CONSTANT = re.compile(r'"([^"]*)"')
 
 
 def statements(text: str):
@@ -322,12 +338,50 @@ def statement_error(text: str, offset: int, message: str | None = None) -> DataE
     return DataError(message, at.line, at.column)
 
 
+def _observe_plain(data: DataSet, text: str, offset: int) -> bool:
+    """Store the observations from ``offset`` to the end of ``text`` in one
+    pass, if they are all plain and all pass the checks of `DataSet._observe`;
+    otherwise store nothing. Returns whether they were stored. ``data`` must
+    hold no observations yet.
+    """
+    columns: dict[str, tuple[list[str], list[str]]] = {}
+    for name, run in itertools.groupby(_PLAIN.findall(text, offset), operator.itemgetter(0)):
+        _, args, values = zip(*run)
+        arg_texts, value_texts = columns.setdefault(name, ([], []))
+        arg_texts += args
+        value_texts += values
+    rows = {}
+    for name, (arg_texts, value_texts) in columns.items():
+        pred = data.predicates.get(name)  # text that is no observation has no name
+        if pred is None:
+            return False
+        k = pred.arity
+        # A plain constant holds no quote, so each row has two per argument.
+        if set(map(str.count, arg_texts, itertools.repeat('"'))) != {2 * k}:
+            return False
+        constants = _CONSTANT.findall("".join(arg_texts))
+        members = [data._members[t] for t in pred.arg_types]
+        if not all(map(frozenset.issuperset, members, (constants[j::k] for j in range(k)))):
+            return False
+        values = list(map(float, value_texts))
+        if not (0.0 <= min(values) and max(values) <= 1.0):
+            return False
+        rows[name] = dict(zip(zip(*[iter(constants)] * k), values))
+    data._rows.update(rows)
+    data._coding = None
+    return True
+
+
 def load_data(text: str) -> DataSet:
     """Read the text format described in the module docstring."""
     data = DataSet()
+    bulk = True
     for kind, name, items, value, offset in statements(text):
         try:
             if kind == "observation":
+                if bulk and _observe_plain(data, text, offset):
+                    return data
+                bulk = False
                 data._observe(name, items, value)
             elif kind == "type":
                 data.define_type(name, items)

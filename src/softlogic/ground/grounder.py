@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -657,7 +658,8 @@ def ground_arithmetic_rule(rule, data, rule_id=0, prune=False, location=(None, N
 
 
 class _Origins:
-    """Origin strings of the potential rows of several rules, built on access.
+    """Origin strings of the potential rows of several rules, built on access
+    (iterating builds them one rule at a time).
 
     Keeps what the strings are made of, not the rules' rows.
     """
@@ -671,6 +673,15 @@ class _Origins:
         k = bisect.bisect_right(self.starts, r) - 1
         rule_id, names, codes, row_ground, constants = self.blocks[k]
         return _origin(rule_id, names, codes[row_ground[r - self.starts[k]]], constants)
+
+    def __iter__(self):
+        """Every row's origin, formatted once per grounding of each rule."""
+        for rule_id, names, codes, row_ground, constants in self.blocks:
+            inside = ", ".join("%s=%%s" % name for name in names)
+            columns = [map(constants.__getitem__, column) for column in codes.T.tolist()]
+            substitutions = zip(*columns) if names else itertools.repeat((), len(codes))
+            origins = list(map(("rule %d {%s}" % (rule_id, inside)).__mod__, substitutions))
+            yield from map(origins.__getitem__, row_ground.tolist())
 
 
 def ground_program(program, data, prune=False) -> HlMrf:

@@ -406,7 +406,8 @@ class HlMrf:
     The density itself is never normalized here -- only the energy is
     exposed, which is all MAP inference and the implemented learners need.
     Everything that evaluates or saves the model reads ``potential_rows``,
-    ``constraint_rows`` and ``origins[r]``, potential row ``r``'s origin;
+    ``constraint_rows`` and ``origins`` (``origins[r]`` is potential row
+    ``r``'s origin, and iterating gives them all in row order);
     ``with_weights`` copies share them. Objects given to the constructor
     and the rows of a model file go through `fold_rows`. A model built from
     objects keeps them as ``potentials`` and ``constraints``; others build
@@ -449,7 +450,8 @@ class HlMrf:
     @classmethod
     def from_rows(cls, table, potential_rows, constraint_rows, templates, weights, origins):
         """A model over rows that reference free variables only; ``origins[r]``
-        is potential row ``r``'s origin string."""
+        is potential row ``r``'s origin string, and iterating ``origins``
+        gives every row's in row order."""
         model = cls.__new__(cls)
         model._set(table, potential_rows, constraint_rows, templates, weights, origins)
         return model
@@ -547,9 +549,9 @@ class HlMrf:
                 for t, w in zip(self.templates, self.weights)
             ],
             "potentials": [
-                {"linfun": lf, "exponent": e, "template": t, "origin": self.origins[r]}
-                for r, (lf, e, t) in enumerate(
-                    zip(linfuns(rows), rows.exponent.tolist(), rows.template_id.tolist())
+                {"linfun": lf, "exponent": e, "template": t, "origin": origin}
+                for lf, e, t, origin in zip(
+                    linfuns(rows), rows.exponent.tolist(), rows.template_id.tolist(), self.origins
                 )
             ],
             "constraints": [

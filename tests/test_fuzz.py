@@ -5,7 +5,8 @@ text they get they either succeed or raise a `LangError` carrying an
 integer line and column. Inputs are arbitrary text and valid rule or data
 text with a few characters inserted, deleted or replaced. On the same
 inputs `load_data` reads what the token-walk reader in `helpers` reads and
-fails where it fails.
+fails where it fails. Data texts whose observations are all plain are read
+in one bulk pass, without the statement walk, to the same result.
 
 `HlMrf.from_json` reads model files: whatever JSON document it gets, it
 either succeeds or raises a `ModelError`. Inputs are a valid document with
@@ -15,6 +16,7 @@ a few values replaced by arbitrary JSON values or deleted.
 import copy
 import json
 import re
+import unittest.mock
 import warnings
 
 from hypothesis import example, given, settings, strategies as st
@@ -134,6 +136,19 @@ _RENAMED = re.compile(r"\d+:\d+: expected (?!a type or predicate name).*, found 
 @example('T = {"a\\\nb"}\nP(T)\nP("zz") = 1')  # an escaped newline is no line break
 @example('T = {"a"}\nP(Missing)\n"open')  # a lexing error anywhere comes first
 @example('½ = {"a"}')  # a name starts with a letter
+# One fault inside a trailing run of observations, which the bulk reader
+# must leave to the statement walk to locate (or to read, if it is valid).
+@example('T = {"a"}\nP(T)\nP("a") = 1\nP("b") = 0\n')  # an unknown constant
+@example('T = {"a"}\nP(T)\nP("a") = 1\nQ("a") = 0\n')  # an undeclared predicate
+@example('T = {"a"}\nP(T)\nP("a") = 1\nP("a", "a") = 0\n')  # a wrong arity
+@example('T = {"a"}\nP(T, T)\nP("a", "a") = 1\n  P("a") = 0\n')  # too few arguments
+@example('T = {"a"}\nP(T)\nP("a") = 1\nP("a") = 2\n')  # a value above 1
+@example('T = {"a"}\nP(T)\nP("a") = 1\nP("a") = 1e999\n')  # an infinite value
+@example('T = {"a"}\nP(T)\nP("a") = 1\nQ(T)\nQ("a") = 0.5\n')  # a declaration
+@example('T = {"a"}\nP(T)\nP("a") = 1\nP("a") = 0 // c\n')  # a line comment
+@example('T = {"a"}\nP(T)\nP("a") = 1\nP(\'a\') = 0\n')  # a single-quoted constant
+@example('T = {"a"}\nP(T)\nP("a") = 1\nP("\\a") = 0\n')  # an escaped constant
+@example('T = {"a"}\nP(T)\nP("a") = 1\f\nP("a") = 0\n')  # a form feed
 def test_load_data_matches_token_walk(text):
     new, ref = _outcome(load_data, text), _outcome(reference_load_data, text)
     if isinstance(ref, DataSet):
@@ -146,6 +161,58 @@ def test_load_data_matches_token_walk(text):
         assert isinstance(new.column, int)
     else:
         assert (type(new), str(new)) == (type(ref), str(ref))
+
+
+# Plain data: double-quoted constants without escapes (commas, blanks and
+# comment marks inside them included), blanks between tokens, no comments.
+_BLANKS = st.text(" \t\r\n", max_size=3)
+_VALUES = st.sampled_from(["0", "1", "0.5", "0.25", "1e-3", "1E0", "5e-1", "0.125E+0", "00.75"])
+
+
+@st.composite
+def plain_data(draw):
+    """A data text whose observations are all plain, some of them repeated."""
+    pool = draw(st.lists(st.text("ab ,/*'é", min_size=1, max_size=4), min_size=1, max_size=5,
+                         unique=True))
+    types = [
+        draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    lines = ["T%d = {%s}" % (t, ", ".join('"%s"' % c for c in cs)) for t, cs in enumerate(types)]
+    arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    signatures = [[draw(st.integers(0, len(types) - 1)) for _ in range(k)] for k in arities]
+    for p, signature in enumerate(signatures):
+        lines.append("P%d(%s)" % (p, ", ".join("T%d" % t for t in signature)))
+    text = "\n".join(lines) + draw(_BLANKS) + "\n"
+    atoms = []
+    for _ in range(draw(st.integers(1, 12))):
+        if atoms and draw(st.booleans()):
+            p, args = draw(st.sampled_from(atoms))  # a repeated atom
+        else:
+            p = draw(st.integers(0, len(signatures) - 1))
+            args = [draw(st.sampled_from(types[t])) for t in signatures[p]]
+        atoms.append((p, args))
+        b = [draw(_BLANKS) for _ in range(7)]
+        constants = (b[5] + "," + b[6]).join('"%s"' % a for a in args)
+        text += "P%d%s(%s%s%s)%s=%s%s" % (p, b[0], b[1], constants, b[2], b[3], b[4], draw(_VALUES))
+        text += draw(st.sampled_from(["\n", " ", ""]))
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=plain_data())
+@example('T = {"a"}\nP(T)\nP("a") = 1\nP("a") = 0.5\nP("a")=1E0')
+def test_plain_observations_read_in_bulk(text):
+    def walk(*args):
+        raise AssertionError("an observation was read one statement at a time")
+
+    with unittest.mock.patch.object(DataSet, "_observe", walk):
+        new = load_data(text)
+    ref = reference_load_data(text)
+    assert new.universe == ref.universe
+    assert new.predicates == ref.predicates
+    assert list(new.observations.items()) == list(ref.observations.items())
+    assert len(new.observations) == len(ref.observations)
 
 
 def test_valid_texts_read():

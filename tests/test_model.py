@@ -319,6 +319,7 @@ Liberal(U) + Conservative(U) = 1 .
 {Y : Edge1(X, Y) || Edge1(Y, X)}
 2 : Liberal(U) >= 0.3 Opinion(U)
 1 : Liberal(U) = Conservative(U)
+0.7 : Opinion("u1") -> Liberal("u2")
 """
 
 ARITHMETIC_DATA = """User = {"u1", "u2", "u3", "u4"}
