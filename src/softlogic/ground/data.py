@@ -16,13 +16,14 @@ one whole statement at a time with one regular expression; only a statement
 that fails is tokenized, to locate the error. Observations are stored once,
 as rows per predicate, which `Coding` reads and `DataSet.observations` views.
 
-`load_data` walks the statements up to the first observation. If the rest
-of the text is plain observations only (double-quoted constants without
-escapes, blanks between tokens, no comments), it reads them in one bulk
-pass: one `re.findall`, then every check of `DataSet.add_observation` on
-whole columns, per predicate, before anything is stored. Any other text,
-or any failed check, leaves the data set as it was, and the statement walk
-goes on from that observation and locates the error.
+`load_data` walks the statements up to the first observation. From there
+it reads the plain observations (double-quoted constants without escapes,
+blanks between tokens, no comments) in one bulk pass: one `re.findall`,
+then every check of `DataSet.add_observation` on whole columns, per
+predicate, before anything is stored. If other text follows, the pass
+stores only the plain observations before it, and the statement walk goes
+on from that text. A failed check leaves the data set as it was, and the
+statement walk goes on from the first observation and locates the error.
 """
 
 from __future__ import annotations
@@ -297,14 +298,15 @@ _PLAIN = re.compile(
 _CONSTANT = re.compile(r'"([^"]*)"')
 
 
-def statements(text: str):
-    """Yield each statement of a data text as (kind, name, items, value, offset).
+def statements(text: str, start: int = 0):
+    """Yield each statement of a data text from ``start`` on as (kind, name,
+    items, value, offset).
 
     ``kind`` is "type", "predicate" or "observation"; ``value`` is the observed
     value, else whether the predicate is closed; ``offset`` is where the name
     starts. A statement that does not parse raises a located error.
     """
-    for m in _STATEMENT.finditer(text):
+    for m in _STATEMENT.finditer(text, start):
         last = m.lastgroup
         if last is None and m.end() == len(text):
             return
@@ -338,55 +340,74 @@ def statement_error(text: str, offset: int, message: str | None = None) -> DataE
     return DataError(message, at.line, at.column)
 
 
-def _observe_plain(data: DataSet, text: str, offset: int) -> bool:
-    """Store the observations from ``offset`` to the end of ``text`` in one
-    pass, if they are all plain and all pass the checks of `DataSet._observe`;
-    otherwise store nothing. Returns whether they were stored. ``data`` must
-    hold no observations yet.
+def _observe_plain(data: DataSet, text: str, offset: int) -> int:
+    """Store the plain observations from ``offset`` up to the first other
+    text in one pass, if they all pass the checks of `DataSet._observe`;
+    otherwise store nothing. Returns where the statement walk goes on: after
+    the stored observations, or at ``offset``. ``data`` must hold no
+    observations yet.
     """
+    columns = _plain_columns(_PLAIN.findall(text, offset))
+    end = len(text)
+    if "" in columns:  # some text is no plain observation: read up to it
+        end = next(m.start() for m in _PLAIN.finditer(text, offset) if not m[1])
+        columns = _plain_columns(_PLAIN.findall(text, offset, end))
+    rows = {}
+    for name, (arg_texts, value_texts) in columns.items():
+        pred = data.predicates.get(name)
+        if pred is None:
+            return offset
+        k = pred.arity
+        # A plain constant holds no quote, so each row has two per argument.
+        if set(map(str.count, arg_texts, itertools.repeat('"'))) != {2 * k}:
+            return offset
+        constants = _CONSTANT.findall("".join(arg_texts))
+        members = [data._members[t] for t in pred.arg_types]
+        if not all(map(frozenset.issuperset, members, (constants[j::k] for j in range(k)))):
+            return offset
+        values = list(map(float, value_texts))
+        if not (0.0 <= min(values) and max(values) <= 1.0):
+            return offset
+        rows[name] = dict(zip(zip(*[iter(constants)] * k), values))
+    data._rows.update(rows)
+    data._coding = None
+    return end
+
+
+def _plain_columns(matches) -> dict[str, tuple[list[str], list[str]]]:
+    """The argument and value texts of `_PLAIN` matches, per predicate name."""
     columns: dict[str, tuple[list[str], list[str]]] = {}
-    for name, run in itertools.groupby(_PLAIN.findall(text, offset), operator.itemgetter(0)):
+    for name, run in itertools.groupby(matches, operator.itemgetter(0)):
         _, args, values = zip(*run)
         arg_texts, value_texts = columns.setdefault(name, ([], []))
         arg_texts += args
         value_texts += values
-    rows = {}
-    for name, (arg_texts, value_texts) in columns.items():
-        pred = data.predicates.get(name)  # text that is no observation has no name
-        if pred is None:
-            return False
-        k = pred.arity
-        # A plain constant holds no quote, so each row has two per argument.
-        if set(map(str.count, arg_texts, itertools.repeat('"'))) != {2 * k}:
-            return False
-        constants = _CONSTANT.findall("".join(arg_texts))
-        members = [data._members[t] for t in pred.arg_types]
-        if not all(map(frozenset.issuperset, members, (constants[j::k] for j in range(k)))):
-            return False
-        values = list(map(float, value_texts))
-        if not (0.0 <= min(values) and max(values) <= 1.0):
-            return False
-        rows[name] = dict(zip(zip(*[iter(constants)] * k), values))
-    data._rows.update(rows)
-    data._coding = None
-    return True
+    return columns
+
+
+def _store(data: DataSet, text: str, kind, name, items, value, offset):
+    """Add one statement of `statements` to ``data``; a failed check raises
+    the error located at the statement."""
+    try:
+        if kind == "observation":
+            data._observe(name, items, value)
+        elif kind == "type":
+            data.define_type(name, items)
+        else:
+            data.declare_predicate(name, items, value)
+    except DataError as exc:
+        raise statement_error(text, offset, str(exc)) from None
 
 
 def load_data(text: str) -> DataSet:
     """Read the text format described in the module docstring."""
     data = DataSet()
-    bulk = True
-    for kind, name, items, value, offset in statements(text):
-        try:
-            if kind == "observation":
-                if bulk and _observe_plain(data, text, offset):
-                    return data
-                bulk = False
-                data._observe(name, items, value)
-            elif kind == "type":
-                data.define_type(name, items)
-            else:
-                data.declare_predicate(name, items, value)
-        except DataError as exc:
-            raise statement_error(text, offset, str(exc)) from None
+    walk = statements(text)
+    for statement in walk:
+        if statement[0] == "observation":
+            walk = statements(text, _observe_plain(data, text, statement[-1]))
+            break
+        _store(data, text, *statement)
+    for statement in walk:
+        _store(data, text, *statement)
     return data

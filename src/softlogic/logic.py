@@ -209,8 +209,8 @@ def lcr_inner_lp(clause: Clause, mu) -> float:
     rows.append([1.0] * len(states))
     rhs.append(1.0)
 
-    # Imported here: scipy.optimize is slow to import and nothing else in
-    # the library needs it.
+    # Imported here: scipy.optimize is slow to import, and only this and
+    # `learn.solve_margin_qp` need it.
     from scipy.optimize import linprog
 
     result = linprog(-c, A_eq=np.array(rows), b_eq=np.array(rhs), method="highs")

@@ -6,7 +6,8 @@ integer line and column. Inputs are arbitrary text and valid rule or data
 text with a few characters inserted, deleted or replaced. On the same
 inputs `load_data` reads what the token-walk reader in `helpers` reads and
 fails where it fails. Data texts whose observations are all plain are read
-in one bulk pass, without the statement walk, to the same result.
+in one bulk pass, without the statement walk, to the same result; so are
+the plain observations before the first other text.
 
 `HlMrf.from_json` reads model files: whatever JSON document it gets, it
 either succeeds or raises a `ModelError`. Inputs are a valid document with
@@ -149,6 +150,8 @@ _RENAMED = re.compile(r"\d+:\d+: expected (?!a type or predicate name).*, found 
 @example('T = {"a"}\nP(T)\nP("a") = 1\nP(\'a\') = 0\n')  # a single-quoted constant
 @example('T = {"a"}\nP(T)\nP("a") = 1\nP("\\a") = 0\n')  # an escaped constant
 @example('T = {"a"}\nP(T)\nP("a") = 1\f\nP("a") = 0\n')  # a form feed
+@example('T = {"a"}\nP(T)\nP("b") = 1\nP("a") = 0 // c\n')  # a fault before a comment
+@example('T = {"a"}\nP(T)\nP("a") = 1 // c\nP("b") = 0\n')  # a fault after a comment
 def test_load_data_matches_token_walk(text):
     new, ref = _outcome(load_data, text), _outcome(reference_load_data, text)
     if isinstance(ref, DataSet):
@@ -213,6 +216,39 @@ def test_plain_observations_read_in_bulk(text):
     assert new.predicates == ref.predicates
     assert list(new.observations.items()) == list(ref.observations.items())
     assert len(new.observations) == len(ref.observations)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=plain_data(), tail=st.sampled_from(["comment", "quoted"]))
+@example('T = {"a"}\nP(T)\nP("a") = 1\nP("a") = 0.5\n', "comment")
+@example('T = {"a", "b"}\nP(T)\nP("a") = 1\nP("b") = 0.5\n', "quoted")
+def test_plain_prefix_read_in_bulk(text, tail):
+    # Only the statements from the first non-plain one on are read one at
+    # a time: none after a trailing comment; the single-quoted observation
+    # and the plain one after it otherwise.
+    if tail == "comment":
+        text += "\n// end\n"
+        walked = 0
+    else:
+        atom = next(iter(reference_load_data(text).observations))
+        quoted = ", ".join("'%s'" % a.replace("'", "\\'") for a in atom.args)
+        plain = ", ".join('"%s"' % a for a in atom.args)
+        text += "\n%s(%s) = 0.25\n%s(%s) = 1\n" % (atom.predicate, quoted, atom.predicate, plain)
+        walked = 2
+    calls = []
+    observe = DataSet._observe
+
+    def counted(self, *args):
+        calls.append(args)
+        return observe(self, *args)
+
+    with unittest.mock.patch.object(DataSet, "_observe", counted):
+        new = load_data(text)
+    ref = reference_load_data(text)
+    assert len(calls) == walked
+    assert new.universe == ref.universe
+    assert new.predicates == ref.predicates
+    assert list(new.observations.items()) == list(ref.observations.items())
 
 
 def test_valid_texts_read():

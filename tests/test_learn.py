@@ -417,6 +417,33 @@ class TestMarginQp:
         assert w[0] == pytest.approx(0.1, abs=1e-6)
         assert slack == pytest.approx(0.9, abs=1e-6)
 
+    def test_matches_closed_form_on_two_templates(self):
+        # At w = (0, 5/14) cuts 2 and 3 both reach the slack 52/35, and no
+        # move of w lowers the objective.
+        cuts = CuttingPlaneSet(C=0.6)
+        for gap, loss in [([-0.4, 0.8], 1.0), ([1.0, -0.6], 1.7), ([-0.6, 0.8], 1.2)]:
+            cuts.records.append(CutRecord(np.array(gap), loss))
+        w, slack, obj = solve_margin_qp(cuts, 2)
+        np.testing.assert_allclose(w, [0.0, 5 / 14], atol=1e-7)
+        assert slack == pytest.approx(52 / 35, abs=1e-7)
+        assert obj == pytest.approx(0.5 * (5 / 14) ** 2 + 0.6 * 52 / 35, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "field, cuts",
+        [
+            ("C", lambda: CuttingPlaneSet(C=float("nan"))),
+            ("C", lambda: CuttingPlaneSet(C=float("inf"))),
+            ("slack", lambda: CuttingPlaneSet(slack=float("nan"))),
+            ("feature_gap", lambda: CuttingPlaneSet([CutRecord(np.array([np.nan]), 1.0)])),
+            ("loss", lambda: CuttingPlaneSet([CutRecord(np.array([-1.0]), float("inf"))])),
+            ("feature_gap", lambda: CuttingPlaneSet([CutRecord(np.array([-1.0, 0.5]), 1.0)])),
+        ],
+        ids=["nan-C", "inf-C", "nan-slack", "nan-gap", "inf-loss", "wide-gap"],
+    )
+    def test_malformed_input_rejected(self, field, cuts):
+        with pytest.raises(ModelError, match=r"^%s\b" % field):
+            solve_margin_qp(cuts(), 1)
+
 
 class TestLmeTrain:
     def test_separable_problem_terminates(self):
