@@ -6,7 +6,8 @@ live in a few flat buffers indexed by one flat array of variables; the
 blocks of one arity see theirs term-major, as ``(arity, blocks)`` views. One
 iteration steps ``u`` by the last residual, solves every block in closed
 form from its target ``z = y - u``, then averages ``local + u`` into the
-consensus ``y``, clipped to [0, 1]. The new residual ``local - y`` is both
+consensus ``y``, clipped to each variable's box: [0, 1], unless the
+presolve below narrowed it. The new residual ``local - y`` is both
 the primal residual of the stopping test and the next dual step.
 
 Every block's local subproblem has one closed form. For the target ``z``
@@ -28,7 +29,8 @@ least one potential is over-relaxed (Boyd et al. 2011, 3.4.3): it keeps
 minimizer above and ``y_old`` the consensus it was solved against, so the
 consensus, the dual step and the stopping test all read the relaxed copy.
 ``alpha`` is the constant `_RELAXATION` (1.7). Measured on the benchmark's
-networks, 2000 users and seeds 1-3 unless named, from ``alpha = 1`` to 1.7:
+networks before the presolve below, 2000 users and seeds 1-3 unless named,
+from ``alpha = 1`` to 1.7:
 
 - squared hinges, eps 1e-8: 396 -> 243 iterations on seed 1, and lazily,
   over all rounds, 1,122-1,523 -> 685-954;
@@ -43,6 +45,25 @@ networks, 2000 users and seeds 1-3 unless named, from ``alpha = 1`` to 1.7:
 A model with any linear hinge therefore keeps ``alpha = 1``, the plain
 step, and so does a solve with no potential selected, such as a lazy
 round that activated only constraints.
+
+Before any of this, compiling a solve presolves its hard constraints
+(`_Doubletons`): each selected two-variable equality ``a_r y_r + a_s y_s +
+b = 0`` whose variables appear in no other such equality is removed, and
+``y_s = -(b + a_r y_r) / a_s`` is substituted into every other row and
+linear term, as doubleton equations are in LP presolve (Andersen & Andersen
+1995). The representative ``y_r`` is clipped in the consensus to the part
+of [0, 1] that keeps ``y_s`` in [0, 1], and ``y_s`` is filled in from it
+before each answer is read, so an eliminated equality holds to rounding.
+An equality stays with ADMM when that interval is empty or another selected
+constraint holds both its variables, so an infeasible model is still found
+infeasible by ADMM. On the benchmark's networks (2000 users, seeds 1-5),
+where every user has ``Liberal + Conservative = 1``, it cut the iterations:
+
+- squared hinges, eps 1e-8: 243-247 -> 124-146;
+- linear hinges, default tolerances: 84-85 -> 41-51, with the answers
+  0.29-0.48% above the LP optimum instead of up to 1.07%, and the hard
+  constraints met exactly instead of to 1e-2;
+- 8 warm-started perceptron steps (1000 users): 184-234 -> 104-168 in all.
 
 A series of solves of one structure with nearby weights, as in learning,
 can pass one `WarmStart` to `solve_map`. It keeps the compiled structure
@@ -60,7 +81,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FoldedRows, HlMrf, ModelError, dot
+from .model import FoldedRows, HlMrf, ModelError, _merge_terms, dot
 
 _STALL_WINDOW = 1000
 _RELAXATION = 1.7  # alpha of the relaxed step on all-squared models
@@ -71,9 +92,9 @@ class SolveOptions:
     """Solver knobs.
 
     At the defaults, answers on the benchmark's 2000-user linear model
-    ended up to 1.07% above the LP optimum, with hard-constraint violations
-    up to 1.04e-2 (see ``perfbench/README.md``);
-    tighten ``eps_abs`` and ``eps_rel`` for accurate objectives.
+    (seeds 1-5) ended up 0.29-0.48% above the LP optimum, with its hard
+    constraints, all eliminated by the presolve, met exactly; tighten
+    ``eps_abs`` and ``eps_rel`` for accurate objectives.
     """
 
     rho: float = 1.0
@@ -124,6 +145,7 @@ class Diagnostics:
     message: str = ""
     activated_potentials: int | None = None
     activated_constraints: int | None = None
+    eliminated_constraints: int = 0  # equalities the presolve removed (last lazy round)
 
 
 # -- vectorized engine -------------------------------------------------------
@@ -168,6 +190,107 @@ def _inverse(values):
     return 1.0 / np.where(values > 0.0, values, np.inf)
 
 
+def _holding_pairs(rows, pair, is_sub, select):
+    """``(row, pair)`` for each row among ``select`` that holds both variables
+    of one pair. ``pair`` maps each variable to its pair's id, -1 outside
+    the pairs, and ``is_sub`` marks the substituted one of each pair."""
+    k, sub = pair[rows.positions], is_sub[rows.positions]
+    # Only a row with a representative and a substituted variable can hold
+    # a pair, so only their terms are sorted.
+    held = np.zeros((2, rows.size), bool)
+    held[0, rows.term_row[(k >= 0) & ~sub]] = held[1, rows.term_row[sub]] = True
+    t = np.flatnonzero((select & held.all(axis=0))[rows.term_row] & (k >= 0))
+    stride = int(pair.max(initial=0)) + 1
+    key = np.sort(rows.term_row[t] * stride + k[t])  # a row's terms hold distinct variables
+    doubled = key[1:][key[1:] == key[:-1]]
+    return doubled // stride, doubled % stride
+
+
+class _Doubletons:
+    """The presolve: two-variable equalities solved for one of their variables.
+
+    Takes every selected EQ row ``a_r x_r + a_s x_s + b = 0`` whose two
+    variables appear in no other selected two-variable EQ row and writes
+    ``x_s = shift + scale * x_r``, substituting the variable of larger
+    ``|a|`` (the second on ties). The representative ``x_r`` keeps the box
+    ``[lo, hi]``, the part of [0, 1] where ``x_s`` stays in [0, 1]. An
+    equality stays with ADMM if that interval is empty or another selected
+    constraint row holds both its variables, so that ADMM still reports an
+    infeasible model as it did. ``rows`` are the eliminated constraint rows,
+    one per pair; the other arrays are per pair, or per variable (``_of``).
+    """
+
+    def __init__(self, n, cons, con_mask):
+        rows = np.flatnonzero(con_mask & cons.is_eq & (cons.arity == 2))
+        pos, a = cons.by_term(rows, 2)
+        once = (np.bincount(pos.ravel(), minlength=n)[pos] == 1).all(axis=0)
+        rows, pos, a = rows[once], pos[:, once], a[:, once]
+        first = np.abs(a[0]) > np.abs(a[1])  # substitute the first variable
+        rep, sub = np.where(first, pos[1], pos[0]), np.where(first, pos[0], pos[1])
+        a_rep, a_sub = np.where(first, a[1], a[0]), np.where(first, a[0], a[1])
+        shift, scale = -cons.offsets[rows] / a_sub, -a_rep / a_sub
+        ends = (np.array([[0.0], [1.0]]) - shift) / scale  # x_r where x_s is 0 and 1
+        lo, hi = np.maximum(ends.min(axis=0), 0.0), np.minimum(ends.max(axis=0), 1.0)
+        keep = lo <= hi
+        self._pairs(n, keep, rows, rep, sub, shift, scale, lo, hi)
+        others = con_mask.copy()
+        others[rows] = False
+        keep[np.flatnonzero(keep)[_holding_pairs(cons, self.pair, self.is_sub, others)[1]]] = False
+        self._pairs(n, keep, rows, rep, sub, shift, scale, lo, hi)
+
+    def _pairs(self, n, keep, *arrays):
+        """Keep the pairs that ``keep`` selects, and index them by variable."""
+        self.rows, self.rep, self.sub, self.shift, self.scale, self.lo, self.hi = (
+            x[keep] for x in arrays
+        )
+        self.pair = np.full(n, -1, np.intp)
+        self.pair[self.rep] = self.pair[self.sub] = np.arange(self.rows.size)
+        self.is_sub = np.zeros(n, bool)
+        self.is_sub[self.sub] = True
+        self.rep_of, self.shift_of, self.scale_of = np.arange(n), np.zeros(n), np.ones(n)
+        self.rep_of[self.sub], self.shift_of[self.sub], self.scale_of[self.sub] = (
+            self.rep, self.shift, self.scale
+        )
+
+    def substitute(self, rows, select):
+        """``rows`` with the substitutions made. A row among ``select`` that
+        holds both variables of a pair has its terms merged as in
+        `fold_rows`; other rows are not compiled, and are not merged."""
+        p, term_row = rows.positions, rows.term_row
+        offsets = rows.offsets + np.bincount(
+            term_row, rows.coeffs * self.shift_of[p], minlength=rows.size
+        )
+        positions, coeffs, arity = self.rep_of[p], rows.coeffs * self.scale_of[p], rows.arity
+        merge = np.zeros(rows.size, bool)
+        merge[_holding_pairs(rows, self.pair, self.is_sub, select)[0]] = True
+        if merge.any():
+            keep = ~merge[term_row]
+            index, coeff, merged = _merge_terms(
+                [term_row[~keep]], [positions[~keep]], [coeffs[~keep]], rows.size
+            )
+            row = np.concatenate([term_row[keep], np.repeat(np.arange(rows.size), merged)])
+            order = np.argsort(row, kind="stable")  # two runs, each sorted
+            positions = np.concatenate([positions[keep], index])[order]
+            coeffs = np.concatenate([coeffs[keep], coeff])[order]
+            arity = np.bincount(row, minlength=rows.size)
+        extra = (getattr(rows, name) for name, _ in rows.FIELDS[4:])
+        return type(rows)(positions, coeffs, arity, offsets, *extra)
+
+    def linear(self, c):
+        """The raw linear coefficients ``c`` with the substitutions made."""
+        c = c.copy()
+        c[self.rep] += self.scale * c[self.sub]
+        c[self.sub] = 0.0
+        return c
+
+    def expand(self, y):
+        """Fill in ``y``'s substituted variables, in place, from their representatives."""
+        rep = np.clip(y[self.rep], self.lo, self.hi)
+        y[self.rep] = rep
+        y[self.sub] = np.clip(self.shift + self.scale * rep, 0.0, 1.0)
+        return y
+
+
 def _linear_objective(extra_linear, n):
     """The raw linear objective terms as one coefficient per free variable."""
     if extra_linear is None:
@@ -183,12 +306,18 @@ class _CompiledModel:
 
     Built once, with its buffers, from the rows, the masks ``pot_mask`` and
     ``con_mask`` that select them, ``support``, the variables with a linear
-    term, and the start ``y``. A group holds its arity's constraint rows,
-    then its potential rows, then its linear terms, each in row order, so
-    the consensus sums, and with them the iterates, do not depend on how
-    the rows were selected. Each group's relaxation ``alpha`` is fixed here
-    from the structure (see the module docstring); `set_parameters` fixes
-    each block's gain and bounds. A solve leaves its answer as ``y``.
+    term, and the start ``y``. The presolve (`_Doubletons`) first removes
+    the two-variable equalities it can and substitutes them into the other
+    rows and linear terms; the blocks are built from those ``reduced`` rows,
+    and each representative's consensus is clipped to its own box ``lo``,
+    ``hi``. A group holds its arity's constraint rows, then its potential
+    rows, then its linear terms, each in row order, so the consensus sums,
+    and with them the iterates, do not depend on how the rows were selected.
+    Each group's relaxation ``alpha`` is fixed here from the structure (see
+    the module docstring); `set_parameters` fixes each block's gain and
+    bounds. A solve leaves its answer as ``y``. Energy, objective and
+    violations are read from the original rows, at ``y`` filled in by
+    `_Doubletons.expand`.
     """
 
     def __init__(self, mrf: HlMrf, support, y, pot_mask=None, con_mask=None):
@@ -204,12 +333,17 @@ class _CompiledModel:
         if np.any(self.con_mask & (cons.arity > 0) & (cons.norm2 == 0.0)):
             raise ModelError("constraint has an all-zero normal vector")
 
-        ones = np.ones(support.size)
+        self.doubletons = d = _Doubletons(self.n, cons, self.con_mask)
+        con_mask = self.con_mask.copy()
+        con_mask[d.rows] = False
+        self.reduced = d.substitute(pots, pot_mask), d.substitute(cons, con_mask)
+        self.term_support = term_support = np.unique(d.rep_of[support])
+        ones = np.ones(term_support.size)
         blocks = (  # rows, mask, first entry in the parameter arrays
-            (cons, self.con_mask, 0),
-            (pots, pot_mask, cons.size),
-            (FoldedRows(support, ones, ones.astype(np.intp), np.zeros(support.size)),
-             np.ones(support.size, bool), cons.size + pots.size),
+            (self.reduced[1], con_mask, 0),
+            (self.reduced[0], pot_mask, cons.size),
+            (FoldedRows(term_support, ones, ones.astype(np.intp), np.zeros(term_support.size)),
+             np.ones(term_support.size, bool), cons.size + pots.size),
         )
         arities = np.unique(np.concatenate([rows.arity[mask] for rows, mask, _ in blocks]))
         self.groups, positions = [], [np.zeros(0, np.intp)]
@@ -232,6 +366,9 @@ class _CompiledModel:
         counts = np.bincount(self.idx, minlength=self.n).astype(float)
         self.touched = slice(None) if counts.all() else np.flatnonzero(counts)
         self.counts = counts[self.touched]  # copies of each touched variable
+        lo, hi = np.zeros(self.n), np.ones(self.n)
+        lo[d.rep], hi[d.rep] = d.lo, d.hi
+        self.lo, self.hi = lo[self.touched], hi[self.touched]  # each touched variable's box
         # local copies from y, zero duals, and the target and residual buffers
         self.buffers = y[self.idx], np.zeros(self.idx.size), *np.empty((2, self.idx.size))
         for g in self.groups:
@@ -243,15 +380,15 @@ class _CompiledModel:
         """Each block's gain and bounds from ``mrf``'s weights, the linear
         terms and ``rho``, over constraints, potentials, then linear terms;
         the scaled duals ``u`` are rescaled to a new ``rho``."""
-        pots, cons = self.rows
+        pots, cons = self.reduced
         weights, linear_hinge = mrf.weights[pots.template_id], pots.exponent == 1
-        term_step = linear[self.support] / rho
+        term_step = self.doubletons.linear(linear)[self.term_support] / rho
         squared_gain = 2 * weights / (rho + 2 * weights * pots.norm2)
         gain, floor, cap = map(np.concatenate, zip(
             (_inverse(cons.norm2), np.where(cons.is_eq, -np.inf, 0.0), np.full(cons.size, np.inf)),
             (np.where(linear_hinge, _inverse(pots.norm2), squared_gain), np.zeros(pots.size),
              np.where(linear_hinge, weights / rho, np.inf)),
-            (np.zeros(self.support.size), term_step, term_step),
+            (np.zeros(self.term_support.size), term_step, term_step),
         ))
         for g in self.groups:
             g.gain, g.floor, g.cap = gain[g.rows], floor[g.rows], cap[g.rows]
@@ -269,7 +406,11 @@ class _CompiledModel:
         return float(cons.violations(cons.values(y))[self.con_mask].max(initial=0.0))
 
     def report(self, y, diag):
-        """``diag`` with the energy, objective and largest violation at ``y``."""
+        """``diag`` with the energy, objective and largest violation at ``y``,
+        its substituted variables filled in first, and the number of
+        equalities the presolve eliminated."""
+        self.doubletons.expand(y)
+        diag.eliminated_constraints = self.doubletons.rows.size
         diag.energy = self.mrf.energy(y)
         diag.objective = diag.energy + dot(self.linear, y)
         diag.max_violation = self.max_violation(y)
@@ -325,7 +466,7 @@ def _run_admm(compiled: _CompiledModel, opts: SolveOptions, y):
                     f.result()
 
             total = np.bincount(idx, np.add(local, u, out=scratch), minlength=n)
-            new = np.clip(total[touched] / counts, 0.0, 1.0)
+            new = np.clip(total[touched] / counts, compiled.lo, compiled.hi)
             delta = new - y[touched]
             y[touched] = new
             # Every index is in range, so mode="clip" only skips the bounds check.
@@ -339,7 +480,7 @@ def _run_admm(compiled: _CompiledModel, opts: SolveOptions, y):
             eps_dual = opts.eps_abs * sqrt_copies + opts.eps_rel * rho * np.sqrt(dot(u, u))
 
             if opts.trace is not None:
-                opts.trace(it, primal, dual, compiled.objective(y))
+                opts.trace(it, primal, dual, compiled.objective(compiled.doubletons.expand(y)))
 
             diag.iterations = it
             diag.primal_residual = primal
@@ -352,7 +493,7 @@ def _run_admm(compiled: _CompiledModel, opts: SolveOptions, y):
                 best_primal = primal
                 last_improvement = it
             elif it - last_improvement >= _STALL_WINDOW and primal > eps_pri:
-                violation = compiled.max_violation(y)
+                violation = compiled.max_violation(compiled.doubletons.expand(y))
                 diag.infeasible = violation > eps_pri
                 diag.message = (
                     "primal residual stalled at %.3g for %d iterations; largest "

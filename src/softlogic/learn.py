@@ -24,6 +24,8 @@ import numpy as np
 from .infer import SolveOptions, WarmStart, _check_count, _check_real, solve_map
 from .model import HlMrf, ModelError
 
+_QP_FTOL = 1e-12  # SLSQP's tolerance in the margin QP
+
 
 class UnsupportedStructureError(ModelError):
     """Constraint structure outside the classes pseudolikelihood supports."""
@@ -310,8 +312,11 @@ def solve_margin_qp(cuts: CuttingPlaneSet, n_templates: int):
     xi - gap @ w >= loss. It may stop without success ("Positive directional
     derivative for linesearch", "More than 3*n iterations in LSQ subproblem")
     and still be within 2e-11 (relative) of a 400k-step projected gradient,
-    so that raises nothing. Slack and objective are recomputed from the
-    clipped weights, so the returned point is feasible.
+    so that raises nothing. A template whose gap is 0 in every cut, such as
+    a hard rule's (it has no potentials), is left out: its weight is 0.
+    Weights at or below SLSQP's tolerance ``_QP_FTOL`` are set to 0, and
+    slack and objective are recomputed from the weights, so the returned
+    point is feasible.
     """
     for k, record in enumerate(cuts.records):
         gap = np.asarray(record.feature_gap, dtype=float)
@@ -326,16 +331,18 @@ def solve_margin_qp(cuts: CuttingPlaneSet, n_templates: int):
         return np.zeros(n_templates), 0.0, 0.0
     gaps = np.array([r.feature_gap for r in cuts.records], dtype=float)
     losses = np.array([r.loss for r in cuts.records], dtype=float)
-    n, C = n_templates, cuts.C
-    cut_jac = np.hstack([-gaps, np.ones((len(losses), 1))])
+    used = np.flatnonzero(np.any(gaps != 0.0, axis=0))
+    n, C = used.size, cuts.C
+    cut_jac = np.hstack([-gaps[:, used], np.ones((len(losses), 1))])
     from scipy.optimize import minimize  # slow to import, so not at module load
     x = minimize(
         lambda x: 0.5 * x[:n] @ x[:n] + C * x[n], np.zeros(n + 1), method="SLSQP",
         jac=lambda x: np.append(x[:n], C), bounds=[(0.0, None)] * (n + 1),
         constraints={"type": "ineq", "fun": lambda x: cut_jac @ x - losses, "jac": lambda x: cut_jac},
-        options={"ftol": 1e-12, "maxiter": 1000},
+        options={"ftol": _QP_FTOL, "maxiter": 1000},
     ).x
-    weights = np.maximum(x[:n], 0.0) + 0.0  # normalize -0.0 entries
+    weights = np.zeros(n_templates)
+    weights[used] = np.where(x[:n] > _QP_FTOL, x[:n], 0.0)
     slack = max(0.0, float(np.max(losses + gaps @ weights)))
     objective = 0.5 * float(weights @ weights) + C * slack
     return weights, slack, objective

@@ -21,6 +21,7 @@ from softlogic.infer import (
 from softlogic.lang import parse_program
 from softlogic.model import (
     HingePotential,
+    HlMrf,
     LinearConstraint,
     LinearFunction,
     ModelError,
@@ -352,18 +353,22 @@ class TestSolveMap:
         assert "infeasible" in diag.message
 
     def test_feasible_stall_not_reported_infeasible(self):
-        # The opposing-rule program on a 20-user network is feasible, yet at
-        # eps 1e-8 its primal residual stops improving for the stall window.
+        # A three-label opposing-rule program on a 20-user network is
+        # feasible, yet at eps 1e-8 its primal residual stops improving for
+        # the stall window. Its three-variable equalities stay with ADMM.
         data_text, _ = generate_network(SynthNetworkSpec(n_users=20, seed=1))
+        data_text = data_text.replace("Conservative(User)\n", "Conservative(User)\nModerate(User)\n")
         program = parse_program(
             "0.5 : Opinion(U) -> Liberal(U)\n"
             "0.5 : !Opinion(U) -> Conservative(U)\n"
             "0.9 : Liberal(A) & Edge1(A, B) -> Liberal(B)\n"
             "0.9 : Conservative(A) & Edge1(A, B) -> Conservative(B)\n"
-            "Liberal(U) + Conservative(U) = 1 .\n"
+            "0.9 : Moderate(A) & Edge1(A, B) -> Moderate(B)\n"
+            "Liberal(U) + Conservative(U) + Moderate(U) = 1 .\n"
         )
         mrf = ground_program(program, load_data(data_text), prune=True)
         y, diag = solve_map(mrf, SolveOptions(eps_abs=1e-8, eps_rel=1e-8))
+        assert diag.eliminated_constraints == 0
         assert not diag.converged
         assert not diag.infeasible
         assert "stalled" in diag.message and "infeasible" not in diag.message
@@ -385,16 +390,19 @@ class TestSolveMap:
 
     @pytest.mark.parametrize("solver", [solve_map, solve_map_lazy])
     def test_max_violation_reported(self, solver):
+        # A three-variable equality stays with ADMM, which has not yet met
+        # it after three iterations.
         mrf = make_mrf(
             [hinge([(0, 1.0)], 0.0), hinge([(1, -1.0)], 0.9, template=1)],
-            [eq([(0, 1.0), (1, 1.0)], -0.6)],
+            [eq([(0, 1.0), (1, 1.0), (2, 1.0)], -0.6)],
             weights=[1.0, 2.0],
-            n=2,
+            n=3,
         )
         y, diag = solver(mrf, SolveOptions(max_iter=3))
+        assert diag.eliminated_constraints == 0
         rows = mrf.constraint_rows
         violation = abs(rows.values(y)[0])
-        assert violation == pytest.approx(abs(y[0] + y[1] - 0.6), abs=1e-15)
+        assert violation == pytest.approx(abs(y[0] + y[1] + y[2] - 0.6), abs=1e-15)
         assert violation > 1e-6
         assert diag.max_violation == violation
 
@@ -487,6 +495,29 @@ def scalar_iterations(state, solvers, iterations, alpha=1.0):
 NO_STOP = dict(eps_abs=1e-15, eps_rel=1e-15)
 
 
+def presolved(mrf, linear=None):
+    """The model and raw linear terms that ADMM iterates on after the
+    presolve, and the map that fills in the eliminated variables. The
+    models here hold one ``(1, 1)`` doubleton summing to 1, which leaves the
+    representative's box at [0, 1], the box of the reference consensus."""
+    linear = np.zeros(mrf.n_free) if linear is None else linear
+    compiled = _CompiledModel(mrf, np.flatnonzero(linear), np.full(mrf.n_free, 0.5))
+    doubletons = compiled.doubletons
+    assert doubletons.rows.size == 1
+    assert doubletons.lo.tolist() == [0.0] and doubletons.hi.tolist() == [1.0]
+    pots, cons = compiled.reduced
+    kept = np.ones(cons.size, bool)
+    kept[doubletons.rows] = False
+    reduced = HlMrf(
+        mrf.table,
+        pots.objects(mrf.table, mrf.origins),
+        [c for c, k in zip(cons.objects(mrf.table), kept) if k],
+        mrf.templates,
+        mrf.weights,
+    )
+    return reduced, doubletons.linear(linear), lambda y: doubletons.expand(y.copy())
+
+
 class TestEngineMatchesScalarOps:
     @pytest.mark.parametrize("rho", [0.5, 1.0, 3.0])
     @pytest.mark.parametrize("seed", range(20))
@@ -500,9 +531,10 @@ class TestEngineMatchesScalarOps:
         y_engine, diag = solve_map(mrf, opts, extra_linear=linear)
         assert diag.iterations == 2
 
-        solvers = scalar_solvers(mrf, linear, rho)
-        state = scalar_iterations(cold_state(mrf, solvers, rho), solvers, 2)
-        np.testing.assert_allclose(y_engine, state.consensus, rtol=0, atol=1e-12)
+        reduced, reduced_linear, expand = presolved(mrf, linear)
+        solvers = scalar_solvers(reduced, reduced_linear, rho)
+        state = scalar_iterations(cold_state(reduced, solvers, rho), solvers, 2)
+        np.testing.assert_allclose(y_engine, expand(state.consensus), rtol=0, atol=1e-12)
         check = check_convergence(state, opts.eps_abs, opts.eps_rel)
         assert diag.primal_residual == pytest.approx(check.primal_residual, rel=0, abs=1e-12)
         assert diag.dual_residual == pytest.approx(check.dual_residual, rel=0, abs=1e-12)
@@ -518,9 +550,10 @@ class TestEngineMatchesScalarOps:
         y_engine, diag = solve_map(mrf, opts, extra_linear=linear)
         assert diag.iterations == 30
 
-        solvers = scalar_solvers(mrf, linear, rho)
-        state = scalar_iterations(cold_state(mrf, solvers, rho), solvers, 30)
-        np.testing.assert_allclose(y_engine, state.consensus, rtol=0, atol=1e-12)
+        reduced, reduced_linear, expand = presolved(mrf, linear)
+        solvers = scalar_solvers(reduced, reduced_linear, rho)
+        state = scalar_iterations(cold_state(reduced, solvers, rho), solvers, 30)
+        np.testing.assert_allclose(y_engine, expand(state.consensus), rtol=0, atol=1e-12)
         check = check_convergence(state, opts.eps_abs, opts.eps_rel)
         assert diag.primal_residual == pytest.approx(check.primal_residual, rel=0, abs=1e-12)
         assert diag.dual_residual == pytest.approx(check.dual_residual, rel=0, abs=1e-12)
@@ -538,11 +571,12 @@ class TestEngineMatchesScalarOps:
         y_engine, diag = solve_map(mrf, second, extra_linear=linear, warm=warm)
         assert diag.iterations == 20
 
-        solvers = scalar_solvers(mrf, linear, rho_then)
-        state = scalar_iterations(cold_state(mrf, solvers, rho_then), solvers, 10)
+        reduced, reduced_linear, expand = presolved(mrf, linear)
+        solvers = scalar_solvers(reduced, reduced_linear, rho_then)
+        state = scalar_iterations(cold_state(reduced, solvers, rho_then), solvers, 10)
         state.rho = rho_now
-        scalar_iterations(state, scalar_solvers(mrf, linear, rho_now), 20)
-        np.testing.assert_allclose(y_engine, state.consensus, rtol=0, atol=1e-12)
+        scalar_iterations(state, scalar_solvers(reduced, reduced_linear, rho_now), 20)
+        np.testing.assert_allclose(y_engine, expand(state.consensus), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("with_linear", [False, True])
     @pytest.mark.parametrize("workers", [1, 3])
@@ -559,14 +593,15 @@ class TestEngineMatchesScalarOps:
         y_engine, diag = solve_map(mrf, opts, extra_linear=linear)
         assert diag.iterations == 30
 
-        solvers = scalar_solvers(mrf, linear, rho)
-        state = scalar_iterations(cold_state(mrf, solvers, rho), solvers, 30, _RELAXATION)
-        np.testing.assert_allclose(y_engine, state.consensus, rtol=0, atol=1e-12)
+        reduced, reduced_linear, expand = presolved(mrf, linear)
+        solvers = scalar_solvers(reduced, reduced_linear, rho)
+        state = scalar_iterations(cold_state(reduced, solvers, rho), solvers, 30, _RELAXATION)
+        np.testing.assert_allclose(y_engine, expand(state.consensus), rtol=0, atol=1e-12)
         check = check_convergence(state, opts.eps_abs, opts.eps_rel)
         assert diag.primal_residual == pytest.approx(check.primal_residual, rel=0, abs=1e-12)
         assert diag.dual_residual == pytest.approx(check.dual_residual, rel=0, abs=1e-12)
-        plain = scalar_iterations(cold_state(mrf, solvers, rho), solvers, 30)
-        assert np.abs(plain.consensus - y_engine).max() > 1e-6
+        plain = scalar_iterations(cold_state(reduced, solvers, rho), solvers, 30)
+        assert np.abs(expand(plain.consensus) - y_engine).max() > 1e-6
 
     @pytest.mark.parametrize("rho_then, rho_now", [(1.0, 3.0), (3.0, 0.5)])
     @pytest.mark.parametrize("seed", range(4))
@@ -580,12 +615,12 @@ class TestEngineMatchesScalarOps:
         y_engine, diag = solve_map(mrf, second, warm=warm)
         assert diag.iterations == 20
 
-        none = np.zeros(mrf.n_free)
-        solvers = scalar_solvers(mrf, none, rho_then)
-        state = scalar_iterations(cold_state(mrf, solvers, rho_then), solvers, 10, _RELAXATION)
+        reduced, none, expand = presolved(mrf)
+        solvers = scalar_solvers(reduced, none, rho_then)
+        state = scalar_iterations(cold_state(reduced, solvers, rho_then), solvers, 10, _RELAXATION)
         state.rho = rho_now
-        scalar_iterations(state, scalar_solvers(mrf, none, rho_now), 20, _RELAXATION)
-        np.testing.assert_allclose(y_engine, state.consensus, rtol=0, atol=1e-12)
+        scalar_iterations(state, scalar_solvers(reduced, none, rho_now), 20, _RELAXATION)
+        np.testing.assert_allclose(y_engine, expand(state.consensus), rtol=0, atol=1e-12)
         check = check_convergence(state, second.eps_abs, second.eps_rel)
         assert diag.primal_residual == pytest.approx(check.primal_residual, rel=0, abs=1e-12)
         assert diag.dual_residual == pytest.approx(check.dual_residual, rel=0, abs=1e-12)
@@ -711,6 +746,210 @@ class TestOverRelaxation:
         relaxed = _CompiledModel(mrf, support, y, selected)
         assert [g.alpha for g in plain.groups] == [1.0] * len(plain.groups)
         assert [g.alpha for g in relaxed.groups] == [_RELAXATION] * len(relaxed.groups)
+
+
+def doubleton_model(rng, exponent, chain):
+    """Hinges of one exponent over 13 free variables and one observed one
+    (the last), raw linear terms, and hard equalities that all hold at a
+    random point: four lone doubletons with signed, non-unit coefficients,
+    one of them with an observed third term, and if ``chain``, two more that
+    share a variable. Each variable is pulled toward a target from both
+    sides, and one hinge holds both variables of each lone doubleton.
+    Returns the model, the linear terms and the rows of the four equalities
+    that the presolve eliminates."""
+    free, observed = 13, 13
+    x = rng.uniform(size=free + 1)
+    coeff = lambda: float(rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 2.0))
+
+    def through_x(*variables):
+        terms = [(int(i), coeff()) for i in variables]
+        return eq(terms, -sum(c * x[i] for i, c in terms))
+
+    v = rng.permutation(free)
+    pairs = [v[0:2], v[2:4], v[4:6], v[6:8]]
+    constraints = [through_x(*pair) for pair in pairs[:3]] + [through_x(*pairs[3], observed)]
+    if chain:
+        constraints += [through_x(v[8], v[9]), through_x(v[9], v[10])]
+    potentials = []
+    for i, t in enumerate(rng.uniform(0.1, 0.9, size=free)):
+        potentials += [hinge([(i, 1.0)], -t, exponent), hinge([(i, -1.0)], t, exponent)]
+    for i, j in pairs:
+        terms = [(int(i), coeff()), (int(j), coeff())]
+        potentials.append(hinge(terms, rng.uniform(-0.5, 0.5), exponent, template=1))
+    for _ in range(12):
+        idx = rng.choice(free, size=int(rng.integers(1, 4)), replace=False).tolist()
+        if rng.random() < 0.5:
+            idx.append(observed)
+        terms = list(zip(idx, rng.uniform(-1.0, 1.0, size=len(idx)).tolist()))
+        potentials.append(hinge(terms, rng.uniform(-0.5, 0.8), exponent, template=2))
+    mrf = make_mrf(potentials, constraints, rng.uniform(0.2, 1.5, size=3), n=free + 1,
+                   observed={observed: float(x[observed])})
+    linear = rng.uniform(-1.0, 1.0, size=free)
+    linear[rng.random(free) < 0.3] = 0.0
+    return mrf, linear, np.arange(4)
+
+
+def lp_optimum(mrf, linear):
+    """The optimum of a linear-hinge model plus ``linear @ y`` by HiGHS: one
+    epigraph variable ``t_j >= l_j(y)``, ``t_j >= 0`` per potential."""
+    from scipy.optimize import linprog
+
+    pots, cons = mrf.potential_rows, mrf.constraint_rows
+    n, m = mrf.n_free, pots.size
+
+    def dense(rows):
+        a = np.zeros((rows.size, n + m))
+        for r in range(rows.size):
+            positions, coeffs, _ = rows.row(r)
+            a[r, positions] = coeffs
+        return a
+
+    a_pot = dense(pots)
+    a_pot[:, n:] = -np.eye(m)
+    a_con = dense(cons)
+    result = linprog(
+        np.concatenate([linear, mrf.weights[pots.template_id]]),
+        A_ub=np.vstack([a_pot, a_con[~cons.is_eq]]),
+        b_ub=-np.concatenate([pots.offsets, cons.offsets[~cons.is_eq]]),
+        A_eq=a_con[cons.is_eq], b_eq=-cons.offsets[cons.is_eq],
+        bounds=[(0.0, 1.0)] * n + [(0.0, None)] * m, method="highs",
+    )
+    assert result.status == 0, result.message
+    return result.fun
+
+
+def assert_eliminated_hold(mrf, y, rows):
+    """The equalities ``rows`` hold to 1e-12 at ``y``, inside the unit box."""
+    assert np.abs(mrf.constraint_rows.values(y)[rows]).max() <= 1e-12
+    assert np.all((y >= 0.0) & (y <= 1.0))
+
+
+class TestPresolve:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_squared_models_reach_the_smooth_optimum(self, seed):
+        rng = np.random.default_rng(seed)
+        mrf, linear, eliminated = doubleton_model(rng, 2, chain=True)
+        y, diag = solve_map(mrf, TIGHT, extra_linear=linear)
+        _, best = smooth_optimum(mrf, linear)
+        assert diag.converged
+        assert diag.eliminated_constraints == eliminated.size
+        assert diag.objective == pytest.approx(best, abs=1e-6)
+        assert diag.max_violation <= 1e-7
+        assert_eliminated_hold(mrf, y, eliminated)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_linear_models_reach_the_lp_optimum(self, seed):
+        # Without the chain: on these LPs, ADMM with a chain of equalities
+        # often runs into its stall test before the optimum. The stall test
+        # can also stop a solve at the optimum, so only the answer is checked.
+        rng = np.random.default_rng(100 + seed)
+        mrf, linear, eliminated = doubleton_model(rng, 1, chain=False)
+        y, diag = solve_map(mrf, TIGHT, extra_linear=linear)
+        assert diag.eliminated_constraints == eliminated.size
+        assert diag.objective == pytest.approx(lp_optimum(mrf, linear), abs=1e-6)
+        assert diag.max_violation <= 1e-7
+        assert_eliminated_hold(mrf, y, eliminated)
+
+    def test_what_is_eliminated(self):
+        # The substituted variable is the one of larger |a|, the second on
+        # ties, and its interval tightens the representative's box.
+        mrf = make_mrf([], [eq([(0, 1.0), (1, -1.0)], -0.3), eq([(2, -0.5), (3, 2.0)], -1.2)], n=4)
+        d = _CompiledModel(mrf, np.zeros(0, np.intp), np.full(4, 0.5)).doubletons
+        np.testing.assert_array_equal(d.rows, [0, 1])
+        np.testing.assert_array_equal(d.rep, [0, 2])
+        np.testing.assert_array_equal(d.sub, [1, 3])
+        np.testing.assert_allclose(d.lo, [0.3, 0.0])  # y1 = y0 - 0.3
+        np.testing.assert_allclose(d.hi, [1.0, 1.0])  # y3 = 0.6 + 0.25 y2
+        y, diag = solve_map(mrf, TIGHT)
+        assert diag.eliminated_constraints == 2
+        assert 0.3 <= y[0] and y[3] >= 0.6
+        assert_eliminated_hold(mrf, y, d.rows)
+
+    def test_potentials_merge_a_variable_with_its_representative(self):
+        # y1 = 1 - y0 turns max(y0 - y1, 0)^2 into max(2 y0 - 1, 0)^2.
+        mrf = make_mrf(
+            [hinge([(0, 1.0), (1, -1.0)], 0.0, exponent=2), hinge([(0, -1.0)], 0.8, exponent=2)],
+            [eq([(0, 1.0), (1, 1.0)], -1.0)], weights=[1.0], n=2,
+        )
+        compiled = _CompiledModel(mrf, np.zeros(0, np.intp), np.full(2, 0.5))
+        pots = compiled.reduced[0]
+        assert pots.arity.tolist() == [1, 1]
+        np.testing.assert_array_equal(pots.positions, [0, 0])
+        np.testing.assert_allclose(pots.coeffs, [2.0, -1.0])
+        np.testing.assert_allclose(pots.offsets, [-1.0, 0.8])
+        y, diag = solve_map(mrf, TIGHT)
+        _, best = smooth_optimum(mrf)
+        assert diag.energy == pytest.approx(best, abs=1e-9)
+        assert y[0] + y[1] == 1.0
+
+    @pytest.mark.parametrize("second, infeasible", [
+        (leq([(0, 1.0), (1, -1.0)], -0.2), False),  # y0 - y1 <= 0.2 with y0 + y1 = 1
+        (leq([(0, 1.0), (1, 1.0)], -0.5), True),  # y0 + y1 <= 0.5 with y0 + y1 = 1
+    ])
+    def test_another_constraint_on_the_pair_keeps_the_equality(self, second, infeasible):
+        mrf = make_mrf(
+            [hinge([(0, -1.0)], 0.9, exponent=2), hinge([(1, -1.0)], 0.6, exponent=2)],
+            [eq([(0, 1.0), (1, 1.0)], -1.0), second], weights=[1.0], n=2,
+        )
+        y, diag = solve_map(mrf, SolveOptions(max_iter=4000))
+        assert diag.eliminated_constraints == 0
+        assert diag.infeasible == infeasible
+        if not infeasible:
+            np.testing.assert_allclose(y, [0.6, 0.4], atol=1e-3)
+
+    def test_two_equalities_on_one_pair_stay_with_admm(self):
+        # y0 + y1 = 1 and y0 - y1 = 0.2 pin the pair to (0.6, 0.4).
+        mrf = make_mrf(
+            [hinge([(0, -1.0)], 0.9, exponent=2), hinge([(2, 1.0), (1, -1.0)], 0.1, exponent=2)],
+            [eq([(0, 1.0), (1, 1.0)], -1.0), eq([(0, 1.0), (1, -1.0)], -0.2),
+             eq([(2, 2.0), (3, -0.5)], -0.4)],
+            weights=[1.0], n=4,
+        )
+        y, diag = solve_map(mrf, TIGHT)
+        _, best = smooth_optimum(mrf)
+        assert diag.converged
+        assert diag.eliminated_constraints == 1
+        assert diag.energy == pytest.approx(best, abs=1e-9)
+        np.testing.assert_allclose(y[:2], [0.6, 0.4], atol=1e-8)
+        assert_eliminated_hold(mrf, y, [2])
+
+    def test_empty_interval_reported_infeasible(self):
+        # y1 = 2.5 - y0 leaves [0, 1] for every y0 in [0, 1].
+        mrf = make_mrf([hinge([(0, 1.0)], -0.5)], [eq([(0, 1.0), (1, 1.0)], -2.5)],
+                       weights=[1.0], n=2)
+        _, diag = solve_map(mrf, SolveOptions(max_iter=4000))
+        assert diag.eliminated_constraints == 0
+        assert diag.infeasible
+        assert "infeasible" in diag.message
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_warm_solves_across_new_weights(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        mrf, linear, eliminated = doubleton_model(rng, 2, chain=True)
+        warm = WarmStart()
+        solve_map(mrf, TIGHT, extra_linear=linear, warm=warm)
+        compiled = warm.compiled
+        for _ in range(3):
+            moved = mrf.with_weights(mrf.weights * rng.uniform(0.5, 1.5, size=mrf.weights.size))
+            y_warm, diag = solve_map(moved, TIGHT, extra_linear=linear, warm=warm)
+            _, best = smooth_optimum(moved, linear)
+            assert warm.compiled is compiled and warm.y is y_warm
+            assert diag.converged and diag.eliminated_constraints == eliminated.size
+            assert diag.objective == pytest.approx(best, abs=1e-6)
+            assert_eliminated_hold(mrf, y_warm, eliminated)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lazy_solves(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        mrf, linear, eliminated = doubleton_model(rng, 2, chain=True)
+        y, lazy = solve_map_lazy(mrf, TIGHT, extra_linear=linear)
+        _, full = solve_map(mrf, TIGHT, extra_linear=linear)
+        # Every equality is violated at the all-zero start, so the first
+        # round activates them all.
+        assert lazy.eliminated_constraints == eliminated.size
+        assert lazy.objective == pytest.approx(full.objective, abs=1e-6)
+        assert lazy.max_violation <= 1e-7
+        assert_eliminated_hold(mrf, y, eliminated)
 
 
 class TestWarmStart:

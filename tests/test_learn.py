@@ -1,9 +1,12 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
+from softlogic.ground import ground_program, load_data
 from softlogic.infer import solve_map
+from softlogic.lang import parse_program
 from softlogic.learn import (
     CutRecord,
     CuttingPlaneSet,
@@ -17,6 +20,7 @@ from softlogic.learn import (
     solve_margin_qp,
 )
 from softlogic.model import ModelError
+from softlogic.synth import SynthNetworkSpec, generate_network
 
 from helpers import TIGHT, eq, hinge, leq, make_mrf, reference_mple
 
@@ -428,6 +432,19 @@ class TestMarginQp:
         assert slack == pytest.approx(52 / 35, abs=1e-7)
         assert obj == pytest.approx(0.5 * (5 / 14) ** 2 + 0.6 * 52 / 35, abs=1e-9)
 
+    def test_weights_at_the_bound_are_exact_zeros(self):
+        # The third template's gap is 0 in every cut, as a hard rule's is,
+        # so it stays out of the QP; no weight is left at SLSQP's noise.
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            cuts = CuttingPlaneSet(C=float(rng.uniform(0.05, 1.0)))
+            for _ in range(int(rng.integers(1, 6))):
+                gap = np.append(rng.uniform(-1, 1, size=2), 0.0)
+                cuts.records.append(CutRecord(gap, float(rng.uniform(0, 2))))
+            w, _, _ = solve_margin_qp(cuts, 3)
+            assert w[2] == 0.0
+            assert np.all((w == 0.0) | (w > 1e-12))
+
     @pytest.mark.parametrize(
         "field, cuts",
         [
@@ -479,6 +496,18 @@ class TestLmeTrain:
         result = lme_train([inst], C=0.5, tol=1e-5, opts=TIGHT)
         history = result.objective_history
         assert all(b >= a - 1e-9 for a, b in zip(history, history[1:]))
+
+    def test_hard_rule_weight_is_exactly_zero(self):
+        data_text, program_text = generate_network(SynthNetworkSpec(n_users=300, seed=1))
+        mrf = ground_program(parse_program(program_text), load_data(data_text), prune=True)
+        opinion = dict(re.findall(r'^Opinion\("(\w+)"\) = (\S+)', data_text, re.M))
+        labels = [mrf.table.labels[i] for i in mrf.table.free_indices]
+        truth = np.array([(float(opinion[a.args[0]]) > 0.5) == (a.predicate == "Liberal")
+                          for a in labels], dtype=float)
+        weights = lme_train([TrainingInstance(mrf, truth)]).weights
+        assert mrf.templates[-1].source == "Liberal(U) + Conservative(U) = 1 ."
+        assert weights[-1] == 0.0
+        assert np.all((weights == 0.0) | (weights > 1e-12))
 
     def test_accepted_cuts_were_violated(self):
         mrf = make_mrf([hinge([(0, 1.0)], 0.0, exponent=2)], weights=[1.0])
