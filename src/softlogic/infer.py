@@ -65,11 +65,41 @@ where every user has ``Liberal + Conservative = 1``, it cut the iterations:
   constraints met exactly instead of to 1e-2;
 - 8 warm-started perceptron steps (1000 users): 184-234 -> 104-168 in all.
 
+The penalty ``rho`` is balanced on the relative residuals (Boyd et al.
+2011, 3.4.1; Wohlberg 2017): ``SolveOptions.rho`` is only where it starts.
+Every `_BALANCE_EVERY` (10) iterations the solve forms ``q``, the primal
+residual over its tolerance divided by the dual residual over its own. If
+``q`` is outside ``[1/5, 5]`` (`_BALANCE_BAND`), ``rho`` is multiplied by
+``sqrt(q)``, a factor clamped to ``[1/10, 10]`` (`_BALANCE_STEP`), and
+`_CompiledModel.set_parameters` resets the gains and bounds and rescales
+the scaled duals. After `_BALANCE_CHANGES` (6) changes ``rho`` stays
+fixed, so the fixed-penalty convergence argument holds from there; with
+no cap, ``rho`` was seen to swing back and forth on small squared models
+and stall one of them. The plain residuals of the benchmark's squared
+model sit a steady factor of about 5 apart, which the classic band
+(``mu = 10``) on them never acts on. Measured on the benchmark's networks,
+2000 users, from ``rho = 1``:
+
+- squared hinges, eps 1e-8, seeds 1-8 and 11-30: 101-152 -> 52-60
+  iterations, ending at ``rho`` 0.39-1.1 after one or two changes;
+- linear hinges, default tolerances, seeds 1-5: ``q`` stays within the
+  band, so the iterates and answers are unchanged (41-51 iterations);
+- 8 warm-started perceptron steps (1000 users, seeds 1-8, 11, 12):
+  104-168 -> 96-111 in all;
+- `synth` squared networks (260-3100 users, seeds 1-3, default
+  tolerances): 1,100-1,816 -> 135-223.
+
+A solve started from ``rho = 1e-3`` or ``1e3`` on a small squared model
+moves tenfold per look toward the balance: 64-84 iterations at eps 1e-8
+where a fixed penalty took over 20,000 or did not finish 25,000.
+
 A series of solves of one structure with nearby weights, as in learning,
 can pass one `WarmStart` to `solve_map`. It keeps the compiled structure
 and buffers: each later solve resets only the gains and bounds, and starts
 from the last one's ``y``, local copies and duals, not from ``y = 0.5``
 with zero duals, as Boyd et al. (2011) suggest for related problems.
+Each of those solves starts again at ``SolveOptions.rho``, its duals
+rescaled from the penalty the last one ended at.
 """
 
 from __future__ import annotations
@@ -77,7 +107,7 @@ from __future__ import annotations
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,6 +115,11 @@ from .model import FoldedRows, HlMrf, ModelError, _merge_terms, dot
 
 _STALL_WINDOW = 1000
 _RELAXATION = 1.7  # alpha of the relaxed step on all-squared models
+# Residual balancing of the penalty (see the module docstring).
+_BALANCE_EVERY = 10  # iterations between two looks at the relative residuals
+_BALANCE_BAND = 5.0  # their ratio may stay within [1/band, band]
+_BALANCE_STEP = 10.0  # one change multiplies rho by at most this, or divides
+_BALANCE_CHANGES = 6  # changes per solve; after them rho stays fixed
 
 
 @dataclass(frozen=True)
@@ -94,7 +129,9 @@ class SolveOptions:
     At the defaults, answers on the benchmark's 2000-user linear model
     (seeds 1-5) ended up 0.29-0.48% above the LP optimum, with its hard
     constraints, all eliminated by the presolve, met exactly; tighten
-    ``eps_abs`` and ``eps_rel`` for accurate objectives.
+    ``eps_abs`` and ``eps_rel`` for accurate objectives. ``rho`` is the
+    starting penalty: each solve balances it on the residuals, with at
+    most `_BALANCE_CHANGES` changes (see the module docstring).
     """
 
     rho: float = 1.0
@@ -146,6 +183,8 @@ class Diagnostics:
     activated_potentials: int | None = None
     activated_constraints: int | None = None
     eliminated_constraints: int = 0  # equalities the presolve removed (last lazy round)
+    rho: float = 0.0  # the final penalty (last lazy round)
+    rho_updates: list = field(default_factory=list)  # (iteration, rho) per change, last lazy round
 
 
 # -- vectorized engine -------------------------------------------------------
@@ -437,11 +476,22 @@ class WarmStart:
         return None if self.compiled is None else self.compiled.y
 
 
+def _balanced(rho, primal, dual):
+    """The penalty after one look at the relative residuals ``primal`` and
+    ``dual``, each over its tolerance: ``rho`` while their ratio ``q`` is
+    within the band, else ``rho * sqrt(q)``, the factor clamped to
+    ``[1/step, step]``."""
+    if primal <= _BALANCE_BAND * dual and dual <= _BALANCE_BAND * primal:
+        return rho
+    factor = math.sqrt(primal / dual) if dual > 0 else _BALANCE_STEP
+    return rho * min(max(factor, 1.0 / _BALANCE_STEP), _BALANCE_STEP)
+
+
 def _run_admm(compiled: _CompiledModel, opts: SolveOptions, y):
     """Iterate from ``y``, updated in place, and ``compiled``'s local copies and duals."""
     n, idx, touched, counts = compiled.n, compiled.idx, compiled.touched, compiled.counts
     if idx.size == 0:
-        return y, compiled.report(y, Diagnostics(converged=True))
+        return y, compiled.report(y, Diagnostics(converged=True, rho=opts.rho))
     local, u, target, scratch = compiled.buffers
     np.subtract(local, np.take(y, idx, out=target), out=scratch)  # the first dual step
 
@@ -453,7 +503,7 @@ def _run_admm(compiled: _CompiledModel, opts: SolveOptions, y):
         strides = [slice(k, None, opts.workers) for k in range(opts.workers)]
         slices = [(g, cols) for g in compiled.groups for cols in strides]
 
-    diag = Diagnostics()
+    diag = Diagnostics(rho=rho)
     best_primal = np.inf
     last_improvement = 0
     try:
@@ -508,6 +558,19 @@ def _run_admm(compiled: _CompiledModel, opts: SolveOptions, y):
                     )
                 )
                 break
+
+            # No change after the last iteration, so the answer's residuals
+            # and its final rho agree.
+            if (
+                it % _BALANCE_EVERY == 0
+                and len(diag.rho_updates) < _BALANCE_CHANGES
+                and it < opts.max_iter
+            ):
+                new_rho = _balanced(rho, primal / eps_pri, dual / eps_dual)
+                if new_rho != rho:
+                    rho = diag.rho = new_rho
+                    compiled.set_parameters(compiled.mrf, compiled.linear, rho)
+                    diag.rho_updates.append((it, rho))
         else:
             diag.message = "iteration limit reached (%d)" % opts.max_iter
     finally:
@@ -573,7 +636,7 @@ def solve_map_lazy(mrf: HlMrf, opts: SolveOptions | None = None, extra_linear=No
     pot_mask = np.zeros(pots.size, dtype=bool)
     con_mask = np.zeros(cons.size, dtype=bool)
     y = np.zeros(mrf.table.n_free)
-    diag = Diagnostics(converged=True)
+    diag = Diagnostics(converged=True, rho=opts.rho)
     total_iterations = 0
 
     for rounds in range(pots.size + cons.size + 1):
