@@ -65,11 +65,25 @@ where every user has ``Liberal + Conservative = 1``, it cut the iterations:
   constraints met exactly instead of to 1e-2;
 - 8 warm-started perceptron steps (1000 users): 184-234 -> 104-168 in all.
 
+Compiling then merges opposite hinges (`_two_sided`): two selected
+potential rows over the same variables, with ``a2 = mu * a1`` exactly for
+some ``mu < 0`` and disjoint active regions (``b2 - mu * b1 <= 0``), are
+one two-sided block with one set of copies, as general-form consensus
+allows (Boyd et al. 2011, 7.2). Neither hinge's step crosses its own zero
+set, so the block's exact minimizer adds both steps, taken at one target:
+``x = z - (clip(g1 l1(z), lo1, hi1) + mu * clip(g2 l2(z), lo2, hi2)) * a1``.
+With ``Conservative = 1 - Liberal`` substituted, the benchmark's model
+(2000 users, seed 1) is 12,116 such blocks: 22,236 copies, not 44,472.
+With the band of 4 below, seeds 1-8, squared hinges at eps 1e-8 fell from
+52-59 to 40-49 iterations and 8 warm-started perceptron steps (1000 users)
+from 96-111 to 70-86 in all; linear hinges at the default tolerances
+(seeds 1-24) from a mean of 48.6 to 45.3 (seed 6: 43 -> 77).
+
 The penalty ``rho`` is balanced on the relative residuals (Boyd et al.
 2011, 3.4.1; Wohlberg 2017): ``SolveOptions.rho`` is only where it starts.
 Every `_BALANCE_EVERY` (10) iterations the solve forms ``q``, the primal
 residual over its tolerance divided by the dual residual over its own. If
-``q`` is outside ``[1/5, 5]`` (`_BALANCE_BAND`), ``rho`` is multiplied by
+``q`` is outside ``[1/4, 4]`` (`_BALANCE_BAND`), ``rho`` is multiplied by
 ``sqrt(q)``, a factor clamped to ``[1/10, 10]`` (`_BALANCE_STEP`), and
 `_CompiledModel.set_parameters` resets the gains and bounds and rescales
 the scaled duals. After `_BALANCE_CHANGES` (6) changes ``rho`` stays
@@ -78,7 +92,7 @@ no cap, ``rho`` was seen to swing back and forth on small squared models
 and stall one of them. The plain residuals of the benchmark's squared
 model sit a steady factor of about 5 apart, which the classic band
 (``mu = 10``) on them never acts on. Measured on the benchmark's networks,
-2000 users, from ``rho = 1``:
+2000 users, from ``rho = 1``, with a band of 5 and no two-sided blocks:
 
 - squared hinges, eps 1e-8, seeds 1-8 and 11-30: 101-152 -> 52-60
   iterations, ending at ``rho`` 0.39-1.1 after one or two changes;
@@ -88,6 +102,10 @@ model sit a steady factor of about 5 apart, which the classic band
   104-168 -> 96-111 in all;
 - `synth` squared networks (260-3100 users, seeds 1-3, default
   tolerances): 1,100-1,816 -> 135-223.
+
+With two-sided blocks the squared model's ``q`` settles just inside 1/5,
+so a band of 5 took 55-75 iterations there (seeds 1-8); a band of 4 also
+took the `synth` squared networks from 135-223 to 124-192.
 
 A solve started from ``rho = 1e-3`` or ``1e3`` on a small squared model
 moves tenfold per look toward the balance: 64-84 iterations at eps 1e-8
@@ -117,7 +135,7 @@ _STALL_WINDOW = 1000
 _RELAXATION = 1.7  # alpha of the relaxed step on all-squared models
 # Residual balancing of the penalty (see the module docstring).
 _BALANCE_EVERY = 10  # iterations between two looks at the relative residuals
-_BALANCE_BAND = 5.0  # their ratio may stay within [1/band, band]
+_BALANCE_BAND = 4.0  # their ratio may stay within [1/band, band]
 _BALANCE_STEP = 10.0  # one change multiplies rho by at most this, or divides
 _BALANCE_CHANGES = 6  # changes per solve; after them rho stays fixed
 
@@ -127,7 +145,7 @@ class SolveOptions:
     """Solver knobs.
 
     At the defaults, answers on the benchmark's 2000-user linear model
-    (seeds 1-5) ended up 0.29-0.48% above the LP optimum, with its hard
+    (seeds 1-5) ended up 0.59-0.69% above the LP optimum, with its hard
     constraints, all eliminated by the presolve, met exactly; tighten
     ``eps_abs`` and ``eps_rel`` for accurate objectives. ``rho`` is the
     starting penalty: each solve balances it on the residuals, with at
@@ -183,6 +201,7 @@ class Diagnostics:
     activated_potentials: int | None = None
     activated_constraints: int | None = None
     eliminated_constraints: int = 0  # equalities the presolve removed (last lazy round)
+    two_sided_blocks: int = 0  # pairs of opposite hinges solved as one block (last lazy round)
     rho: float = 0.0  # the final penalty (last lazy round)
     rho_updates: list = field(default_factory=list)  # (iteration, rho) per change, last lazy round
 
@@ -199,7 +218,11 @@ class _Group:
     writes the new local copies in place, relaxed by ``alpha`` unless it
     is 1. ``target`` still holds ``y_old`` there, so the relaxed copy is
     ``target - alpha * (u + step * a)``, with ``local`` as the temporary.
+    A group of two-sided blocks adds, times each block's ``mu``, its
+    partner row's step at the same target.
     """
+
+    mu = None  # set, with partner_rows, on a group of two-sided blocks
 
     def __init__(self, span, coeffs, offsets, rows):
         self.span = span  # this group's part of the flat buffers
@@ -211,10 +234,15 @@ class _Group:
         a, local, u, scratch = (x[:, cols] for x in (self.coeffs, self.local, self.u, self.scratch))
         u += scratch
         z = np.subtract(self.target[:, cols], u, out=local)
-        step = np.einsum("ij,ij->j", a, z)
+        step = np.einsum("ij,ij->j", a, z)  # a @ z
+        if self.mu is not None:  # the partner's step, from the same a @ z
+            mu, (b, gain, floor, cap) = self.mu[cols], (x[cols] for x in self.partner)
+            other = np.minimum(np.maximum((mu * step + b) * gain, floor), cap)
         step += self.offsets[cols]  # l(z)
         step *= self.gain[cols]
         np.minimum(np.maximum(step, self.floor[cols], out=step), self.cap[cols], out=step)
+        if self.mu is not None:
+            step += mu * other
         np.multiply(a, step, out=scratch)
         if self.alpha == 1.0:
             local -= scratch
@@ -330,6 +358,46 @@ class _Doubletons:
         return y
 
 
+def _two_sided(pots, select, n):
+    """``(partner, mu)``: for each selected potential row heading a
+    two-sided block, the row it is paired with (-1 elsewhere) and ``mu``.
+    Over the rows of one set of variables, in row order, the ``j``-th with
+    a positive leading coefficient (terms sorted by variable) heads a block
+    with the ``j``-th with a negative one, if the two meet the conditions
+    in the module docstring."""
+    partner, mu_of = np.full(pots.size, -1), np.zeros(pots.size)
+    for arity in range(1, pots.arity.max(initial=0) + 1):
+        r = np.flatnonzero(select & (pots.arity == arity))
+        if r.size == 0 or 2 * r.size * n**arity >= 2**63:
+            continue
+        pos, a = pots.by_term(r, arity)
+        unsorted = np.flatnonzero((pos[1:] < pos[:-1]).any(axis=0))
+        order = np.argsort(pos[:, unsorted], axis=0)
+        for x in (pos, a):
+            x[:, unsorted] = np.take_along_axis(x[:, unsorted], order, 0)
+        key = pos[0].astype(np.int64)
+        for p in pos[1:]:  # one int64 per row: its variables, then its direction
+            key = key * n + p
+        key = key * 2 + (a[0] < 0)
+        order = np.argsort(key * r.size + np.arange(r.size))
+        key = key[order]
+        # Runs of equal keys: a positive run followed by the negative run
+        # over the same variables pairs its rows with that run's, in order.
+        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        sizes, values = np.diff(np.r_[starts, r.size]), key[starts]
+        run = np.flatnonzero((values[1:] == values[:-1] + 1) & (values[:-1] & 1 == 0))
+        count = np.minimum(sizes[run], sizes[run + 1])
+        t = np.repeat(starts[run] - np.cumsum(count) + count, count) + np.arange(count.sum())
+        i, j = order[t], order[t + np.repeat(starts[run + 1] - starts[run], count)]
+        mu, b = a[0, j] / a[0, i], pots.offsets[r]
+        ok = b[j] - mu * b[i] <= 0.0
+        for c in a[1:]:
+            ok &= c[j] == mu * c[i]
+        i = r[i[ok]]
+        partner[i], mu_of[i] = r[j[ok]], mu[ok]
+    return partner, mu_of
+
+
 def _linear_objective(extra_linear, n):
     """The raw linear objective terms as one coefficient per free variable."""
     if extra_linear is None:
@@ -352,6 +420,7 @@ class _CompiledModel:
     ``hi``. A group holds its arity's constraint rows, then its potential
     rows, then its linear terms, each in row order, so the consensus sums,
     and with them the iterates, do not depend on how the rows were selected.
+    Rows that `_two_sided` pairs form groups of their own after those.
     Each group's relaxation ``alpha`` is fixed here from the structure (see
     the module docstring); `set_parameters` fixes each block's gain and
     bounds. A solve leaves its answer as ``y``. Energy, objective and
@@ -377,24 +446,34 @@ class _CompiledModel:
         con_mask[d.rows] = False
         self.reduced = d.substitute(pots, pot_mask), d.substitute(cons, con_mask)
         self.term_support = term_support = np.unique(d.rep_of[support])
+        reduced = self.reduced[0]
+        partner, mu = _two_sided(reduced, pot_mask, self.n)
+        heads = partner >= 0
+        self.two_sided = int(heads.sum())
+        one_sided = pot_mask & ~heads
+        one_sided[partner[heads]] = False
         ones = np.ones(term_support.size)
         blocks = (  # rows, mask, first entry in the parameter arrays
             (self.reduced[1], con_mask, 0),
-            (self.reduced[0], pot_mask, cons.size),
+            (reduced, one_sided, cons.size),
             (FoldedRows(term_support, ones, ones.astype(np.intp), np.zeros(term_support.size)),
              np.ones(term_support.size, bool), cons.size + pots.size),
         )
-        arities = np.unique(np.concatenate([rows.arity[mask] for rows, mask, _ in blocks]))
+        two_sided = ((reduced, heads, cons.size),)
         self.groups, positions = [], [np.zeros(0, np.intp)]
-        for arity in arities[arities > 0]:
-            parts = []
-            for rows, mask, first in blocks:
-                r = np.flatnonzero(mask & (rows.arity == arity))
-                parts.append((*rows.by_term(r, arity), rows.offsets[r], first + r))
-            idx, *columns = (np.concatenate(p, axis=-1) for p in zip(*parts))
-            start = sum(p.size for p in positions)
-            self.groups.append(_Group(slice(start, start + idx.size), *columns))
-            positions.append(idx.ravel())
+        for kinds in (blocks, two_sided):  # the one-sided groups, then the two-sided
+            arities = np.unique(np.concatenate([rows.arity[mask] for rows, mask, _ in kinds]))
+            for arity in arities[arities > 0]:
+                parts = []
+                for rows, mask, first in kinds:
+                    r = np.flatnonzero(mask & (rows.arity == arity))
+                    parts.append((*rows.by_term(r, arity), rows.offsets[r], first + r))
+                idx, *columns = (np.concatenate(p, axis=-1) for p in zip(*parts))
+                start = sum(p.size for p in positions)
+                self.groups.append(g := _Group(slice(start, start + idx.size), *columns))
+                if kinds is two_sided:
+                    g.mu, g.partner_rows = mu[r], cons.size + partner[r]
+                positions.append(idx.ravel())
 
         # Relax only where it was measured to pay (see the module docstring).
         relax = pot_mask.any() and not np.any(pots.exponent == 1)
@@ -431,6 +510,9 @@ class _CompiledModel:
         ))
         for g in self.groups:
             g.gain, g.floor, g.cap = gain[g.rows], floor[g.rows], cap[g.rows]
+            if g.mu is not None:
+                p = g.partner_rows
+                g.partner = pots.offsets[p - cons.size], gain[p], floor[p], cap[p]
         if self.rho is not None and rho != self.rho:
             u = self.buffers[1]
             u *= self.rho / rho  # the same multipliers ``rho * u``
@@ -450,6 +532,7 @@ class _CompiledModel:
         equalities the presolve eliminated."""
         self.doubletons.expand(y)
         diag.eliminated_constraints = self.doubletons.rows.size
+        diag.two_sided_blocks = self.two_sided
         diag.energy = self.mrf.energy(y)
         diag.objective = diag.energy + dot(self.linear, y)
         diag.max_violation = self.max_violation(y)

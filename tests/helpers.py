@@ -292,6 +292,64 @@ def solve_potential_subproblem(pot: HingePotential, weight, z, rho, cache=None):
     return scipy.linalg.cho_solve(factor, rho * z - 2.0 * weight * b * a)
 
 
+def two_sided_pairs(potentials, position):
+    """``(first, second)`` index pairs of the potentials that form two-sided
+    blocks, found with plain loops: over the same variables, ``a2 = mu * a1``
+    exactly with ``mu < 0`` (terms sorted by position, ``mu`` the ratio of
+    the leading coefficients), and ``b2 - mu * b1 <= 0``. Of the
+    potentials over one set of variables, in order, the ``j``-th with a
+    positive leading coefficient meets the ``j``-th with a negative one.
+    ``position`` maps a table index to its free position; the potentials
+    hold free variables only."""
+    runs = {}
+    for k, pot in enumerate(potentials):
+        terms = sorted((position[i], c) for i, c in pot.linfun.terms)
+        if terms:
+            key = tuple(p for p, _ in terms)
+            runs.setdefault(key, ([], []))[terms[0][1] < 0].append((k, terms, pot.linfun.offset))
+    pairs = []
+    for positives, negatives in runs.values():
+        for (i, t1, b1), (j, t2, b2) in zip(positives, negatives):
+            mu = t2[0][1] / t1[0][1]
+            if all(c2 == mu * c1 for (_, c1), (_, c2) in zip(t1[1:], t2[1:])) and b2 - mu * b1 <= 0:
+                pairs.append((i, j))
+    return pairs
+
+
+def solve_two_sided_subproblem(first, second, w1, w2, z, rho):
+    """Exact minimizer of ``w1 h1(x) + w2 h2(x) + rho/2 ||x - z||^2`` for
+    two hinges whose active regions are disjoint and whose rows are
+    multiples of each other, ``z`` ordered like ``first``'s terms.
+
+    The minimizer lies on the line ``z - s * a1``; golden section along it
+    finds it, but only to about 1e-8 where the objective is smooth (it is
+    flat to rounding that close to its minimum). So of ``z`` and the two
+    single-hinge minimizers, the one with the least objective is returned,
+    after checking that it is no worse than the golden-section point and
+    lies next to it."""
+    a = np.array([c for _, c in first.linfun.terms], dtype=float)
+    z = np.asarray(z, dtype=float)
+    b = [first.linfun.offset, second.linfun.offset]
+    mu = second.linfun.terms[0][1] / first.linfun.terms[0][1]
+
+    def value(x):
+        rows = (float(a @ x) + b[0], mu * float(a @ x) + b[1])
+        hinges = [max(v, 0.0) ** p.exponent for v, p in zip(rows, (first, second))]
+        return w1 * hinges[0] + w2 * hinges[1] + 0.5 * rho * float((x - z) @ (x - z))
+
+    reach = (abs(float(a @ z)) + abs(b[0]) + abs(b[1]) / -mu) / float(a @ a)
+    reach += (w1 + w2 * -mu) / rho + 1.0
+    s, _ = golden_section(lambda s: value(z - s * a), -reach, reach)
+    near = z - s * a
+    # second's terms follow first's order: both are sorted by variable.
+    singles = ((first, w1), (second, w2))
+    candidates = [z, *(solve_potential_subproblem(p, w, z, rho) for p, w in singles)]
+    best = min(candidates, key=value)
+    assert value(best) <= value(near) + 1e-12
+    assert np.abs(best - near).max() <= 1e-6
+    return best
+
+
 def solve_constraint_subproblem(con: LinearConstraint, z, rho):
     """Projection of ``z`` onto the constraint's feasible set."""
     a = np.array([c for _, c in con.linfun.terms], dtype=float)
