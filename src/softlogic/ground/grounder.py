@@ -349,9 +349,10 @@ def _finish(rule, rule_id, names, subs, coding, rows, row_ground, errors, locati
 
     ``rows`` are ``(indices, coeffs, arity, offsets)`` in CSR form over
     table indices of free atoms, hard rows equalities if ``is_eq``. Row
-    ``r`` belongs to grounding ``row_ground[r]`` (ascending); only the
-    ``live`` groundings emit rows. With pruning, a hinge that can never be
-    active on the unit box and a hard row without a free atom are dropped.
+    ``r`` belongs to grounding ``row_ground[r]`` (ascending), or to
+    grounding ``r`` if ``row_ground`` is None; only the ``live`` groundings
+    emit rows. With pruning, a hinge that can never be active on the unit
+    box and a hard row without a free atom are dropped.
     A hard row without free atoms that the observations violate is an
     error. ``errors`` holds ``(grounding, rank, error)`` triples; the first
     in grounding order, then rank, is raised, after the ``(grounding,
@@ -370,7 +371,7 @@ def _finish(rule, rule_id, names, subs, coding, rows, row_ground, errors, locati
         excess = np.abs(offsets) if is_eq else offsets
         violated = keep & (arity == 0) & (excess > 1e-9)
         if violated.any():
-            k = row_ground[violated.argmax()]
+            k = violated.argmax() if row_ground is None else row_ground[violated.argmax()]
             errors.append((k, (np.inf,), GroundingError(
                 "hard rule is violated by the observations alone (%s)"
                 % _origin(rule_id, names, subs[k], coding.constants),
@@ -386,7 +387,11 @@ def _finish(rule, rule_id, names, subs, coding, rows, row_ground, errors, locati
         raise first[2]
 
     kept_terms = np.repeat(keep, arity)
-    grounds, row_ground = np.unique(row_ground[keep], return_inverse=True)
+    if row_ground is None:  # one row per grounding: no sort needed
+        grounds = np.flatnonzero(keep)
+        row_ground = np.arange(grounds.size)
+    else:
+        grounds, row_ground = np.unique(row_ground[keep], return_inverse=True)
     folded = (coding.table.position[indices[kept_terms]], coeffs[kept_terms], arity[keep],
               offsets[keep])
     size = len(row_ground)
@@ -443,7 +448,7 @@ def ground_logical_rule(rule, data, rule_id=0, prune=False, location=(None, None
             term_coeff.append(np.full(term_row[-1].size, 1.0 if lit.negated else -1.0))
 
     rows = (*_merge_terms(term_row, term_index, term_coeff, n), offsets)
-    return _finish(rule, rule_id, names, subs, coding, rows, np.arange(n), errors, location, prune)
+    return _finish(rule, rule_id, names, subs, coding, rows, None, errors, location, prune)
 
 
 # -- arithmetic rules ------------------------------------------------------

@@ -8,13 +8,19 @@ iteration steps ``u`` by the last residual, solves every block in closed
 form from its target ``z = y - u``, then averages ``local + u`` into the
 consensus ``y``, clipped to each variable's box: [0, 1], unless the
 presolve below narrowed it. The new residual ``local - y`` is both
-the primal residual of the stopping test and the next dual step.
+the primal residual of the stopping test and the next dual step. The
+consensus is kept compact, over the m variables that some copy holds,
+numbered 0..m-1 when compiling; it is written into the full ``y`` only
+for a trace callback, the stall test and the answer, so a free variable
+that no block holds keeps its start value.
 
 Every block's local subproblem has one closed form. For the target ``z``
 and the block's row ``l(x) = a @ x + b``, the minimizer steps along ``a``:
 ``x = z - clip(g * l(z), lo, hi) * a``. Only the per-row gain ``g`` and
 bounds ``lo``, ``hi`` differ, fixed once per solve from the weight ``w`` and
-the penalty ``rho``:
+the penalty ``rho``. Each group of blocks keeps, from compiling, what does
+not depend on them (`_Gains`), and `_CompiledModel.set_parameters` writes
+the rest in place, with the products ``g * b`` that the step uses:
 
 - linear hinge: ``g = 1/||a||^2`` on ``[0, w/rho]``; the block stays at ``z``
   where the hinge is flat, steps by ``w/rho``, or projects onto ``l = 0``;
@@ -113,11 +119,16 @@ where a fixed penalty took over 20,000 or did not finish 25,000.
 
 A series of solves of one structure with nearby weights, as in learning,
 can pass one `WarmStart` to `solve_map`. It keeps the compiled structure
-and buffers: each later solve resets only the gains and bounds, and starts
-from the last one's ``y``, local copies and duals, not from ``y = 0.5``
-with zero duals, as Boyd et al. (2011) suggest for related problems.
+and buffers: each later solve rewrites only the gains and bounds that
+depend on the weights, and starts from the last one's ``y``, local copies
+and duals, not from ``y = 0.5`` with zero duals, as Boyd et al. (2011)
+suggest for related problems.
 Each of those solves starts again at ``SolveOptions.rho``, its duals
 rescaled from the penalty the last one ended at.
+
+Every answer's template features (`HlMrf.template_features`) are computed
+once, by `_score`, into `Diagnostics.features`, and its energy is taken
+from them, so a learner reads the features of a MAP state from its solve.
 """
 
 from __future__ import annotations
@@ -194,6 +205,7 @@ class Diagnostics:
     dual_residual: float = 0.0
     objective: float = 0.0
     energy: float = 0.0
+    features: np.ndarray | None = None  # per-template sums of hinge values at the answer
     max_violation: float = 0.0  # largest hard-constraint violation at the answer
     converged: bool = False
     infeasible: bool = False
@@ -209,47 +221,122 @@ class Diagnostics:
 # -- vectorized engine -------------------------------------------------------
 
 
+class _Gains:
+    """The gains and bounds of some blocks' rows, one entry per row.
+
+    The rows are the reduced constraint rows ``c`` of ``cons``, then the
+    potential rows ``p`` of ``pots``, then the linear terms ``t``, in that
+    order; ``gain``, ``floor`` and ``cap`` are the arrays to hold their
+    parameters. Compiling fixes what never changes: each constraint's gain
+    and bounds, each linear hinge's gain and floor, each squared hinge's
+    floor and cap. `set` writes the rest in place: the squared hinges'
+    gains and the linear hinges' caps, from the weights and ``rho``, and
+    the linear terms' bounds. ``capped`` is false where every cap is
+    ``inf``.
+    """
+
+    def __init__(self, pots, cons, c, p, t, gain, floor, cap):
+        self.gain, self.floor, self.cap = gain, floor, cap
+        gain[:], floor[:], cap[:] = 0.0, 0.0, np.inf
+        gain[: c.size] = _inverse(cons.norm2[c])
+        floor[: c.size] = np.where(cons.is_eq[c], -np.inf, 0.0)
+        k, linear = gain.size, pots.exponent[p] == 1
+        at = _where(c.size + np.flatnonzero(linear), k)
+        gain[at] = _inverse(pots.norm2[p[linear]])
+        self.linear = (at, pots.template_id[p[linear]])
+        squared = p[~linear]
+        self.squared = (_where(c.size + np.flatnonzero(~linear), k),
+                        pots.template_id[squared], pots.norm2[squared])
+        self.terms = (slice(k - t.size, k), t)
+        self.capped = bool(linear.any() or t.size)
+
+    def set(self, weights, term_step, rho):
+        at, tid, norm2 = self.squared
+        if tid.size:  # 2w / (rho + 2w ||a||^2), 2w taken per template
+            w2 = np.take(2 * weights, tid)
+            gain = w2 * norm2
+            gain += rho
+            self.gain[at] = np.divide(w2, gain, out=gain)
+        at, tid = self.linear
+        if tid.size:
+            self.cap[at] = weights[tid] / rho
+        at, term = self.terms
+        if term.size:
+            self.floor[at] = self.cap[at] = term_step[term]
+
+
+def _where(at, size):
+    """The positions ``at`` among ``size``, as a slice if they are all of them."""
+    return slice(None) if at.size == size else at
+
+
 class _Group:
     """Same-arity blocks, each with its own gain and bounds, stored term-major.
 
     Row ``j`` of ``coeffs`` and of the buffer views holds the ``j``-th term
-    of every block; ``rows`` are the blocks' rows in the parameter arrays.
-    `update` steps ``u`` by the residual that ``scratch`` holds, then
-    writes the new local copies in place, relaxed by ``alpha`` unless it
-    is 1. ``target`` still holds ``y_old`` there, so the relaxed copy is
-    ``target - alpha * (u + step * a)``, with ``local`` as the temporary.
-    A group of two-sided blocks adds, times each block's ``mu``, its
-    partner row's step at the same target.
+    of every block. The parameters are ``(sides, blocks)`` arrays, one row
+    per hinge of a block; `_Gains` keeps the gains in ``raw`` and writes
+    ``floor`` and ``cap``. ``shift`` is ``offsets * raw``, so that ``raw *
+    l(z)`` is ``raw * (a @ z) + shift``. `update` steps ``u`` by the
+    residual that ``scratch`` holds, then writes the new local copies in
+    place, relaxed by ``alpha`` unless it is 1. ``target`` still holds
+    ``y_old`` there, so the relaxed copy is ``target - alpha * (u + step *
+    a)``, with ``local`` as the temporary. A group of two-sided blocks
+    adds, times each block's ``mu``, its partner row's step at the same
+    target. That row's ``l`` is ``mu * (a @ z) + b2``, so row 1 of
+    ``gain`` holds ``mu * gain2``, one call steps both rows, and one more
+    adds them, times ``combine``, ``[1, mu]``. `update` slices its arrays
+    only for a thread's ``cols``.
     """
 
     mu = None  # set, with partner_rows, on a group of two-sided blocks
 
-    def __init__(self, span, coeffs, offsets, rows):
+    def __init__(self, span, coeffs, offsets, rows, mu=None):
+        """``offsets`` and ``rows``, the ``(pots, cons, c, p, t)`` that
+        `_Gains` takes, hold the blocks' own rows, then, for two-sided
+        blocks, their partner rows, each block's ``mu`` apart."""
         self.span = span  # this group's part of the flat buffers
-        self.coeffs = coeffs
-        self.offsets = offsets
-        self.rows = rows
+        self.coeffs, self.offsets = coeffs, offsets
+        self.raw, self.gain, self.shift, self.floor, self.cap, self.steps = np.empty(
+            (6, *offsets.shape)
+        )
+        self.gains = _Gains(*rows, self.raw.ravel(), self.floor.ravel(), self.cap.ravel())
+        self.step, self.combine = np.empty(offsets.shape[1]), np.ones(offsets.shape)
+        if mu is not None:
+            self.mu = self.combine[1] = mu
 
-    def update(self, cols=slice(None)):
-        a, local, u, scratch = (x[:, cols] for x in (self.coeffs, self.local, self.u, self.scratch))
+    def set_parameters(self, weights, term_step, rho):
+        self.gains.set(weights, term_step, rho)
+        np.multiply(self.offsets, self.raw, out=self.shift)
+        np.multiply(self.combine, self.raw, out=self.gain)
+
+    def update(self, cols=None):
+        a, local, u, target, scratch = self.coeffs, self.local, self.u, self.target, self.scratch
+        step, gain, shift, floor, cap, steps, combine = (
+            self.step, self.gain, self.shift, self.floor, self.cap, self.steps, self.combine
+        )
+        if cols is not None:
+            a, local, u, target, scratch, gain, shift, floor, cap, steps, combine = (
+                x[:, cols]
+                for x in (a, local, u, target, scratch, gain, shift, floor, cap, steps, combine)
+            )
+            step = step[cols]
         u += scratch
-        z = np.subtract(self.target[:, cols], u, out=local)
-        step = np.einsum("ij,ij->j", a, z)  # a @ z
-        if self.mu is not None:  # the partner's step, from the same a @ z
-            mu, (b, gain, floor, cap) = self.mu[cols], (x[cols] for x in self.partner)
-            other = np.minimum(np.maximum((mu * step + b) * gain, floor), cap)
-        step += self.offsets[cols]  # l(z)
-        step *= self.gain[cols]
-        np.minimum(np.maximum(step, self.floor[cols], out=step), self.cap[cols], out=step)
-        if self.mu is not None:
-            step += mu * other
+        z = np.subtract(target, u, out=local)
+        np.einsum("ij,ij->j", a, z, out=step)  # a @ z
+        np.multiply(gain, step, out=steps)  # each row's step, clipped below
+        steps += shift
+        np.maximum(steps, floor, out=steps)
+        if self.gains.capped:
+            np.minimum(steps, cap, out=steps)
+        np.einsum("ij,ij->j", combine, steps, out=step)
         np.multiply(a, step, out=scratch)
         if self.alpha == 1.0:
             local -= scratch
         else:
             np.add(u, scratch, out=local)
             local *= -self.alpha
-            local += self.target[:, cols]
+            local += target
 
 
 def _inverse(values):
@@ -453,26 +540,32 @@ class _CompiledModel:
         one_sided = pot_mask & ~heads
         one_sided[partner[heads]] = False
         ones = np.ones(term_support.size)
-        blocks = (  # rows, mask, first entry in the parameter arrays
-            (self.reduced[1], con_mask, 0),
-            (reduced, one_sided, cons.size),
-            (FoldedRows(term_support, ones, ones.astype(np.intp), np.zeros(term_support.size)),
-             np.ones(term_support.size, bool), cons.size + pots.size),
-        )
-        two_sided = ((reduced, heads, cons.size),)
+        terms = FoldedRows(term_support, ones, ones.astype(np.intp), np.zeros(term_support.size))
+        blocks = (con_mask, one_sided, np.ones(term_support.size, bool))  # selected, per kind
+        two_sided = (np.zeros(cons.size, bool), heads, np.zeros(term_support.size, bool))
         self.groups, positions = [], [np.zeros(0, np.intp)]
-        for kinds in (blocks, two_sided):  # the one-sided groups, then the two-sided
-            arities = np.unique(np.concatenate([rows.arity[mask] for rows, mask, _ in kinds]))
+        for masks in (blocks, two_sided):  # the one-sided groups, then the two-sided
+            kinds = list(zip((self.reduced[1], reduced, terms), masks))
+            arities = np.unique(np.concatenate([rows.arity[mask] for rows, mask in kinds]))
             for arity in arities[arities > 0]:
-                parts = []
-                for rows, mask, first in kinds:
-                    r = np.flatnonzero(mask & (rows.arity == arity))
-                    parts.append((*rows.by_term(r, arity), rows.offsets[r], first + r))
-                idx, *columns = (np.concatenate(p, axis=-1) for p in zip(*parts))
+                r = [np.flatnonzero(mask & (rows.arity == arity)) for rows, mask in kinds]
+                idx, coeffs, offsets = (
+                    np.concatenate(x, axis=-1)
+                    for x in zip(*((*rows.by_term(k, arity), rows.offsets[k])
+                                   for (rows, _), k in zip(kinds, r)))
+                )
                 start = sum(p.size for p in positions)
-                self.groups.append(g := _Group(slice(start, start + idx.size), *columns))
-                if kinds is two_sided:
-                    g.mu, g.partner_rows = mu[r], cons.size + partner[r]
+                if masks is blocks:
+                    g = _Group(slice(start, start + idx.size), coeffs, offsets[None],
+                               (reduced, self.reduced[1], *r))
+                else:  # each head row, then its partner row
+                    other = partner[r[1]]
+                    g = _Group(slice(start, start + idx.size), coeffs,
+                               np.stack([offsets, reduced.offsets[other]]),
+                               (reduced, self.reduced[1], r[0], np.r_[r[1], other], r[2]),
+                               mu[r[1]])
+                    g.partner_rows = cons.size + other
+                self.groups.append(g)
                 positions.append(idx.ravel())
 
         # Relax only where it was measured to pay (see the module docstring).
@@ -481,38 +574,34 @@ class _CompiledModel:
             g.alpha = _RELAXATION if relax else 1.0
 
         self.idx = np.concatenate(positions)  # each copy's variable, group by group
-        counts = np.bincount(self.idx, minlength=self.n).astype(float)
+        counts = np.bincount(self.idx, minlength=self.n)
         self.touched = slice(None) if counts.all() else np.flatnonzero(counts)
-        self.counts = counts[self.touched]  # copies of each touched variable
+        slot = np.cumsum(counts > 0) - 1  # each touched variable's place among them
+        self.slot = slot[self.idx]  # each copy's variable in the compact consensus
+        self.counts = counts[self.touched].astype(float)  # copies of each touched variable
         lo, hi = np.zeros(self.n), np.ones(self.n)
         lo[d.rep], hi[d.rep] = d.lo, d.hi
         self.lo, self.hi = lo[self.touched], hi[self.touched]  # each touched variable's box
-        # local copies from y, zero duals, and the target and residual buffers
-        self.buffers = y[self.idx], np.zeros(self.idx.size), *np.empty((2, self.idx.size))
+        # Local copies from y, zero duals, the residual and target buffers,
+        # as rows of one array, so one call takes the first three's norms.
+        self.stack = np.empty((4, self.idx.size))
+        self.stack[0], self.stack[1] = y[self.idx], 0.0
+        local, u, scratch, target = self.stack
+        self.buffers = local, u, target, scratch
         for g in self.groups:
             views = (b[g.span].reshape(g.coeffs.shape) for b in self.buffers)
             g.local, g.u, g.target, g.scratch = views
         self.y = self.rho = None
 
     def set_parameters(self, mrf: HlMrf, linear, rho):
-        """Each block's gain and bounds from ``mrf``'s weights, the linear
-        terms and ``rho``, over constraints, potentials, then linear terms;
-        the scaled duals ``u`` are rescaled to a new ``rho``."""
-        pots, cons = self.reduced
-        weights, linear_hinge = mrf.weights[pots.template_id], pots.exponent == 1
-        term_step = self.doubletons.linear(linear)[self.term_support] / rho
-        squared_gain = 2 * weights / (rho + 2 * weights * pots.norm2)
-        gain, floor, cap = map(np.concatenate, zip(
-            (_inverse(cons.norm2), np.where(cons.is_eq, -np.inf, 0.0), np.full(cons.size, np.inf)),
-            (np.where(linear_hinge, _inverse(pots.norm2), squared_gain), np.zeros(pots.size),
-             np.where(linear_hinge, weights / rho, np.inf)),
-            (np.zeros(self.term_support.size), term_step, term_step),
-        ))
+        """Each block's gain, bounds and their products from ``mrf``'s
+        weights, the linear terms and ``rho``, written in place; the scaled
+        duals ``u`` are rescaled to a new ``rho``."""
+        term_step = None
+        if self.term_support.size:
+            term_step = self.doubletons.linear(linear)[self.term_support] / rho
         for g in self.groups:
-            g.gain, g.floor, g.cap = gain[g.rows], floor[g.rows], cap[g.rows]
-            if g.mu is not None:
-                p = g.partner_rows
-                g.partner = pots.offsets[p - cons.size], gain[p], floor[p], cap[p]
+            g.set_parameters(mrf.weights, term_step, rho)
         if self.rho is not None and rho != self.rho:
             u = self.buffers[1]
             u *= self.rho / rho  # the same multipliers ``rho * u``
@@ -527,14 +616,13 @@ class _CompiledModel:
         return float(cons.violations(cons.values(y))[self.con_mask].max(initial=0.0))
 
     def report(self, y, diag):
-        """``diag`` with the energy, objective and largest violation at ``y``,
-        its substituted variables filled in first, and the number of
-        equalities the presolve eliminated."""
+        """``diag`` with the features, energy, objective and largest
+        violation at ``y``, its substituted variables filled in first, and
+        the number of equalities the presolve eliminated."""
         self.doubletons.expand(y)
         diag.eliminated_constraints = self.doubletons.rows.size
         diag.two_sided_blocks = self.two_sided
-        diag.energy = self.mrf.energy(y)
-        diag.objective = diag.energy + dot(self.linear, y)
+        _score(self.mrf, self.linear, y, diag)
         diag.max_violation = self.max_violation(y)
         return diag
 
@@ -570,16 +658,38 @@ def _balanced(rho, primal, dual):
     return rho * min(max(factor, 1.0 / _BALANCE_STEP), _BALANCE_STEP)
 
 
+def _score(mrf: HlMrf, linear, y, diag):
+    """``diag`` with the features, energy and objective at ``y``, from one
+    pass over the hinges."""
+    diag.features = mrf.template_features(y)
+    diag.energy = dot(mrf.weights, diag.features)
+    diag.objective = diag.energy + dot(linear, y)
+
+
 def _run_admm(compiled: _CompiledModel, opts: SolveOptions, y):
-    """Iterate from ``y``, updated in place, and ``compiled``'s local copies and duals."""
-    n, idx, touched, counts = compiled.n, compiled.idx, compiled.touched, compiled.counts
-    if idx.size == 0:
+    """Iterate from ``y`` and ``compiled``'s local copies and duals.
+
+    The loop keeps the consensus of the touched variables only, compact,
+    and writes it into ``y`` for the trace, the stall test and the answer.
+    """
+    slot, touched, counts = compiled.slot, compiled.touched, compiled.counts
+    if slot.size == 0:
         return y, compiled.report(y, Diagnostics(converged=True, rho=opts.rho))
     local, u, target, scratch = compiled.buffers
-    np.subtract(local, np.take(y, idx, out=target), out=scratch)  # the first dual step
+    norms = compiled.stack[:3]  # local, u and scratch
+    consensus = np.empty((2, counts.size))  # the touched variables' y and its last step
+    yc, delta = consensus
+    yc[:] = y[touched]
+    np.subtract(local, np.take(yc, slot, out=target), out=scratch)  # the first dual step
+    squares, weighted = np.empty(3), np.empty(2)
+
+    def current():
+        """``y`` with the consensus written in and its substituted variables filled."""
+        y[touched] = yc
+        return compiled.doubletons.expand(y)
 
     rho = opts.rho
-    sqrt_copies = np.sqrt(idx.size)
+    sqrt_copies = math.sqrt(slot.size)
     pool = None
     if opts.workers > 1:
         pool = ThreadPoolExecutor(max_workers=opts.workers)
@@ -598,22 +708,24 @@ def _run_admm(compiled: _CompiledModel, opts: SolveOptions, y):
                 for f in [pool.submit(g.update, cols) for g, cols in slices]:
                     f.result()
 
-            total = np.bincount(idx, np.add(local, u, out=scratch), minlength=n)
-            new = np.clip(total[touched] / counts, compiled.lo, compiled.hi)
-            delta = new - y[touched]
-            y[touched] = new
+            new = np.bincount(slot, np.add(local, u, out=scratch), minlength=counts.size)
+            new /= counts
+            np.minimum(np.maximum(new, compiled.lo, out=new), compiled.hi, out=new)
+            np.subtract(new, yc, out=delta)
+            yc[:] = new
             # Every index is in range, so mode="clip" only skips the bounds check.
-            np.subtract(local, np.take(y, idx, out=target, mode="clip"), out=scratch)
+            np.subtract(local, np.take(yc, slot, out=target, mode="clip"), out=scratch)
 
-            primal = np.sqrt(dot(scratch, scratch))
-            dual = rho * np.sqrt(dot(counts, delta * delta))
-            eps_pri = opts.eps_abs * sqrt_copies + opts.eps_rel * np.sqrt(
-                max(dot(local, local), dot(counts, new * new))
-            )
-            eps_dual = opts.eps_abs * sqrt_copies + opts.eps_rel * rho * np.sqrt(dot(u, u))
+            np.einsum("ij,ij->i", norms, norms, out=squares)
+            np.einsum("j,ij,ij->i", counts, consensus, consensus, out=weighted)
+            (local2, u2, residual2), (yc2, delta2) = squares.tolist(), weighted.tolist()
+            primal = math.sqrt(residual2)
+            dual = rho * math.sqrt(delta2)
+            eps_pri = opts.eps_abs * sqrt_copies + opts.eps_rel * math.sqrt(max(local2, yc2))
+            eps_dual = opts.eps_abs * sqrt_copies + opts.eps_rel * rho * math.sqrt(u2)
 
             if opts.trace is not None:
-                opts.trace(it, primal, dual, compiled.objective(compiled.doubletons.expand(y)))
+                opts.trace(it, primal, dual, compiled.objective(current()))
 
             diag.iterations = it
             diag.primal_residual = primal
@@ -626,7 +738,7 @@ def _run_admm(compiled: _CompiledModel, opts: SolveOptions, y):
                 best_primal = primal
                 last_improvement = it
             elif it - last_improvement >= _STALL_WINDOW and primal > eps_pri:
-                violation = compiled.max_violation(compiled.doubletons.expand(y))
+                violation = compiled.max_violation(current())
                 diag.infeasible = violation > eps_pri
                 diag.message = (
                     "primal residual stalled at %.3g for %d iterations; largest "
@@ -660,6 +772,7 @@ def _run_admm(compiled: _CompiledModel, opts: SolveOptions, y):
         if pool is not None:
             pool.shutdown()
 
+    y[touched] = yc
     return y, compiled.report(y, diag)
 
 
@@ -675,6 +788,11 @@ def solve_map(
     any, and keeps this solve's compiled model and final state.
     """
     opts = opts or SolveOptions()
+    if opts.lazy or opts.activation_threshold != 0:
+        raise ModelError(
+            "SolveOptions.lazy and activation_threshold are read by solve_map_lazy only; "
+            "call solve_map_lazy for lazy inference"
+        )
     if mrf.table.n_free < 1:
         raise ModelError("model has no free variables")
     linear = _linear_objective(extra_linear, mrf.table.n_free)
@@ -736,8 +854,7 @@ def solve_map_lazy(mrf: HlMrf, opts: SolveOptions | None = None, extra_linear=No
         total_iterations += diag.iterations
 
     diag.iterations = total_iterations
-    diag.energy = mrf.energy(y)
-    diag.objective = diag.energy + dot(linear, y)
+    _score(mrf, linear, y, diag)
     diag.max_violation = float(cons.violations(cons.values(y)).max(initial=0.0))
     diag.activated_potentials = int(pot_mask.sum())
     diag.activated_constraints = int(con_mask.sum())

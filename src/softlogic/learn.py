@@ -12,7 +12,9 @@ nearby weights. The perceptron and large-margin learners keep one
 `infer.WarmStart` per instance for the length of a call: the instance's
 ADMM structure is compiled once, and each solve resets only its gains and
 bounds and starts from the previous one's ADMM state; no state outlives
-the call.
+the call. The features of each MAP state come with its solve
+(`infer.Diagnostics.features`), and those of each instance's truth are
+computed once per call and passed on as ``truth_features``.
 """
 
 from __future__ import annotations
@@ -69,24 +71,36 @@ def _grounding_scale(mrf: HlMrf) -> np.ndarray:
 
 
 def mle_gradient(
-    instance: TrainingInstance, weights, opts: SolveOptions | None = None, warm=None
+    instance: TrainingInstance,
+    weights,
+    opts: SolveOptions | None = None,
+    warm=None,
+    *,
+    truth_features=None,
 ):
     """Log-likelihood ascent direction with the MAP-state approximation.
 
     The expected features are replaced by the features of the most probable
-    assignment under the current weights; each component is divided by its
-    template's grounding count. ``warm`` is passed on to `solve_map`.
+    assignment under the current weights, as its solve reports them; each
+    component is divided by its template's grounding count. ``warm`` is
+    passed on to `solve_map`. ``truth_features``, the truth's template
+    features, saves recomputing them on every call.
     """
     weights = np.asarray(weights, dtype=float)
     if np.any(weights < 0):
         raise ModelError("weights must be nonnegative")
     model = instance.mrf.with_weights(weights)
-    y_map, diag = solve_map(model, opts, warm=warm)
+    _, diag = solve_map(model, opts, warm=warm)
     if diag.infeasible:
         raise ModelError("inference failed during learning: %s" % diag.message)
-    phi_map = model.template_features(y_map)
-    phi_truth = model.template_features(instance.truth)
-    return (phi_map - phi_truth) / _grounding_scale(model)
+    if truth_features is None:
+        truth_features = model.template_features(instance.truth)
+    return (diag.features - truth_features) / _grounding_scale(model)
+
+
+def _truth_features(instances) -> list:
+    """Each instance's template features at its truth."""
+    return [instance.mrf.template_features(instance.truth) for instance in instances]
 
 
 def perceptron_train(
@@ -110,10 +124,11 @@ def perceptron_train(
     )
     averaged = np.zeros(n_templates)
     warms = [WarmStart() for _ in instances]
+    truths = _truth_features(instances)
     for _ in range(steps):
         gradient = np.zeros(n_templates)
-        for instance, warm in zip(instances, warms):
-            gradient += mle_gradient(instance, weights, opts, warm=warm)
+        for instance, warm, truth in zip(instances, warms, truths):
+            gradient += mle_gradient(instance, weights, opts, warm=warm, truth_features=truth)
         weights = np.maximum(weights + step_size * gradient, 0.0)
         averaged += weights
     return averaged / steps
@@ -237,6 +252,8 @@ def lme_separation_oracle(
     opts: SolveOptions | None = None,
     dca_max_iter: int = 50,
     warm=None,
+    *,
+    truth_features=None,
 ):
     """Worst-violated margin constraint via loss-augmented inference.
 
@@ -245,7 +262,8 @@ def lme_separation_oracle(
     difference-of-convex iteration over the +/-1 subgradient directions,
     initialized by rounding the truth. Every solve is warm-started from the
     previous one: from ``warm``, a `WarmStart` passed to `solve_map`, or
-    from a new one for this call.
+    from a new one for this call. The violator's features are the ones its
+    solve reports; ``truth_features``, the truth's, saves recomputing them.
     """
     weights = np.asarray(weights, dtype=float)
     if np.any(weights < 0):
@@ -257,7 +275,8 @@ def lme_separation_oracle(
 
     if binary:
         coeff = np.where(truth == 1.0, 1.0, -1.0)
-        violator, _ = solve_map(model, opts, extra_linear=coeff, warm=warm)
+        violator, diag = solve_map(model, opts, extra_linear=coeff, warm=warm)
+        features = diag.features
         converged = True
     else:
         # Assume the violator sits opposite the rounded truth, then flip
@@ -266,13 +285,10 @@ def lme_separation_oracle(
         best = None
         converged = False
         for _ in range(dca_max_iter):
-            violator, _ = solve_map(model, opts, extra_linear=-side, warm=warm)
-            objective = float(
-                weights @ model.template_features(violator)
-                - np.abs(truth - violator).sum()
-            )
+            violator, diag = solve_map(model, opts, extra_linear=-side, warm=warm)
+            objective = float(weights @ diag.features - np.abs(truth - violator).sum())
             if best is None or objective < best[0] - 1e-12:
-                best = (objective, violator)
+                best = (objective, violator, diag.features)
             flipped = np.where(
                 side > 0, violator < truth - 1e-9, violator > truth + 1e-9
             )
@@ -280,10 +296,12 @@ def lme_separation_oracle(
                 converged = True
                 break
             side = np.where(flipped, -side, side)
-        violator = best[1]
+        _, violator, features = best
 
     loss = float(np.abs(truth - violator).sum())
-    gap = model.template_features(truth) - model.template_features(violator)
+    if truth_features is None:
+        truth_features = model.template_features(truth)
+    gap = truth_features - features
     violation = float(weights @ gap) + loss
     return SeparationResult(violator, loss, violation, gap, converged)
 
@@ -382,13 +400,16 @@ def lme_train(
     slack = 0.0
     converged = False
     warms = [WarmStart() for _ in instances]
+    truths = _truth_features(instances)
     for rounds in range(1, max_rounds + 1):
         weights, slack, objective = solve_margin_qp(cuts, n_templates)
         history.append(objective)
         gap = np.zeros(n_templates)
         loss = 0.0
-        for instance, warm in zip(instances, warms):
-            result = lme_separation_oracle(instance, weights, opts, warm=warm)
+        for instance, warm, truth in zip(instances, warms, truths):
+            result = lme_separation_oracle(
+                instance, weights, opts, warm=warm, truth_features=truth
+            )
             gap += result.feature_gap
             loss += result.loss
         violation = float(weights @ gap) + loss - slack

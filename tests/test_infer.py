@@ -1421,3 +1421,79 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def features_model():
+    """Mixed hinges, a doubleton the presolve removes (y1 + y2 = 1), and a
+    free variable, y3, in no row at all."""
+    return make_mrf(
+        [hinge([(0, 1.0)], -0.2, exponent=2), hinge([(0, -1.0), (1, 1.0)], 0.1, template=1),
+         hinge([(1, -1.0)], 0.7, exponent=2, template=2), hinge([(2, 1.0)], -0.4, template=2)],
+        [eq([(1, 1.0), (2, 1.0)], -1.0)],
+        weights=[1.5, 0.7, 2.0],
+        n=4,
+    )
+
+
+class TestAnswerReport:
+    @pytest.mark.parametrize("with_linear", [False, True])
+    @pytest.mark.parametrize("how", ["cold", "warm", "lazy"])
+    def test_features_and_energy_are_read_at_the_answer(self, how, with_linear):
+        mrf = features_model()
+        linear = np.array([0.3, -0.5, 0.0, 0.2]) if with_linear else None
+        if how == "lazy":
+            y, diag = solve_map_lazy(mrf, TIGHT, extra_linear=linear)
+        else:
+            warm = WarmStart() if how == "warm" else None
+            if warm is not None:  # a first solve at other weights fills it
+                solve_map(mrf.with_weights([0.5, 1.0, 1.0]), TIGHT, extra_linear=linear, warm=warm)
+            y, diag = solve_map(mrf, TIGHT, extra_linear=linear, warm=warm)
+        assert np.array_equal(diag.features, mrf.template_features(y))
+        assert diag.energy == pytest.approx(mrf.energy(y), rel=1e-12, abs=0)
+        extra = 0.0 if linear is None else float(linear @ y)
+        assert diag.objective == pytest.approx(mrf.energy(y) + extra, rel=1e-12, abs=0)
+
+    def test_variable_in_no_block_keeps_its_start(self):
+        mrf = features_model()
+        start = np.array([0.9, 0.1, 0.8, 0.37])
+        warm = WarmStart()
+        y, diag = solve_map(mrf, TIGHT, initial=start, warm=warm)
+        assert diag.converged and y[3] == 0.37
+        assert y[1] + y[2] == pytest.approx(1.0, abs=1e-12)
+        y, _ = solve_map(mrf.with_weights([1.0, 1.0, 1.0]), TIGHT, warm=warm)
+        assert y[3] == 0.37
+
+    def test_trace_sees_the_current_answer(self):
+        # The trace's objective is the model's at the iterate, with the
+        # substituted y2 filled in: the last one is the answer's.
+        mrf = features_model()
+        linear = np.array([0.3, -0.5, 0.0, 0.2])
+        records = []
+        opts = SolveOptions(eps_abs=1e-9, eps_rel=1e-9, trace=lambda *r: records.append(r))
+        y, diag = solve_map(mrf, opts, extra_linear=linear)
+        assert len(records) == diag.iterations
+        assert records[-1][3] == pytest.approx(diag.objective, rel=1e-12, abs=0)
+        assert records[0][3] != pytest.approx(diag.objective, rel=1e-6)
+
+    def test_stall_message_sees_the_current_answer(self):
+        # y0 = 0.3 and y0 = 0.7 cannot both hold: ADMM settles at 0.5, a
+        # violation of 0.2, not the 0.7 of the start y0 = 0. The doubleton
+        # leaves y2 out of the blocks.
+        mrf = make_mrf(
+            [hinge([(1, 1.0)], -0.2, exponent=2)],
+            [eq([(0, 1.0)], -0.3), eq([(0, 1.0)], -0.7), eq([(1, 1.0), (2, 1.0)], -1.0)],
+            weights=[1.0],
+            n=3,
+        )
+        y, diag = solve_map(mrf, SolveOptions(max_iter=4000), initial=[0.0, 0.5, 0.5])
+        assert diag.infeasible and diag.eliminated_constraints == 1
+        assert y[0] == pytest.approx(0.5, abs=1e-6)
+        assert "violation %.3g exceeds" % diag.max_violation in diag.message
+
+    @pytest.mark.parametrize("opts", [SolveOptions(lazy=True), SolveOptions(activation_threshold=0.1)])
+    def test_lazy_options_need_the_lazy_solver(self, opts):
+        mrf = features_model()
+        with pytest.raises(ModelError, match="solve_map_lazy"):
+            solve_map(mrf, opts)
+        _, diag = solve_map_lazy(mrf, opts)
+        assert diag.converged

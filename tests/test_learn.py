@@ -84,6 +84,27 @@ class TestMleGradient:
         with pytest.raises(ModelError):
             mle_gradient(inst, np.array([-1.0]))
 
+    def test_truth_features_give_the_same_gradient(self):
+        # The gradient reads the MAP state's features from its solve and
+        # the truth's from ``truth_features`` when given.
+        mrf = make_mrf(
+            [hinge([(0, 1.0), (1, -1.0)], 0.1, exponent=2), hinge([(0, -1.0)], 0.8, template=1),
+             hinge([(1, 1.0)], -0.3, exponent=2, template=2)],
+            [leq([(0, 1.0), (1, 1.0)], -1.2)],
+            weights=[1.0, 2.0, 0.5],
+            n=2,
+        )
+        inst = TrainingInstance(mrf, np.array([0.7, 0.2]))
+        weights = np.array([0.8, 1.5, 0.4])
+        plain = mle_gradient(inst, weights, TIGHT)
+        given = mle_gradient(
+            inst, weights, TIGHT, truth_features=mrf.template_features(inst.truth)
+        )
+        assert np.array_equal(plain, given)
+        y, _ = solve_map(mrf.with_weights(weights), TIGHT)
+        expected = mrf.template_features(y) - mrf.template_features(inst.truth)
+        assert np.array_equal(plain, expected)  # one grounding per template
+
 
 class TestPerceptron:
     def test_zero_gradient_leaves_weights(self):
@@ -380,6 +401,23 @@ class TestSeparationOracle:
             )
             got = objective(result.violator)
             assert got <= best + 1e-3
+
+    @pytest.mark.parametrize("truth", [[1.0, 0.0], [0.3, 0.6]])
+    def test_gap_is_read_from_the_solves(self, truth):
+        mrf = make_mrf(
+            [hinge([(0, 1.0), (1, -1.0)], 0.1, exponent=2), hinge([(1, -1.0)], 0.4, template=1)],
+            weights=[1.0, 2.0],
+            n=2,
+        )
+        inst = TrainingInstance(mrf, np.array(truth))
+        weights = np.array([0.6, 1.1])
+        plain = lme_separation_oracle(inst, weights, TIGHT)
+        given = lme_separation_oracle(
+            inst, weights, TIGHT, truth_features=mrf.template_features(inst.truth)
+        )
+        assert np.array_equal(plain.feature_gap, given.feature_gap)
+        expected = mrf.template_features(inst.truth) - mrf.template_features(plain.violator)
+        assert np.array_equal(plain.feature_gap, expected)
 
 
 class TestMarginQp:
