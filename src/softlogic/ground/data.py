@@ -28,7 +28,9 @@ statement walk goes on from the first observation and locates the error.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import operator
 import re
 from collections.abc import Mapping
@@ -64,46 +66,53 @@ class Coding:
     constants, so code order is string order; ``radix`` exceeds every
     code. ``types`` maps each type to its constants' codes, ascending.
     ``observed`` maps each predicate with observations to its rows as an
-    argument-code matrix, in lexicographic order, and a value vector.
+    argument-code matrix, in lexicographic order, and a value vector: the
+    data set's type-local rank columns, each taken through its type's codes.
 
     ``table`` indexes the atoms of the open predicates, predicates by name
     and each one's atoms in `DataSet.atoms_of` order from ``base[name]``
     on; open atoms with an observation enter it as observed. Closed and
     functional predicates never become model variables: their values are
-    constants folded into linear functions at grounding time.
+    constants folded into linear functions at grounding time. ``memo``
+    holds what grounding derives from the coding alone, so it lives
+    exactly as long as the coding.
     """
 
     def __init__(self, data: "DataSet"):
         self.constants: list[str] = sorted(set().union(*data.universe.values()))
-        self.code: dict[str, int] = {c: k for k, c in enumerate(self.constants)}
+        self.code: dict[str, int] = dict(zip(self.constants, range(len(self.constants))))
         self.radix = max(1, len(self.constants))
-        code = self.code
         self.types = {
-            name: np.array([code[c] for c in data.constants_of(name)], dtype=np.intp)
+            name: np.fromiter(map(self.code.__getitem__, data.constants_of(name)), np.intp)
             for name in data.universe
         }
         self.observed: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for name, rows in data._rows.items():
-            flat = map(code.__getitem__, itertools.chain.from_iterable(rows))
-            codes = np.fromiter(flat, np.intp).reshape(len(rows), -1)
-            order = np.lexsort(codes.T[::-1])
-            self.observed[name] = (codes[order], np.fromiter(rows.values(), float)[order])
+            ranks, values, _ = rows.table()
+            types = data.predicates[name].arg_types
+            codes = [self.types[t][column] for t, column in zip(types, ranks.T)]
+            self.observed[name] = np.stack(codes, axis=1), values
+        self.memo: dict = {}
 
         self.base: dict[str, int] = {}
         self._arg_types: dict[str, tuple[str, ...]] = {}
-        labels = []
+        blocks, observed_index, observed_values = [], [], []
+        size = 0
         for name in sorted(data.predicates):
             if data.predicates[name].closed or name in data.functionals:
                 continue
-            self.base[name] = len(labels)
+            self.base[name] = size
             self._arg_types[name] = data.predicates[name].arg_types
-            labels.extend(data.atoms_of(name))
-        observed = {}
-        for name in self.base:
-            if name in self.observed:
-                codes, values = self.observed[name]
-                observed.update(zip(self.indices(name, codes).tolist(), values.tolist()))
-        self.table = VariableTable(labels, observed)
+            domains = tuple(map(data.constants_of, self._arg_types[name]))
+            blocks.append((name, domains))
+            if name in data._rows:
+                ranks, values, _ = data._rows[name].table()
+                observed_index.append(size + _mixed_radix(ranks, domains))
+                observed_values.append(values)
+            size += math.prod(map(len, domains))
+        self.table = VariableTable.from_blocks(
+            blocks, _concat(observed_index, np.intp), _concat(observed_values, float)
+        )
 
     def type_codes(self, name: str) -> np.ndarray:
         if name not in self.types:
@@ -119,8 +128,83 @@ class Coding:
         index = np.zeros(len(args), dtype=np.intp)
         for position, type_name in enumerate(self._arg_types[predicate]):
             constants = self.types[type_name]
-            index = index * len(constants) + np.searchsorted(constants, args[:, position])
+            column = args[:, position]
+            # A type of every constant ranks each by its code.
+            rank = column if len(constants) == self.radix else np.searchsorted(constants, column)
+            index = index * len(constants) + rank
         return index + self.base[predicate]
+
+
+def _mixed_radix(ranks, domains) -> np.ndarray:
+    """The index of each row of ``ranks`` in the product of ``domains``."""
+    index = np.zeros(len(ranks), dtype=np.int64)
+    for column, domain in zip(ranks.T, domains):
+        index = index * len(domain) + column
+    return index
+
+
+def _concat(arrays, dtype):
+    return np.concatenate(arrays) if arrays else np.zeros(0, dtype)
+
+
+class _Rows:
+    """One predicate's observations in the order they were made: rows of
+    type-local ranks (a constant's place in its type's sorted constants,
+    which no later declaration changes) and values.
+
+    A bulk read adds whole arrays, `DataSet._observe` one row at a time.
+    `table` merges them on first use after a change, and `atoms` builds the
+    ``{args: value}`` view only when something looks an atom up.
+    """
+
+    def __init__(self, domains):
+        self.domains = domains  # each argument type's sorted constants
+        self._parts: list[tuple[np.ndarray, np.ndarray]] = []
+        self._pending: list[tuple[tuple[int, ...], float]] = []
+        self._table = self._atoms = None
+
+    def extend(self, ranks, values):
+        self._flush()
+        self._parts.append((ranks, values))
+        self._table = self._atoms = None
+
+    def add(self, ranks, value):
+        self._pending.append((ranks, value))
+        self._table = self._atoms = None
+
+    def _flush(self):
+        if self._pending:
+            ranks, values = zip(*self._pending)
+            self._parts.append((np.array(ranks, dtype=np.intp), np.array(values)))
+            self._pending = []
+
+    def table(self):
+        """``(ranks, values, first)``: one row per atom, in lexicographic
+        order, with its last value and the row where it was first observed."""
+        if self._table is None:
+            self._flush()
+            ranks = np.concatenate([r for r, _ in self._parts])
+            values = np.concatenate([v for _, v in self._parts])
+            if math.prod(map(len, self.domains)) < 2**63:
+                order = np.argsort(_mixed_radix(ranks, self.domains), kind="stable")
+            else:
+                order = np.lexsort(ranks.T[::-1])
+            ranks = ranks[order]
+            new = np.ones(len(ranks) + 1, dtype=bool)
+            new[1:-1] = (ranks[1:] != ranks[:-1]).any(axis=1)
+            last = new[1:]
+            self._table = ranks[last], values[order[last]], order[new[:-1]]
+        return self._table
+
+    def atoms(self) -> dict[tuple[str, ...], float]:
+        """``{args: value}``, atoms in the order they were first observed."""
+        if self._atoms is None:
+            ranks, values, first = self.table()
+            order = np.argsort(first)
+            columns = [map(domain.__getitem__, column)
+                       for domain, column in zip(self.domains, ranks[order].T.tolist())]
+            self._atoms = dict(zip(zip(*columns), values[order].tolist()))
+        return self._atoms
 
 
 class _Observations(Mapping):
@@ -130,13 +214,13 @@ class _Observations(Mapping):
         self._rows = rows
 
     def __getitem__(self, atom):
-        return self._rows[atom.predicate][atom.args]
+        return self._rows[atom.predicate].atoms()[atom.args]
 
     def __iter__(self):
-        return (GroundAtom(name, args) for name, rows in self._rows.items() for args in rows)
+        return (GroundAtom(name, args) for name, rows in self._rows.items() for args in rows.atoms())
 
     def __len__(self) -> int:
-        return sum(map(len, self._rows.values()))
+        return sum(len(rows.table()[1]) for rows in self._rows.values())
 
 
 class DataSet:
@@ -144,19 +228,19 @@ class DataSet:
 
     Types are defined through `define_type` and observations added through
     `add_observation`, which keep the lookup structures beside them: a
-    member set and a sorted tuple per type, each observed predicate's rows
-    ``{args: value}`` (``observations`` is a read-only view of them), and
+    ``{constant: rank}`` dict and a sorted tuple per type, each observed
+    predicate's rows (``observations`` is a read-only view of them), and
     the one `coding` that grounding reads, rebuilt on first use after any change.
     """
 
     def __init__(self, universe=None, predicates=(), functionals=None):
         self.universe: dict[str, tuple[str, ...]] = {}
-        self._members: dict[str, frozenset[str]] = {}
+        self._rank: dict[str, dict[str, int]] = {}
         self._sorted: dict[str, tuple[str, ...]] = {}
         for type_name, constants in (universe or {}).items():
             self.define_type(type_name, constants)
         self.predicates: dict[str, PredicateDef] = {}
-        self._rows: dict[str, dict[tuple[str, ...], float]] = {}
+        self._rows: dict[str, _Rows] = {}
         self.observations: Mapping[GroundAtom, float] = _Observations(self._rows)
         for p in predicates:
             self.declare_predicate(p.name, p.arg_types, p.closed)
@@ -170,12 +254,13 @@ class DataSet:
         constants = tuple(constants)
         if name in self.universe:
             raise DataError("type %s defined twice" % name)
-        members = frozenset(constants)
-        if len(members) != len(constants):
+        ordered = tuple(sorted(constants))
+        rank = dict(zip(ordered, range(len(ordered))))
+        if len(rank) != len(constants):
             raise DataError("type %s lists a constant twice" % name)
         self.universe[name] = constants
-        self._members[name] = members
-        self._sorted[name] = tuple(sorted(constants))
+        self._rank[name] = rank
+        self._sorted[name] = ordered
         self._coding = None
 
     def declare_predicate(self, name: str, arg_types, closed: bool = False):
@@ -193,8 +278,8 @@ class DataSet:
 
     def has_constant(self, type_name: str, constant: str) -> bool:
         """Whether a constant is declared with a type (False for unknown types)."""
-        members = self._members.get(type_name)
-        return members is not None and constant in members
+        rank = self._rank.get(type_name)
+        return rank is not None and constant in rank
 
     def add_observation(self, atom: GroundAtom, value: float):
         """Observe ``atom`` at ``value`` in [0, 1]; `load_data` calls `_observe`."""
@@ -211,14 +296,23 @@ class DataSet:
             raise DataError("observation for undeclared predicate %s" % name)
         if len(args) != pred.arity:
             raise DataError("%s takes %d arguments" % (name, pred.arity))
+        ranks = []
         for arg, type_name in zip(args, pred.arg_types):
-            if arg not in self._members[type_name]:
+            rank = self._rank[type_name].get(arg)
+            if rank is None:
                 raise DataError('constant "%s" is not declared with type %s' % (arg, type_name))
+            ranks.append(rank)
         if not 0.0 <= value <= 1.0:
             atom = GroundAtom(name, args)
             raise DataError("observed value %r for %s outside [0, 1]" % (value, atom))
-        self._rows.setdefault(name, {})[args] = float(value)
+        self._rows_of(pred).add(tuple(ranks), float(value))
         self._coding = None
+
+    def _rows_of(self, pred: PredicateDef) -> _Rows:
+        rows = self._rows.get(pred.name)
+        if rows is None:
+            rows = self._rows[pred.name] = _Rows(tuple(map(self.constants_of, pred.arg_types)))
+        return rows
 
     def coding(self) -> Coding:
         """The coding of the constants, observations and variable table, built on first use."""
@@ -271,7 +365,9 @@ class DataSet:
             if not 0.0 <= value <= 1.0:
                 raise DataError("functional predicate %s returned %r" % (atom.predicate, value))
             return value
-        return self._rows.get(atom.predicate, {}).get(atom.args, 0.0 if pred.closed else None)
+        default = 0.0 if pred.closed else None
+        rows = self._rows.get(atom.predicate)
+        return default if rows is None else rows.atoms().get(atom.args, default)
 
 
 # A comment matches only as a whole: a line comment runs to the end of its
@@ -280,22 +376,40 @@ _COMMENT = r"//[^\n]*(?![^\n])|/\*(?:[^*]|\*(?!/))*\*/"
 _GAP = r"[ \t\r\n]*(?:(?:%s)[ \t\r\n]*)*" % _COMMENT
 _STATEMENT = re.compile(
     r"""{gap}(?:(?P<name>{ident}){gap}(?:
-      =(?P<type>{gap}\{{(?:{gap}{string}(?:{gap},{gap}{string})*)?{gap}\}})
+      =(?P<type>{gap}\{{)
     | \((?P<predicate>{gap}{ident}(?:{gap},{gap}{ident})*{gap})\)
       (?P<closed>{gap}\({gap}closed{gap}\))?
     | \((?P<observation>{gap}{string}(?:{gap},{gap}{string})*{gap})\){gap}={gap}(?P<value>{number})
     ))?""".format(gap=_GAP, ident=IDENT, string=STRING, number=NUMBER),
     re.VERBOSE | re.DOTALL,
 )
+# A type's constant list after its "{": empty, or runs of at most 256
+# constants, each run ending at a comma before the next run or at the "}".
+# Bounded runs keep the work per constant flat however long the list is.
+_EMPTY_LIST = re.compile(r"%s\}" % _GAP)
+_LIST_RUN = re.compile(
+    r"{gap}{string}(?:{gap},{gap}{string}){{0,255}}{gap}(?:(,)|\}})".format(gap=_GAP, string=STRING),
+    re.DOTALL,
+)
 _KINDS = {"type": "type", "predicate": "predicate", "closed": "predicate", "value": "observation"}
 _ITEM = re.compile(r"%s|(%s|%s)" % (_COMMENT, STRING, IDENT), re.DOTALL)
-# One plain observation as (name, arguments, value), or else the first
-# character of anything else, with an empty name.
-_PLAIN = re.compile(
-    r'{b}({ident}){b}\(({b}"[^"\\\n]*"(?:{b},{b}"[^"\\\n]*")*){b}\){b}={b}({number})'
-    r"|{b}[^ \t\r\n]".format(b=r"[ \t\r\n]*", ident=IDENT, number=NUMBER)
-)
-_CONSTANT = re.compile(r'"([^"]*)"')
+
+
+@functools.lru_cache(maxsize=None)
+def _plain(arity: int):
+    """A plain observation of up to ``arity`` arguments as (name, constant
+    1, ..., constant ``arity``, value), absent constants empty, or else the
+    first character of anything else, with an empty name. A plain constant
+    is double-quoted, not empty, and holds no escape or newline."""
+    constant, blank = r'"([^"\\\n]+)"', r"[ \t\r\n]*"
+    constants = ""
+    for _ in range(arity - 1):
+        constants = r"(?:{b},{b}{c}{more})?".format(b=blank, c=constant, more=constants)
+    return re.compile(
+        r"{b}({ident}){b}\({b}{c}{more}{b}\){b}={b}({number})|{b}[^ \t\r\n]".format(
+            b=blank, ident=IDENT, c=constant, more=constants, number=NUMBER
+        )
+    )
 
 
 def statements(text: str, start: int = 0):
@@ -306,16 +420,36 @@ def statements(text: str, start: int = 0):
     value, else whether the predicate is closed; ``offset`` is where the name
     starts. A statement that does not parse raises a located error.
     """
-    for m in _STATEMENT.finditer(text, start):
+    pos = start
+    while True:
+        m = _STATEMENT.match(text, pos)
         last = m.lastgroup
         if last is None and m.end() == len(text):
             return
         if last is None or not m["name"][0].isalpha():
             raise statement_error(text, m.end() if last is None else m.start("name"))
         kind = _KINDS[last]
-        items = [s if kind == "predicate" else unquote(s) for s in _ITEM.findall(m[kind]) if s]
+        pos = m.end()
+        if kind == "type":
+            pos = _list_end(text, pos)
+            if pos is None:
+                raise statement_error(text, m.start("name"))
+            items = [unquote(s) for s in _ITEM.findall(text, m.end(), pos) if s]
+        else:
+            items = [s if kind == "predicate" else unquote(s) for s in _ITEM.findall(m[kind]) if s]
         value = float(m["value"]) if kind == "observation" else last == "closed"
         yield kind, m["name"], tuple(items), value, m.start("name")
+
+
+def _list_end(text: str, pos: int):
+    """Where the constant list that starts at ``pos``, after its "{", ends
+    (after its "}"), or None if it does not parse."""
+    m = _EMPTY_LIST.match(text, pos)
+    while m is None or m.lastindex:
+        m = _LIST_RUN.match(text, m.end() if m else pos)
+        if m is None:
+            return None
+    return m.end()
 
 
 def statement_error(text: str, offset: int, message: str | None = None) -> DataError:
@@ -344,45 +478,46 @@ def _observe_plain(data: DataSet, text: str, offset: int) -> int:
     """Store the plain observations from ``offset`` up to the first other
     text in one pass, if they all pass the checks of `DataSet._observe`;
     otherwise store nothing. Returns where the statement walk goes on: after
-    the stored observations, or at ``offset``. ``data`` must hold no
-    observations yet.
+    the stored observations, or at ``offset``.
+
+    Each argument column maps to type-local ranks through its type's
+    ``{constant: rank}`` dict, where a miss fails the membership check, and
+    the values become one array checked against [0, 1].
     """
-    columns = _plain_columns(_PLAIN.findall(text, offset))
+    arity = max((p.arity for p in data.predicates.values()), default=0)
+    if not arity:
+        return offset
+    plain = _plain(arity)
     end = len(text)
-    if "" in columns:  # some text is no plain observation: read up to it
-        end = next(m.start() for m in _PLAIN.finditer(text, offset) if not m[1])
-        columns = _plain_columns(_PLAIN.findall(text, offset, end))
-    rows = {}
-    for name, (arg_texts, value_texts) in columns.items():
+    runs: dict[str, list] = {}
+    for name, run in itertools.groupby(plain.findall(text, offset), operator.itemgetter(0)):
+        if not name:  # some text is no plain observation: read up to it
+            end = next(m.start() for m in plain.finditer(text, offset) if not m[1])
+            break
+        runs.setdefault(name, []).append(tuple(zip(*run))[1:])
+    read = []
+    for name, parts in runs.items():
         pred = data.predicates.get(name)
         if pred is None:
             return offset
-        k = pred.arity
-        # A plain constant holds no quote, so each row has two per argument.
-        if set(map(str.count, arg_texts, itertools.repeat('"'))) != {2 * k}:
+        *columns, values = map(itertools.chain.from_iterable, zip(*parts))
+        if any(map(any, columns[pred.arity:])):  # too many arguments
             return offset
-        constants = _CONSTANT.findall("".join(arg_texts))
-        members = [data._members[t] for t in pred.arg_types]
-        if not all(map(frozenset.issuperset, members, (constants[j::k] for j in range(k)))):
+        try:
+            ranks = np.stack([
+                np.fromiter(map(data._rank[t].__getitem__, column), np.intp)
+                for t, column in zip(pred.arg_types, columns)
+            ], axis=1)
+        except KeyError:  # an unknown constant, or too few arguments
             return offset
-        values = list(map(float, value_texts))
-        if not (0.0 <= min(values) and max(values) <= 1.0):
+        values = np.fromiter(map(float, values), float)
+        if not (0.0 <= values.min() and values.max() <= 1.0):
             return offset
-        rows[name] = dict(zip(zip(*[iter(constants)] * k), values))
-    data._rows.update(rows)
+        read.append((pred, ranks, values))
+    for pred, ranks, values in read:
+        data._rows_of(pred).extend(ranks, values)
     data._coding = None
     return end
-
-
-def _plain_columns(matches) -> dict[str, tuple[list[str], list[str]]]:
-    """The argument and value texts of `_PLAIN` matches, per predicate name."""
-    columns: dict[str, tuple[list[str], list[str]]] = {}
-    for name, run in itertools.groupby(matches, operator.itemgetter(0)):
-        _, args, values = zip(*run)
-        arg_texts, value_texts = columns.setdefault(name, ([], []))
-        arg_texts += args
-        value_texts += values
-    return columns
 
 
 def _store(data: DataSet, text: str, kind, name, items, value, offset):

@@ -143,12 +143,11 @@ def build_variable_table(data: DataSet):
 
 
 def _infer_domains(atoms, data, location):
-    """Variable name -> ascending codes of its candidate constants.
+    """Variable name -> the sorted names of the types it takes.
 
-    A variable ranges over the constants of every type it takes.
+    A variable ranges over the constants of every type it takes (`_domain`).
     """
-    coding = data.coding()
-    domains: dict[str, np.ndarray] = {}
+    types: dict[str, set[str]] = {}
     for atom in atoms:
         pred = data.predicates.get(atom.predicate)
         if pred is None:
@@ -167,11 +166,14 @@ def _infer_domains(atoms, data, location):
                         *location,
                     )
             elif isinstance(arg, Variable):
-                pool = coding.type_codes(type_name)
-                if arg.name in domains:
-                    pool = np.intersect1d(domains[arg.name], pool, assume_unique=True)
-                domains[arg.name] = pool
-    return domains
+                types.setdefault(arg.name, set()).add(type_name)
+    return {name: tuple(sorted(names)) for name, names in types.items()}
+
+
+def _domain(coding, types) -> np.ndarray:
+    """Ascending codes of the constants that have every type in ``types``."""
+    pools = [coding.type_codes(t) for t in types]
+    return functools.reduce(lambda a, b: np.intersect1d(a, b, assume_unique=True), pools)
 
 
 def _origin(rule_id, names, codes, constants):
@@ -235,17 +237,32 @@ def _substitutions(literals, domains, data, prune):
 
     With pruning, a negated closed atom that is 0 satisfies the ground
     clause outright, so such an atom contributes only its nonzero
-    observations; every other variable ranges over its domain.
+    observations; every other variable ranges over its domain. The matrix
+    depends only on those atoms and the variables' types, so rules that
+    share them share one read-only matrix, kept in ``Coding.memo``.
     """
     coding = data.coding()
+    pruned = tuple(
+        lit.atom for lit in literals
+        if prune and lit.negated and data.predicates[lit.atom.predicate].closed
+        and lit.atom.predicate not in data.functionals
+    )
+    key = ("substitutions", pruned, tuple(sorted(domains.items())))
+    if key not in coding.memo:
+        codes = {name: _domain(coding, types) for name, types in domains.items()}
+        rows = _join_all(pruned, codes, data)
+        rows.flags.writeable = False
+        coding.memo[key] = rows
+    return coding.memo[key]
+
+
+def _join_all(pruned, domains, data):
+    """The substitutions of `_substitutions`, ``domains`` holding each variable's codes."""
+    coding = data.coding()
     relations = []
-    for lit in literals:
-        atom = lit.atom
-        pred = data.predicates[atom.predicate]
-        if not (prune and lit.negated and pred.closed and atom.predicate not in data.functionals):
-            continue
+    for atom in pruned:
         codes, values = coding.observed.get(
-            atom.predicate, (np.zeros((0, pred.arity), dtype=np.intp), np.zeros(0))
+            atom.predicate, (np.zeros((0, len(atom.args)), dtype=np.intp), np.zeros(0))
         )
         keep = values != 0.0
         columns: dict[str, int] = {}
@@ -447,8 +464,29 @@ def ground_logical_rule(rule, data, rule_id=0, prune=False, location=(None, None
             term_index.append(coding.indices(atom.predicate, args[free]))
             term_coeff.append(np.full(term_row[-1].size, 1.0 if lit.negated else -1.0))
 
-    rows = (*_merge_terms(term_row, term_index, term_coeff, n), offsets)
+    rows = (*_row_terms(term_row, term_index, term_coeff, n), offsets)
     return _finish(rule, rule_id, names, subs, coding, rows, None, errors, location, prune)
+
+
+def _row_terms(term_row, term_index, term_coeff, n):
+    """`_merge_terms` of a logical rule's terms: nonzero, and at most one
+    per row from each array. Where no table index repeats within a row,
+    there is nothing to merge, and a row-wise sort of the few terms gives
+    the same rows."""
+    if not term_row:
+        return _merge_terms(term_row, term_index, term_coeff, n)
+    absent = np.iinfo(np.intp).max  # sorts after every index
+    index = np.full((n, len(term_row)), absent, dtype=np.intp)
+    coeff = np.zeros(index.shape)
+    for j, row in enumerate(term_row):
+        index[row, j] = term_index[j]
+        coeff[row, j] = term_coeff[j]
+    order = np.argsort(index, axis=1, kind="stable")
+    index = np.take_along_axis(index, order, axis=1)
+    if ((index[:, 1:] == index[:, :-1]) & (index[:, 1:] != absent)).any():
+        return _merge_terms(term_row, term_index, term_coeff, n)
+    present = index != absent
+    return index[present], np.take_along_axis(coeff, order, axis=1)[present], present.sum(axis=1)
 
 
 # -- arithmetic rules ------------------------------------------------------

@@ -11,7 +11,9 @@ from __future__ import annotations
 import copy
 import enum
 import functools
+import itertools
 import json
+import math
 import sys
 import warnings
 from collections.abc import Sequence
@@ -49,7 +51,8 @@ class VariableTable:
     Every atom gets one integer index; observed atoms carry a fixed value in
     [0, 1], the rest are free. Free-variable assignments are arrays aligned
     with ``free_indices`` (ascending index order); ``position[i]`` is index
-    ``i``'s place in them, -1 if ``i`` is observed.
+    ``i``'s place in them, -1 if ``i`` is observed. A table from `from_blocks`
+    builds ``labels``, ``observed`` and ``free_indices`` when first read.
     """
 
     def __init__(self, labels, observed=None):
@@ -62,20 +65,47 @@ class VariableTable:
                 raise ModelError(
                     "observed value %r for %s outside [0, 1]" % (value, self.labels[idx])
                 )
-        self.observed: dict[int, float] = {i: float(v) for i, v in sorted(observed.items())}
-        self.free_indices: tuple[int, ...] = tuple(
-            i for i in range(len(self.labels)) if i not in self.observed
-        )
-        self.position = np.full(len(self.labels), -1, dtype=np.intp)
-        self.position[list(self.free_indices)] = np.arange(len(self.free_indices))
+        index = sorted(observed)
+        self._set(len(self.labels), np.array(index, dtype=np.intp),
+                  np.array([float(observed[i]) for i in index]))
 
-    @property
-    def size(self) -> int:
-        return len(self.labels)
+    @classmethod
+    def from_blocks(cls, blocks, observed_index, observed_values) -> "VariableTable":
+        """The table over ``blocks``, ``(predicate, domains)`` pairs whose
+        atoms take consecutive indices in the order of ``itertools.product``
+        over the domains; the atoms at the ascending ``observed_index`` are
+        observed at ``observed_values``, already checked to lie in [0, 1]."""
+        table = cls.__new__(cls)
+        table._blocks = blocks
+        size = sum(math.prod(map(len, domains)) for _, domains in blocks)
+        table._set(size, observed_index, observed_values)
+        return table
+
+    def _set(self, size, observed_index, observed_values):
+        self.size = size
+        self._observed = observed_index, observed_values
+        free = np.ones(size, dtype=bool)
+        free[observed_index] = False
+        self._free = np.flatnonzero(free)
+        self.position = np.full(size, -1, dtype=np.intp)
+        self.position[self._free] = np.arange(self._free.size)
+
+    @functools.cached_property
+    def labels(self) -> tuple[GroundAtom, ...]:
+        return tuple(GroundAtom(name, args) for name, domains in self._blocks
+                     for args in itertools.product(*domains))
+
+    @functools.cached_property
+    def observed(self) -> dict[int, float]:
+        return dict(zip(*(a.tolist() for a in self._observed)))
+
+    @functools.cached_property
+    def free_indices(self) -> tuple[int, ...]:
+        return tuple(self._free.tolist())
 
     @property
     def n_free(self) -> int:
-        return len(self.free_indices)
+        return self._free.size
 
     def free_assignment(self, y) -> np.ndarray:
         """``y`` as a float array, checked to hold one value per free variable."""
@@ -90,9 +120,9 @@ class VariableTable:
         """Expand a free assignment into a value per table index."""
         y = self.free_assignment(y)
         values = np.empty(self.size, dtype=float)
-        values[list(self.free_indices)] = y
-        for idx, v in self.observed.items():
-            values[idx] = v
+        values[self._free] = y
+        index, observed = self._observed
+        values[index] = observed
         return values
 
 
@@ -297,7 +327,7 @@ class FoldedRows:
 
     def functions(self, table: VariableTable):
         """Each row as the ``(terms, offset)`` that `fold_rows` takes, over table indices."""
-        indices = np.asarray(table.free_indices, dtype=np.intp)[self.positions].tolist()
+        indices = table._free[self.positions].tolist()
         terms = list(map(list, zip(indices, self.coeffs.tolist())))
         bounds = self.indptr.tolist()
         return [(terms[a:b], o) for a, b, o in zip(bounds, bounds[1:], self.offsets.tolist())]
