@@ -79,8 +79,14 @@ class Coding:
     """
 
     def __init__(self, data: "DataSet"):
-        self.constants: list[str] = sorted(set().union(*data.universe.values()))
-        self.code: dict[str, int] = dict(zip(self.constants, range(len(self.constants))))
+        largest = max(data.universe, key=lambda t: len(data.universe[t]), default=None)
+        if largest is not None and all(data._rank[largest].keys() >= data._rank[t].keys()
+                                       for t in data.universe if t != largest):
+            # One type holds every constant: its ranks are the codes.
+            self.constants, self.code = data.constants_of(largest), data._rank[largest]
+        else:
+            self.constants = tuple(sorted(set().union(*data.universe.values())))
+            self.code = dict(zip(self.constants, range(len(self.constants))))
         self.radix = max(1, len(self.constants))
         self.types = {
             name: np.fromiter(map(self.code.__getitem__, data.constants_of(name)), np.intp)
@@ -186,14 +192,18 @@ class _Rows:
             ranks = np.concatenate([r for r, _ in self._parts])
             values = np.concatenate([v for _, v in self._parts])
             if math.prod(map(len, self.domains)) < 2**63:
-                order = np.argsort(_mixed_radix(ranks, self.domains), kind="stable")
+                key = _mixed_radix(ranks, self.domains)
+            else:  # rank the rows instead
+                key = np.unique(ranks, axis=0, return_inverse=True)[1].ravel()
+            if (key[1:] > key[:-1]).all():  # in order already, each atom once
+                self._table = ranks, values, np.arange(len(key))
             else:
-                order = np.lexsort(ranks.T[::-1])
-            ranks = ranks[order]
-            new = np.ones(len(ranks) + 1, dtype=bool)
-            new[1:-1] = (ranks[1:] != ranks[:-1]).any(axis=1)
-            last = new[1:]
-            self._table = ranks[last], values[order[last]], order[new[:-1]]
+                order = np.argsort(key, kind="stable")
+                key = key[order]
+                new = np.ones(len(key) + 1, dtype=bool)
+                new[1:-1] = key[1:] != key[:-1]
+                last = new[1:]
+                self._table = ranks[order[last]], values[order[last]], order[new[:-1]]
         return self._table
 
     def atoms(self) -> dict[tuple[str, ...], float]:
@@ -393,6 +403,7 @@ _LIST_RUN = re.compile(
 )
 _KINDS = {"type": "type", "predicate": "predicate", "closed": "predicate", "value": "observation"}
 _ITEM = re.compile(r"%s|(%s|%s)" % (_COMMENT, STRING, IDENT), re.DOTALL)
+_CONSTANT = re.compile(r'"([^"]*)"')
 
 
 @functools.lru_cache(maxsize=None)
@@ -434,7 +445,10 @@ def statements(text: str, start: int = 0):
             pos = _list_end(text, pos)
             if pos is None:
                 raise statement_error(text, m.start("name"))
-            items = [unquote(s) for s in _ITEM.findall(text, m.end(), pos) if s]
+            if any(text.find(c, m.end(), pos) >= 0 for c in "\\'/"):
+                items = [unquote(s) for s in _ITEM.findall(text, m.end(), pos) if s]
+            else:  # no escape, single quote or comment: the text between quotes
+                items = _CONSTANT.findall(text, m.end(), pos)
         else:
             items = [s if kind == "predicate" else unquote(s) for s in _ITEM.findall(m[kind]) if s]
         value = float(m["value"]) if kind == "observation" else last == "closed"

@@ -274,7 +274,8 @@ def _join_all(pruned, domains, data):
                 keep &= column == codes[:, columns[arg.name]]
             else:
                 columns[arg.name] = position
-                keep &= _find(domains[arg.name], column)[1]
+                if len(domains[arg.name]) < coding.radix:  # else every code is in it
+                    keep &= _find(domains[arg.name], column)[1]
         relations.append((tuple(columns), codes[keep][:, list(columns.values())]))
 
     names, rows = (), np.zeros((1, 0), dtype=np.intp)
@@ -285,14 +286,16 @@ def _join_all(pruned, domains, data):
             key=lambda k: (bool(names) and not set(relations[k][0]) & set(names),
                            len(relations[k][1]), k),
         )
-        names, rows = _join((names, rows), relations.pop(best), coding.radix)
+        relation = relations.pop(best)
+        unit = rows.shape == (1, 0)  # the join's identity
+        names, rows = relation if unit else _join((names, rows), relation, coding.radix)
     ordered = sorted(domains)
     for name in ordered:
         if name not in names:
             names, rows = _join((names, rows), ((name,), domains[name][:, None]), coding.radix)
     rows = rows[:, [names.index(v) for v in ordered]]
-    if ordered:
-        rows = rows[np.lexsort(rows.T[::-1])]
+    if ordered:  # the rows are distinct, so one key per row orders them
+        rows = rows[np.argsort(_keys(coding.radix, rows)[0], kind="stable")]
     return rows
 
 
