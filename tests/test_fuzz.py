@@ -7,7 +7,9 @@ text with a few characters inserted, deleted or replaced. On the same
 inputs `load_data` reads what the token-walk reader in `helpers` reads and
 fails where it fails. Data texts whose observations are all plain are read
 in one bulk pass, without the statement walk, to the same result; so are
-the plain observations before the first other text.
+the plain observations before the first other text. A data set read in
+bulk holds what one filled by `DataSet.add_observation` over the same
+statements holds, down to its coding and variable table.
 
 `HlMrf.from_json` reads model files: whatever JSON document it gets, it
 either succeeds or raises a `ModelError`. Inputs are a valid document with
@@ -23,8 +25,9 @@ import warnings
 from hypothesis import example, given, settings, strategies as st
 
 from softlogic.ground import DataError, DataSet, load_data
+from softlogic.ground.data import statements
 from softlogic.lang import LangError, parse_program, tokenize
-from softlogic.model import HlMrf, ModelError
+from softlogic.model import GroundAtom, HlMrf, ModelError
 
 from helpers import reference_load_data
 
@@ -255,6 +258,81 @@ def test_valid_texts_read():
     assert len(parse_program(VALID_PROGRAM).rules) == 7
     assert len(load_data(VALID_DATA).observations) == 4
     assert len(load_data(COMMENTED_DATA).observations) == 3
+
+
+@st.composite
+def mixed_data(draw):
+    """A data text with constants in several types, open and closed
+    predicates, observed open atoms and repeated observations, and maybe a
+    statement the bulk reader leaves to the walk (a comment or a
+    single-quoted constant) midway, with a type and a predicate declared
+    after it and observed."""
+    types = [
+        draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    signatures = [
+        [draw(st.integers(0, len(types) - 1)) for _ in range(draw(st.integers(1, 3)))]
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    lines = ["T%d = {%s}" % (t, ", ".join('"%s"' % c for c in cs)) for t, cs in enumerate(types)]
+    lines += ["P%d(%s)%s" % (p, ", ".join("T%d" % t for t in signature),
+                             draw(st.sampled_from(["", " (closed)"])))
+              for p, signature in enumerate(signatures)]
+
+    def observation(quote="\""):
+        p = draw(st.integers(0, len(signatures) - 1))
+        args = ", ".join(quote + draw(st.sampled_from(types[t])) + quote for t in signatures[p])
+        return "P%d(%s) = %s" % (p, args, draw(st.sampled_from(["0", "1", "0.5", "0.25"])))
+
+    lines += [observation() for _ in range(draw(st.integers(1, 10)))]
+    late = draw(st.sampled_from([None, "comment", "quoted"]))
+    if late is not None:
+        lines.append("// midway" if late == "comment" else observation("'"))
+        lines += ['L = {"e", "a"}', "Q(L, T0)", 'Q("e", "%s") = 0.75' % types[0][0]]
+        lines += [observation() for _ in range(draw(st.integers(0, 4)))]
+    return "\n".join(lines) + "\n"
+
+
+def _added_one_at_a_time(text):
+    """A data set filled by `DataSet.add_observation` over the statements of ``text``."""
+    data = DataSet()
+    for kind, name, items, value, _ in statements(text):
+        if kind == "type":
+            data.define_type(name, items)
+        elif kind == "predicate":
+            data.declare_predicate(name, items, value)
+        else:
+            data.add_observation(GroundAtom(name, items), value)
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=mixed_data())
+@example('T0 = {"a", "b"}\nP0(T0)\nP0("b") = 1\nP0("a") = 0.5\nP0("b") = 0\n')
+def test_bulk_read_matches_observations_added_one_at_a_time(text):
+    new, ref = load_data(text), _added_one_at_a_time(text)
+    assert list(new.observations.items()) == list(ref.observations.items())
+    assert dict(new.observations) == dict(ref.observations)
+    assert len(new.observations) == len(ref.observations)
+    for atom in ref.base():
+        assert new.observed_value(atom) == ref.observed_value(atom)
+    coding, expected = new.coding(), ref.coding()
+    assert list(coding.observed) == list(expected.observed)
+    for name, (codes, values) in expected.observed.items():
+        assert coding.observed[name][0].dtype == codes.dtype
+        assert coding.observed[name][0].tolist() == codes.tolist()
+        assert coding.observed[name][1].tolist() == values.tolist()
+    table = coding.table
+    assert table.labels == expected.table.labels == tuple(
+        atom for atom in ref.base() if not ref.predicates[atom.predicate].closed
+    )
+    assert table.observed == expected.table.observed == {
+        k: ref.observations[atom] for k, atom in enumerate(table.labels)
+        if atom in ref.observations
+    }
+    assert table.position.tolist() == expected.table.position.tolist()
+    assert table.free_indices == tuple(k for k in range(table.size) if k not in table.observed)
 
 
 VALID_MODEL = {

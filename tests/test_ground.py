@@ -186,6 +186,18 @@ class TestObservationRows:
         codes, values = data.coding().observed["P"]
         assert codes.tolist() == [[0], [1]] and values.tolist() == [0.25, 0.0]
 
+    def test_rows_too_wide_for_one_key_merge_alike(self):
+        # 600 ** 7 atoms: more than one int64 key can number.
+        data = DataSet({"T": ["c%03d" % i for i in range(600)]},
+                       [PredicateDef("W", ("T",) * 7, closed=True)])
+        for k, c in enumerate(["c001", "c000", "c001"]):
+            data.add_observation(GroundAtom("W", (c,) * 7), k / 4)
+        assert list(data.observations.items()) == [
+            (GroundAtom("W", ("c001",) * 7), 0.5), (GroundAtom("W", ("c000",) * 7), 0.25)
+        ]
+        codes, values = data.coding().observed["W"]
+        assert codes.tolist() == [[0] * 7, [1] * 7] and values.tolist() == [0.25, 0.5]
+
     def test_coding_matches_the_view_on_a_synth_network(self):
         data = load_data(generate_network(SynthNetworkSpec(n_users=60, seed=2))[0])
         coding = data.coding()
@@ -236,6 +248,52 @@ class TestCachedCoding:
         assert second.table.labels == first.table.labels
         assert [p.linfun.offset for p in second.potentials[:3]] == [1.0, 0.5, 0.5]
         assert second.potentials[1].linfun.terms == ((1, -1.0),)
+
+
+SHARED_DATA = """
+Person = {"p1", "p2", "p3", "p4"}
+Knows(Person, Person) (closed)
+Likes(Person)
+Trusts(Person)
+Knows("p1", "p2") = 1
+Knows("p2", "p3") = 0.5
+Knows("p3", "p1") = 0
+Knows("p4", "p4") = 1
+"""
+# Both rules join the same closed atom; the p4 self-loop puts one table
+# index twice in a row.
+SHARED_PROGRAM = """
+1 : Likes(A) & Knows(A, B) -> Likes(B)
+0.5 : Trusts(A) & Knows(A, B) -> Trusts(B) ^2
+"""
+
+
+class TestSharedJoins:
+    @pytest.mark.parametrize("prune", [False, True])
+    def test_rules_sharing_a_closed_atom_ground_as_each_alone(self, prune):
+        rules = parse_program(SHARED_PROGRAM).rules
+        data = load_data(SHARED_DATA)
+        together = [ground_logical_rule(r, data, rule_id=k, prune=prune) for k, r in enumerate(rules)]
+        assert len(data.coding().memo) == 1  # one substitution matrix for both
+        for k, rule in enumerate(rules):
+            alone = ground_logical_rule(rule, load_data(SHARED_DATA), rule_id=k, prune=prune)
+            assert together[k].codes.tolist() == alone.codes.tolist()
+            assert together[k].row_ground.tolist() == alone.row_ground.tolist()
+            for name, _ in PotentialRows.FIELDS:
+                shared, own = getattr(together[k].rows, name), getattr(alone.rows, name)
+                assert shared.dtype == own.dtype and shared.tolist() == own.tolist(), name
+
+    def test_memo_does_not_outlive_a_data_change(self):
+        program = parse_program(SHARED_PROGRAM)
+        data = load_data(SHARED_DATA)
+        first = ground_program(program, data, prune=True)
+        coding = data.coding()
+        data.add_observation(GroundAtom("Knows", ("p2", "p4")), 1.0)
+        second = ground_program(program, data, prune=True)
+        assert data.coding() is not coding
+        fresh = load_data(SHARED_DATA + 'Knows("p2", "p4") = 1\n')
+        assert second.to_json() == ground_program(program, fresh, prune=True).to_json()
+        assert second.to_json() != first.to_json()
 
 
 class TestLogicalGrounding:
