@@ -12,18 +12,30 @@ Unlisted atoms of closed predicates are observed at 0; unlisted atoms of
 open predicates stay unobserved. Constants may belong to several types.
 Constants take double or single quotes and backslash escapes, and ``//``
 and ``/* */`` comments may stand between any two tokens. `statements` reads
-one whole statement at a time with one regular expression; only a statement
-that fails is tokenized, to locate the error. Observations are stored once,
-as rows per predicate, which `Coding` reads and `DataSet.observations` views.
+one whole statement at a time with one regular expression (a type's
+constant list in bounded runs, so in time linear in its length); only a
+statement that fails is tokenized, to locate the error.
+
+Observations are stored as arrays, per predicate: each argument as its
+constant's rank in its type's sorted constants (a type never changes once
+declared, so neither do the ranks), and one value column, in the order
+observed. On first use after a change they are merged into one row per
+atom, the last observation of an atom winning. `Coding` takes the global
+codes from them with one ``take`` per column, and `DataSet.observations`
+and `DataSet.observed_value` build ``{args: value}`` only when they look
+an atom up.
 
 `load_data` walks the statements up to the first observation. From there
-it reads the plain observations (double-quoted constants without escapes,
-blanks between tokens, no comments) in one bulk pass: one `re.findall`,
-then every check of `DataSet.add_observation` on whole columns, per
-predicate, before anything is stored. If other text follows, the pass
-stores only the plain observations before it, and the statement walk goes
-on from that text. A failed check leaves the data set as it was, and the
-statement walk goes on from the first observation and locates the error.
+it reads the plain observations (non-empty double-quoted constants without
+escapes, blanks between tokens, no comments) in one bulk pass: one
+`re.findall` with a group per constant, then every check of
+`DataSet.add_observation` on whole columns, per predicate, before anything
+is stored: a constant's rank comes from its type's ``{constant: rank}``
+dict, where a miss fails the membership check, and the values must lie in
+[0, 1]. If other text follows, the pass stores only the plain observations
+before it, and the statement walk goes on from that text. A failed check
+leaves the data set as it was, and the statement walk goes on from the
+first observation and locates the error.
 """
 
 from __future__ import annotations
@@ -40,7 +52,7 @@ import numpy as np
 
 from ..lang.ast import LangError
 from ..lang.lexer import IDENT, NUMBER, STRING, tokenize, unquote
-from ..model import _REAL, GroundAtom, VariableTable
+from ..model import _REAL, GroundAtom, VariableTable, _concat
 
 
 class DataError(LangError):
@@ -147,10 +159,6 @@ def _mixed_radix(ranks, domains) -> np.ndarray:
     for column, domain in zip(ranks.T, domains):
         index = index * len(domain) + column
     return index
-
-
-def _concat(arrays, dtype):
-    return np.concatenate(arrays) if arrays else np.zeros(0, dtype)
 
 
 class _Rows:

@@ -16,12 +16,18 @@ predicate's observations as an argument-code matrix and a value vector,
 and holds the variable table, ``Coding.table``. A rule's substitutions
 are a join over those arrays: with pruning, a negated closed atom of a
 logical rule contributes only its nonzero observations, joined on sorted
-integer keys, and every other variable ranges over its typed domain; a
-`np.lexsort` of the code columns then gives the lexicographic order. Each
-ground atom is looked up set at a time too (observations by sorted keys,
-open atoms' table indices as mixed-radix codes over the sorted type
-constants, functional predicates once per distinct atom), and the
-offsets, the merged terms and the prune test are array expressions.
+integer keys, and every other variable ranges over its typed domain (the
+intersection of its types, computed only when they differ); one integer
+key per row then gives the lexicographic order. The substitutions depend
+only on the pruned atoms and the variables' types, so they are kept in
+``Coding.memo`` and rules that share them, such as the two rules of one
+edge type, share one read-only matrix until the data changes. Each ground
+atom is looked up set at a time too (observations by sorted keys, open
+atoms' table indices as mixed-radix codes over the sorted type constants,
+functional predicates once per distinct atom), and the offsets and the
+prune test are array expressions. A logical rule's terms come at most one
+per literal and row; where no table index repeats within a row, a
+row-wise sort of those few terms replaces the general merge.
 
 An arithmetic rule pairs every substitution with every candidate of each
 sum variable; its select clause is a mask over those pairs, its
@@ -250,15 +256,14 @@ def _substitutions(literals, domains, data, prune):
     key = ("substitutions", pruned, tuple(sorted(domains.items())))
     if key not in coding.memo:
         codes = {name: _domain(coding, types) for name, types in domains.items()}
-        rows = _join_all(pruned, codes, data)
+        rows = _join_all(pruned, codes, coding)
         rows.flags.writeable = False
         coding.memo[key] = rows
     return coding.memo[key]
 
 
-def _join_all(pruned, domains, data):
+def _join_all(pruned, domains, coding):
     """The substitutions of `_substitutions`, ``domains`` holding each variable's codes."""
-    coding = data.coding()
     relations = []
     for atom in pruned:
         codes, values = coding.observed.get(
