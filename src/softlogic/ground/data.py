@@ -522,15 +522,17 @@ def _observe_plain(data: DataSet, text: str, offset: int) -> int:
         pred = data.predicates.get(name)
         if pred is None:
             return offset
-        *columns, values = map(itertools.chain.from_iterable, zip(*parts))
-        if any(map(any, columns[pred.arity:])):  # too many arguments
+        *columns, values = (tuple(itertools.chain.from_iterable(c)) for c in zip(*parts))
+        # A plain constant is not empty, so an empty one is an absent
+        # argument, even where a type declares the constant "".
+        if not all(map(all, columns[:pred.arity])) or any(map(any, columns[pred.arity:])):
             return offset
         try:
             ranks = np.stack([
                 np.fromiter(map(data._rank[t].__getitem__, column), np.intp)
                 for t, column in zip(pred.arg_types, columns)
             ], axis=1)
-        except KeyError:  # an unknown constant, or too few arguments
+        except KeyError:  # an unknown constant
             return offset
         values = np.fromiter(map(float, values), float)
         if not (0.0 <= values.min() and values.max() <= 1.0):

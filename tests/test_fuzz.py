@@ -22,6 +22,8 @@ import re
 import unittest.mock
 import warnings
 
+import pytest
+
 from hypothesis import example, given, settings, strategies as st
 
 from softlogic.ground import DataError, DataSet, load_data
@@ -258,6 +260,20 @@ def test_valid_texts_read():
     assert len(parse_program(VALID_PROGRAM).rules) == 7
     assert len(load_data(VALID_DATA).observations) == 4
     assert len(load_data(COMMENTED_DATA).observations) == 3
+
+
+@pytest.mark.parametrize("text", [
+    'T = {"", "a"}\nP(T, T)\nP("a") = 1\n',  # too few arguments
+    'T = {"", "a"}\nP(T, T)\nP("a", "a") = 1\nP("a") = 0\n',
+    'T = {"", "a"}\nP(T)\nP("a") = 1\nP("a", "a") = 0\n',  # too many
+    'T = {"", "a"}\nP(T, T)\nP("a", "") = 1\nP("", "a") = 0.5\n',  # "" given, not plain
+])
+def test_a_declared_empty_constant_fills_no_missing_argument(text):
+    new, ref = _outcome(load_data, text), _outcome(reference_load_data, text)
+    if isinstance(ref, DataSet):
+        assert list(new.observations.items()) == list(ref.observations.items())
+    else:
+        assert (type(new), str(new)) == (type(ref), str(ref))
 
 
 @st.composite
