@@ -253,7 +253,7 @@ def _substitutions(literals, domains, data, prune):
         if prune and lit.negated and data.predicates[lit.atom.predicate].closed
         and lit.atom.predicate not in data.functionals
     )
-    key = ("substitutions", pruned, tuple(sorted(domains.items())))
+    key = pruned, tuple(sorted(domains.items()))
     if key not in coding.memo:
         codes = {name: _domain(coding, types) for name, types in domains.items()}
         rows = _join_all(pruned, codes, coding)
