@@ -91,14 +91,8 @@ class Coding:
     """
 
     def __init__(self, data: "DataSet"):
-        largest = max(data.universe, key=lambda t: len(data.universe[t]), default=None)
-        if largest is not None and all(data._rank[largest].keys() >= data._rank[t].keys()
-                                       for t in data.universe if t != largest):
-            # One type holds every constant: its ranks are the codes.
-            self.constants, self.code = data.constants_of(largest), data._rank[largest]
-        else:
-            self.constants = tuple(sorted(set().union(*data.universe.values())))
-            self.code = dict(zip(self.constants, range(len(self.constants))))
+        self.constants = tuple(sorted(set().union(*data.universe.values())))
+        self.code = dict(zip(self.constants, range(len(self.constants))))
         self.radix = max(1, len(self.constants))
         self.types = {
             name: np.fromiter(map(self.code.__getitem__, data.constants_of(name)), np.intp)
@@ -125,7 +119,7 @@ class Coding:
             blocks.append((name, domains))
             if name in data._rows:
                 ranks, values, _ = data._rows[name].table()
-                observed_index.append(size + _mixed_radix(ranks, domains))
+                observed_index.append(size + _mixed_radix(ranks, map(len, domains)))
                 observed_values.append(values)
             size += math.prod(map(len, domains))
         self.table = VariableTable.from_blocks(
@@ -143,22 +137,32 @@ class Coding:
         `DataSet.atoms_of` is a product over sorted type constants, so an
         atom's index is the mixed-radix number of its constants' ranks.
         """
-        index = np.zeros(len(args), dtype=np.intp)
-        for position, type_name in enumerate(self._arg_types[predicate]):
-            constants = self.types[type_name]
-            column = args[:, position]
-            # A type of every constant ranks each by its code.
-            rank = column if len(constants) == self.radix else np.searchsorted(constants, column)
-            index = index * len(constants) + rank
-        return index + self.base[predicate]
+        types = [self.types[t] for t in self._arg_types[predicate]]
+        ranks = np.stack([np.searchsorted(constants, column)
+                          for constants, column in zip(types, args.T)], axis=1)
+        return _mixed_radix(ranks, map(len, types)) + self.base[predicate]
 
 
-def _mixed_radix(ranks, domains) -> np.ndarray:
-    """The index of each row of ``ranks`` in the product of ``domains``."""
-    index = np.zeros(len(ranks), dtype=np.int64)
-    for column, domain in zip(ranks.T, domains):
-        index = index * len(domain) + column
+def _mixed_radix(rows, radixes) -> np.ndarray:
+    """Each row of ``rows`` as one number, its column k a digit below ``radixes[k]``."""
+    index = np.zeros(len(rows), dtype=np.int64)
+    for column, radix in zip(rows.T, radixes):
+        index = index * radix + column
     return index
+
+
+def _keys(radix, *matrices):
+    """Integer keys of the rows of equal-width code matrices below
+    ``radix``, in row order.
+
+    Rows pack into one int64 each in mixed radix when that cannot
+    overflow; otherwise they are ranked together.
+    """
+    width = matrices[0].shape[1]
+    if radix**width < 2**63:
+        return [_mixed_radix(rows, [radix] * width) for rows in matrices]
+    _, rank = np.unique(np.concatenate(matrices), axis=0, return_inverse=True)
+    return np.split(rank.ravel(), np.cumsum([len(m) for m in matrices[:-1]]))
 
 
 class _Rows:
@@ -168,7 +172,9 @@ class _Rows:
 
     A bulk read adds whole arrays, `DataSet._observe` one row at a time.
     `table` merges them on first use after a change, and `atoms` builds the
-    ``{args: value}`` view only when something looks an atom up.
+    ``{args: value}`` view only when something looks an atom up; a row
+    added one at a time updates that view once built, so lookups between
+    single additions stay cheap.
     """
 
     def __init__(self, domains):
@@ -182,9 +188,11 @@ class _Rows:
         self._parts.append((ranks, values))
         self._table = self._atoms = None
 
-    def add(self, ranks, value):
+    def add(self, args, ranks, value):
         self._pending.append((ranks, value))
-        self._table = self._atoms = None
+        self._table = None
+        if self._atoms is not None:  # a new atom goes last, a repeated one keeps its place
+            self._atoms[args] = value
 
     def _flush(self):
         if self._pending:
@@ -199,10 +207,7 @@ class _Rows:
             self._flush()
             ranks = np.concatenate([r for r, _ in self._parts])
             values = np.concatenate([v for _, v in self._parts])
-            if math.prod(map(len, self.domains)) < 2**63:
-                key = _mixed_radix(ranks, self.domains)
-            else:  # rank the rows instead
-                key = np.unique(ranks, axis=0, return_inverse=True)[1].ravel()
+            (key,) = _keys(max(map(len, self.domains)), ranks)
             if (key[1:] > key[:-1]).all():  # in order already, each atom once
                 self._table = ranks, values, np.arange(len(key))
             else:
@@ -323,7 +328,7 @@ class DataSet:
         if not 0.0 <= value <= 1.0:
             atom = GroundAtom(name, args)
             raise DataError("observed value %r for %s outside [0, 1]" % (value, atom))
-        self._rows_of(pred).add(tuple(ranks), float(value))
+        self._rows_of(pred).add(args, tuple(ranks), float(value))
         self._coding = None
 
     def _rows_of(self, pred: PredicateDef) -> _Rows:
@@ -411,7 +416,6 @@ _LIST_RUN = re.compile(
 )
 _KINDS = {"type": "type", "predicate": "predicate", "closed": "predicate", "value": "observation"}
 _ITEM = re.compile(r"%s|(%s|%s)" % (_COMMENT, STRING, IDENT), re.DOTALL)
-_CONSTANT = re.compile(r'"([^"]*)"')
 
 
 @functools.lru_cache(maxsize=None)
@@ -453,10 +457,7 @@ def statements(text: str, start: int = 0):
             pos = _list_end(text, pos)
             if pos is None:
                 raise statement_error(text, m.start("name"))
-            if any(text.find(c, m.end(), pos) >= 0 for c in "\\'/"):
-                items = [unquote(s) for s in _ITEM.findall(text, m.end(), pos) if s]
-            else:  # no escape, single quote or comment: the text between quotes
-                items = _CONSTANT.findall(text, m.end(), pos)
+            items = [unquote(s) for s in _ITEM.findall(text, m.end(), pos) if s]
         else:
             items = [s if kind == "predicate" else unquote(s) for s in _ITEM.findall(m[kind]) if s]
         value = float(m["value"]) if kind == "observation" else last == "closed"

@@ -79,7 +79,7 @@ from ..model import (
     TemplateInfo,
     _merge_terms,
 )
-from .data import DataError, DataSet
+from .data import DataError, DataSet, _keys
 
 
 class GroundingError(LangError):
@@ -190,25 +190,6 @@ def _origin(rule_id, names, codes, constants):
 # -- set-at-a-time joins over integer codes ----------------------------------
 
 
-def _keys(radix, *matrices):
-    """Integer keys of the rows of equal-width code matrices, in row order.
-
-    Rows pack into one int64 each in mixed radix when that cannot
-    overflow; otherwise they are ranked together.
-    """
-    width = matrices[0].shape[1]
-    if radix**width < 2**63:
-        keys = []
-        for rows in matrices:
-            key = np.zeros(len(rows), dtype=np.int64)
-            for column in rows.T:
-                key = key * radix + column
-            keys.append(key)
-        return keys
-    _, rank = np.unique(np.concatenate(matrices), axis=0, return_inverse=True)
-    return np.split(rank.ravel(), np.cumsum([len(m) for m in matrices[:-1]]))
-
-
 def _find(sorted_keys, keys):
     """Where each key sits in ``sorted_keys``, and whether it is there."""
     at = np.searchsorted(sorted_keys, keys)
@@ -279,8 +260,7 @@ def _join_all(pruned, domains, coding):
                 keep &= column == codes[:, columns[arg.name]]
             else:
                 columns[arg.name] = position
-                if len(domains[arg.name]) < coding.radix:  # else every code is in it
-                    keep &= _find(domains[arg.name], column)[1]
+                keep &= _find(domains[arg.name], column)[1]
         relations.append((tuple(columns), codes[keep][:, list(columns.values())]))
 
     names, rows = (), np.zeros((1, 0), dtype=np.intp)

@@ -311,28 +311,36 @@ def mixed_data(draw):
 
 
 def _added_one_at_a_time(text):
-    """A data set filled by `DataSet.add_observation` over the statements of ``text``."""
-    data = DataSet()
+    """A data set filled by `DataSet.add_observation` over the statements of
+    ``text``, and the same observations in plain dicts, one per predicate in
+    the order first observed: each atom where it was first observed, with
+    the value it was last observed at."""
+    data, observed = DataSet(), {}
     for kind, name, items, value, _ in statements(text):
         if kind == "type":
             data.define_type(name, items)
         elif kind == "predicate":
             data.declare_predicate(name, items, value)
         else:
-            data.add_observation(GroundAtom(name, items), value)
-    return data
+            atom = GroundAtom(name, items)
+            data.add_observation(atom, value)
+            observed.setdefault(name, {})[atom] = value
+            assert data.observed_value(atom) == value  # a lookup between additions
+    return data, {atom: v for atoms in observed.values() for atom, v in atoms.items()}
 
 
 @settings(max_examples=300, deadline=None)
 @given(text=mixed_data())
 @example('T0 = {"a", "b"}\nP0(T0)\nP0("b") = 1\nP0("a") = 0.5\nP0("b") = 0\n')
 def test_bulk_read_matches_observations_added_one_at_a_time(text):
-    new, ref = load_data(text), _added_one_at_a_time(text)
-    assert list(new.observations.items()) == list(ref.observations.items())
-    assert dict(new.observations) == dict(ref.observations)
-    assert len(new.observations) == len(ref.observations)
+    new, (ref, observed) = load_data(text), _added_one_at_a_time(text)
+    assert list(new.observations.items()) == list(ref.observations.items()) == list(observed.items())
+    assert len(new.observations) == len(ref.observations) == len(observed)
     for atom in ref.base():
-        assert new.observed_value(atom) == ref.observed_value(atom)
+        closed = ref.predicates[atom.predicate].closed
+        assert new.observed_value(atom) == ref.observed_value(atom) == observed.get(
+            atom, 0.0 if closed else None
+        )
     coding, expected = new.coding(), ref.coding()
     assert list(coding.observed) == list(expected.observed)
     for name, (codes, values) in expected.observed.items():

@@ -1333,6 +1333,52 @@ class TestWarmStart:
         assert warm.compiled is compiled
 
 
+class TestRepeatedSolves:
+    def test_a_repeated_solve_restarts_the_compiled_model(self):
+        mrf = squared_model(np.random.default_rng(4))
+        fresh = [solve_map(mrf.with_weights(mrf.weights), TIGHT) for _ in range(2)]
+        answers = [solve_map(mrf, TIGHT)]
+        compiled = softlogic.infer._last_compiled[mrf]
+        answers.append(solve_map(mrf, TIGHT))
+        assert softlogic.infer._last_compiled[mrf] is compiled
+        for (y, diag), (y_fresh, diag_fresh) in zip(answers, fresh):
+            np.testing.assert_array_equal(y, y_fresh)
+            assert diag.iterations == diag_fresh.iterations
+            assert diag.rho_updates == diag_fresh.rho_updates
+        assert answers[0][0] is not answers[1][0]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_start_weights_and_linear_terms_may_change(self, seed):
+        rng = np.random.default_rng(seed)
+        mrf, linear = mixed_model(rng)
+        start = rng.uniform(size=mrf.n_free)
+        other = np.where(rng.uniform(size=linear.size) < 0.5, 0.0, -linear)  # another support
+        for kwargs in ({}, {"extra_linear": linear}, {"extra_linear": -linear, "initial": start},
+                       {"extra_linear": other}, {"initial": start}):
+            y, diag = solve_map(mrf, TIGHT, **kwargs)
+            y_fresh, fresh = solve_map(mrf.with_weights(mrf.weights), TIGHT, **kwargs)
+            np.testing.assert_array_equal(y, y_fresh)
+            assert diag.iterations == fresh.iterations
+        mrf.weights = mrf.weights * 2.0
+        y, _ = solve_map(mrf, TIGHT)
+        np.testing.assert_array_equal(y, solve_map(mrf.with_weights(mrf.weights), TIGHT)[0])
+
+    def test_the_kept_model_goes_with_its_model(self):
+        import gc
+        import weakref
+
+        mrf = squared_model(np.random.default_rng(1))
+        solve_map(mrf, TIGHT)
+        copy = mrf.with_weights(mrf.weights)
+        solve_map(copy, TIGHT)
+        kept = softlogic.infer._last_compiled
+        assert kept[copy] is not kept[mrf]
+        gone = weakref.ref(mrf)
+        del mrf
+        gc.collect()
+        assert gone() is None and copy in kept
+
+
 class TestLazyInference:
     def test_sparse_model_activates_under_thirty_percent(self):
         pots = []
