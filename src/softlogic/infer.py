@@ -520,9 +520,9 @@ class _CompiledModel:
     Rows that `_two_sided` pairs form groups of their own after those.
     `restart` sets the start, zero duals and each group's relaxation
     ``alpha``, fixed from the structure (see the module docstring), and
-    `set_parameters` each block's gain and bounds. A solve leaves its answer as ``y``. Energy, objective and
-    violations are read from the original rows, at ``y`` filled in by
-    `_Doubletons.expand`.
+    `set_parameters` each block's gain and bounds. A solve leaves its
+    answer as ``y``. Energy, objective and violations are read from the
+    original rows, at ``y`` filled in by `_Doubletons.expand`.
     """
 
     def __init__(self, mrf: HlMrf, support, y, pot_mask=None, con_mask=None):
@@ -805,9 +805,9 @@ def solve_map(
     free variables. ``extra_linear`` adds raw linear objective terms (used
     by loss-augmented inference); ``initial`` overrides the centered start.
     A `WarmStart` ``warm`` starts the solve from the state it holds, if
-    any, and keeps this solve's compiled model and final state. Without
-    one, the compiled model of ``mrf``'s last such solve is restarted, if
-    its linear terms were on the same variables.
+    any, and keeps this solve's compiled model and final state. Otherwise
+    the compiled model that ``mrf``'s last solve without a warm start left
+    is restarted, if its linear terms were on the same variables.
     """
     opts = opts or SolveOptions()
     if opts.lazy or opts.activation_threshold != 0:

@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -1364,9 +1366,6 @@ class TestRepeatedSolves:
         np.testing.assert_array_equal(y, solve_map(mrf.with_weights(mrf.weights), TIGHT)[0])
 
     def test_the_kept_model_goes_with_its_model(self):
-        import gc
-        import weakref
-
         mrf = squared_model(np.random.default_rng(1))
         solve_map(mrf, TIGHT)
         copy = mrf.with_weights(mrf.weights)
