@@ -792,7 +792,9 @@ def _run_admm(compiled: _CompiledModel, opts: SolveOptions, y):
 
 
 # Each model's compiled model from its last solve without a warm start, for
-# the next such solve to reuse; an entry goes with its model.
+# the next such solve to reuse; an entry goes with its model. A solve takes
+# its entry out with one `pop`, so two threads solving one model never share
+# one compiled model's buffers.
 _last_compiled: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -1364,6 +1365,23 @@ class TestRepeatedSolves:
         mrf.weights = mrf.weights * 2.0
         y, _ = solve_map(mrf, TIGHT)
         np.testing.assert_array_equal(y, solve_map(mrf.with_weights(mrf.weights), TIGHT)[0])
+
+    def test_threads_solving_one_model_share_no_buffers(self):
+        # More threads than cores, switching often: a compiled model taken
+        # by two solves at once would mix their iterates.
+        mrf = squared_model(np.random.default_rng(2))
+        y_ref, ref = solve_map(mrf.with_weights(mrf.weights), TIGHT)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(solve_map, mrf, TIGHT) for _ in range(48)]
+                answers = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for y, diag in answers:
+            np.testing.assert_array_equal(y, y_ref)
+            assert diag.iterations == ref.iterations
 
     def test_the_kept_model_goes_with_its_model(self):
         mrf = squared_model(np.random.default_rng(1))
