@@ -844,7 +844,10 @@ def solve_map(
     if warm is not None:
         compiled.y, warm.compiled = y, compiled
     else:
-        compiled.mrf = None  # the entry must not keep its own key alive
+        # Kept for a restart, it needs neither the substituted rows, which
+        # only compiling reads, nor its model, which would keep its own key
+        # alive.
+        compiled.reduced = compiled.mrf = None
         _last_compiled[mrf] = compiled
     return y, diag
 
