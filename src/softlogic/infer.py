@@ -7,20 +7,16 @@ blocks of one arity see theirs term-major, as ``(arity, blocks)`` views. One
 iteration steps ``u`` by the last residual, solves every block in closed
 form from its target ``z = y - u``, then averages ``local + u`` into the
 consensus ``y``, clipped to each variable's box: [0, 1], unless the
-presolve below narrowed it. The new residual ``local - y`` is both
-the primal residual of the stopping test and the next dual step. The
-consensus is kept compact, over the m variables that some copy holds,
-numbered 0..m-1 when compiling; it is written into the full ``y`` only
-for a trace callback, the stall test and the answer, so a free variable
-that no block holds keeps its start value.
+presolve below narrowed it. The new residual ``local - y`` is both the
+primal residual of the stopping test and the next dual step. The consensus
+is kept compact, over the variables that some copy holds, so a free
+variable that no block holds keeps its start value.
 
 Every block's local subproblem has one closed form. For the target ``z``
 and the block's row ``l(x) = a @ x + b``, the minimizer steps along ``a``:
 ``x = z - clip(g * l(z), lo, hi) * a``. Only the per-row gain ``g`` and
 bounds ``lo``, ``hi`` differ, fixed once per solve from the weight ``w`` and
-the penalty ``rho``. Each group of blocks keeps, from compiling, what does
-not depend on them (`_Gains`), and `_CompiledModel.set_parameters` writes
-the rest in place, with the products ``g * b`` that the step uses:
+the penalty ``rho``:
 
 - linear hinge: ``g = 1/||a||^2`` on ``[0, w/rho]``; the block stays at ``z``
   where the hinge is flat, steps by ``w/rho``, or projects onto ``l = 0``;
@@ -29,122 +25,58 @@ the rest in place, with the products ``g * b`` that the step uses:
 - equality constraint: ``g = 1/||a||^2``, unbounded;
 - raw linear term ``c * y_i``: ``g = 0`` and ``lo = hi = c/rho``.
 
-On a model with no linear hinge, every block of a solve that selects at
-least one potential is over-relaxed (Boyd et al. 2011, 3.4.3): it keeps
-``alpha * x + (1 - alpha) * y_old`` as its local copy, where ``x`` is the
-minimizer above and ``y_old`` the consensus it was solved against, so the
-consensus, the dual step and the stopping test all read the relaxed copy.
-``alpha`` is the constant `_RELAXATION` (1.7). Measured on the benchmark's
-networks before the presolve below, 2000 users and seeds 1-3 unless named,
-from ``alpha = 1`` to 1.7:
+Relaxation. A compiled model with at least one potential row and no linear
+hinge over-relaxes every block (Boyd et al. 2011, 3.4.3): it keeps ``alpha
+* x + (1 - alpha) * y_old`` as its local copy, where ``y_old`` is the
+consensus it was solved against, with ``alpha = _RELAXATION`` (1.7). Any
+other model keeps the plain step, since linear hinges and hard constraints
+alone take more iterations relaxed.
 
-- squared hinges, eps 1e-8: 396 -> 243 iterations on seed 1, and lazily,
-  over all rounds, 1,122-1,523 -> 685-954;
-- squared hinges with linear terms, `lme_train` at the default tolerances
-  (300 users, seeds 1-5; 1000 users, seeds 1-2): 2,126 -> 1,809 and
-  1,199 -> 982 iterations over all rounds, with 78 rounds on both sides;
-- linear hinges (exempt), default tolerances: 84 -> 180 iterations on
-  seed 1, 122 at 1.5;
-- hard constraints alone (exempt), a feasibility problem, eps 1e-8 from a
-  random start: 781-956 -> 1,569-1,957 iterations.
-
-A model with any linear hinge therefore keeps ``alpha = 1``, the plain
-step, and so does a solve with no potential selected, such as a lazy
-round that activated only constraints.
-
-Before any of this, compiling a solve presolves its hard constraints
-(`_Doubletons`): each selected two-variable equality ``a_r y_r + a_s y_s +
+Presolve (`_Doubletons`). Each two-variable equality ``a_r y_r + a_s y_s +
 b = 0`` whose variables appear in no other such equality is removed, and
 ``y_s = -(b + a_r y_r) / a_s`` is substituted into every other row and
 linear term, as doubleton equations are in LP presolve (Andersen & Andersen
-1995). The representative ``y_r`` is clipped in the consensus to the part
-of [0, 1] that keeps ``y_s`` in [0, 1], and ``y_s`` is filled in from it
-before each answer is read, so an eliminated equality holds to rounding.
-An equality stays with ADMM when that interval is empty or another selected
-constraint holds both its variables, so an infeasible model is still found
-infeasible by ADMM. On the benchmark's networks (2000 users, seeds 1-5),
-where every user has ``Liberal + Conservative = 1``, it cut the iterations:
+1995). ``y_r`` is clipped in the consensus to the part of [0, 1] that keeps
+``y_s`` in [0, 1], and ``y_s`` is filled in from it before each answer is
+read, so an eliminated equality holds to rounding. An equality stays with
+ADMM when that interval is empty or another constraint holds both its
+variables, so an infeasible model is still found infeasible by ADMM.
 
-- squared hinges, eps 1e-8: 243-247 -> 124-146;
-- linear hinges, default tolerances: 84-85 -> 41-51, with the answers
-  0.29-0.48% above the LP optimum instead of up to 1.07%, and the hard
-  constraints met exactly instead of to 1e-2;
-- 8 warm-started perceptron steps (1000 users): 184-234 -> 104-168 in all.
+Two-sided blocks (`_two_sided`). Two potential rows over the same
+variables, with ``a2 = mu * a1`` exactly for some ``mu < 0`` and disjoint
+active regions (``b2 - mu * b1 <= 0``), are one block with one set of
+copies, as general-form consensus allows (Boyd et al. 2011, 7.2). Neither
+hinge's step crosses its own zero set, so the block's exact minimizer adds
+both steps, taken at one target: ``x = z - (clip(g1 l1(z), lo1, hi1) + mu *
+clip(g2 l2(z), lo2, hi2)) * a1``.
 
-Compiling then merges opposite hinges (`_two_sided`): two selected
-potential rows over the same variables, with ``a2 = mu * a1`` exactly for
-some ``mu < 0`` and disjoint active regions (``b2 - mu * b1 <= 0``), are
-one two-sided block with one set of copies, as general-form consensus
-allows (Boyd et al. 2011, 7.2). Neither hinge's step crosses its own zero
-set, so the block's exact minimizer adds both steps, taken at one target:
-``x = z - (clip(g1 l1(z), lo1, hi1) + mu * clip(g2 l2(z), lo2, hi2)) * a1``.
-With ``Conservative = 1 - Liberal`` substituted, the benchmark's model
-(2000 users, seed 1) is 12,116 such blocks: 22,236 copies, not 44,472.
-With the band of 4 below, seeds 1-8, squared hinges at eps 1e-8 fell from
-52-59 to 40-49 iterations and 8 warm-started perceptron steps (1000 users)
-from 96-111 to 70-86 in all; linear hinges at the default tolerances
-(seeds 1-24) from a mean of 48.6 to 45.3 (seed 6: 43 -> 77).
+Balancing (Boyd et al. 2011, 3.4.1; Wohlberg 2017). ``SolveOptions.rho`` is
+where the penalty starts. Every `_BALANCE_EVERY` iterations the solve forms
+``q``, the primal residual over its tolerance divided by the dual residual
+over its own. Outside ``[1/_BALANCE_BAND, _BALANCE_BAND]``, ``rho`` is
+multiplied by ``sqrt(q)``, a factor clamped to ``[1/_BALANCE_STEP,
+_BALANCE_STEP]``, and the scaled duals are rescaled. After
+`_BALANCE_CHANGES` changes ``rho`` stays fixed, so the fixed-penalty
+convergence argument holds from there.
 
-The penalty ``rho`` is balanced on the relative residuals (Boyd et al.
-2011, 3.4.1; Wohlberg 2017): ``SolveOptions.rho`` is only where it starts.
-Every `_BALANCE_EVERY` (10) iterations the solve forms ``q``, the primal
-residual over its tolerance divided by the dual residual over its own. If
-``q`` is outside ``[1/4, 4]`` (`_BALANCE_BAND`), ``rho`` is multiplied by
-``sqrt(q)``, a factor clamped to ``[1/10, 10]`` (`_BALANCE_STEP`), and
-`_CompiledModel.set_parameters` resets the gains and bounds and rescales
-the scaled duals. After `_BALANCE_CHANGES` (6) changes ``rho`` stays
-fixed, so the fixed-penalty convergence argument holds from there; with
-no cap, ``rho`` was seen to swing back and forth on small squared models
-and stall one of them. The plain residuals of the benchmark's squared
-model sit a steady factor of about 5 apart, which the classic band
-(``mu = 10``) on them never acts on. Measured on the benchmark's networks,
-2000 users, from ``rho = 1``, with a band of 5 and no two-sided blocks:
-
-- squared hinges, eps 1e-8, seeds 1-8 and 11-30: 101-152 -> 52-60
-  iterations, ending at ``rho`` 0.39-1.1 after one or two changes;
-- linear hinges, default tolerances, seeds 1-5: ``q`` stays within the
-  band, so the iterates and answers are unchanged (41-51 iterations);
-- 8 warm-started perceptron steps (1000 users, seeds 1-8, 11, 12):
-  104-168 -> 96-111 in all;
-- `synth` squared networks (260-3100 users, seeds 1-3, default
-  tolerances): 1,100-1,816 -> 135-223.
-
-With two-sided blocks the squared model's ``q`` settles just inside 1/5,
-so a band of 5 took 55-75 iterations there (seeds 1-8); a band of 4 also
-took the `synth` squared networks from 135-223 to 124-192.
-
-A solve started from ``rho = 1e-3`` or ``1e3`` on a small squared model
-moves tenfold per look toward the balance: 64-84 iterations at eps 1e-8
-where a fixed penalty took over 20,000 or did not finish 25,000.
-
-A series of solves of one structure with nearby weights, as in learning,
-can pass one `WarmStart` to `solve_map`. It keeps the compiled structure
-and buffers: each later solve rewrites only the gains and bounds that
-depend on the weights, and starts from the last one's ``y``, local copies
-and duals, not from ``y = 0.5`` with zero duals, as Boyd et al. (2011)
-suggest for related problems.
-Each of those solves starts again at ``SolveOptions.rho``, its duals
-rescaled from the penalty the last one ended at.
-
-A solve without a warm start keeps its compiled model with the model it
-solved, and the next such solve of that model, with linear terms on the
-same variables, restarts it (`_CompiledModel.restart`) instead of
-compiling again: the same start, duals and gains, so the same iterates.
-On the benchmark's squared model (2000 users, seed 201) a repeated solve
-fell from about 20 ms to 12 ms, the compile and the page faults of its
-fresh buffers gone: about 1,400 a solve, where the C allocator had
-returned the last solve's buffers to the system.
+The kept model. `_CompiledModel` builds the blocks and buffers of the rows
+it is given. `solve_map` keeps one per structure, meaning the folded rows
+that `HlMrf.with_weights` copies share, and the support of the linear
+terms. The next solve of that structure takes it and writes only the gains
+and bounds of its weights, then starts either from its start ``y`` with
+zero duals, as if just compiled, or from the state a filled `WarmStart`
+holds: the last solve's ``y``, local copies and duals. Each round of
+`solve_map_lazy` compiles the rows it has activated and starts from the
+last round's ``y``.
 
 Every answer's template features (`HlMrf.template_features`) are computed
-once, by `_score`, into `Diagnostics.features`, and its energy is taken
-from them, so a learner reads the features of a MAP state from its solve.
+once into `Diagnostics.features`, and its energy is taken from them.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -165,12 +97,10 @@ _BALANCE_CHANGES = 6  # changes per solve; after them rho stays fixed
 class SolveOptions:
     """Solver knobs.
 
-    At the defaults, answers on the benchmark's 2000-user linear model
-    (seeds 1-5) ended up 0.59-0.69% above the LP optimum, with its hard
-    constraints, all eliminated by the presolve, met exactly; tighten
-    ``eps_abs`` and ``eps_rel`` for accurate objectives. ``rho`` is the
-    starting penalty: each solve balances it on the residuals, with at
-    most `_BALANCE_CHANGES` changes (see the module docstring).
+    ``rho`` is the starting penalty, which each solve balances on the
+    residuals; tighten ``eps_abs`` and ``eps_rel`` for accurate objectives.
+    ``workers`` threads share each iteration's block updates. ``lazy`` and
+    ``activation_threshold`` belong to `solve_map_lazy`.
     """
 
     rho: float = 1.0
@@ -354,16 +284,17 @@ def _inverse(values):
     return 1.0 / np.where(values > 0.0, values, np.inf)
 
 
-def _holding_pairs(rows, pair, is_sub, select):
-    """``(row, pair)`` for each row among ``select`` that holds both variables
-    of one pair. ``pair`` maps each variable to its pair's id, -1 outside
-    the pairs, and ``is_sub`` marks the substituted one of each pair."""
+def _holding_pairs(rows, pair, is_sub, among=True):
+    """``(row, pair)`` for each row, among those that ``among`` selects, that
+    holds both variables of one pair. ``pair`` maps each variable to its
+    pair's id, -1 outside the pairs, and ``is_sub`` marks the substituted
+    one of each pair."""
     k, sub = pair[rows.positions], is_sub[rows.positions]
     # Only a row with a representative and a substituted variable can hold
     # a pair, so only their terms are sorted.
     held = np.zeros((2, rows.size), bool)
     held[0, rows.term_row[(k >= 0) & ~sub]] = held[1, rows.term_row[sub]] = True
-    t = np.flatnonzero((select & held.all(axis=0))[rows.term_row] & (k >= 0))
+    t = np.flatnonzero((among & held.all(axis=0))[rows.term_row] & (k >= 0))
     stride = int(pair.max(initial=0)) + 1
     key = np.sort(rows.term_row[t] * stride + k[t])  # a row's terms hold distinct variables
     doubled = key[1:][key[1:] == key[:-1]]
@@ -373,19 +304,19 @@ def _holding_pairs(rows, pair, is_sub, select):
 class _Doubletons:
     """The presolve: two-variable equalities solved for one of their variables.
 
-    Takes every selected EQ row ``a_r x_r + a_s x_s + b = 0`` whose two
-    variables appear in no other selected two-variable EQ row and writes
-    ``x_s = shift + scale * x_r``, substituting the variable of larger
-    ``|a|`` (the second on ties). The representative ``x_r`` keeps the box
-    ``[lo, hi]``, the part of [0, 1] where ``x_s`` stays in [0, 1]. An
-    equality stays with ADMM if that interval is empty or another selected
-    constraint row holds both its variables, so that ADMM still reports an
-    infeasible model as it did. ``rows`` are the eliminated constraint rows,
-    one per pair; the other arrays are per pair, or per variable (``_of``).
+    Takes every EQ row ``a_r x_r + a_s x_s + b = 0`` of ``cons`` whose two
+    variables appear in no other two-variable EQ row and writes ``x_s =
+    shift + scale * x_r``, substituting the variable of larger ``|a|`` (the
+    second on ties). The representative ``x_r`` keeps the box ``[lo, hi]``,
+    the part of [0, 1] where ``x_s`` stays in [0, 1]. An equality stays with
+    ADMM if that interval is empty or another constraint row holds both its
+    variables, so that ADMM still reports an infeasible model as it did.
+    ``rows`` are the eliminated constraint rows, one per pair; the other
+    arrays are per pair, or per variable (``_of``).
     """
 
-    def __init__(self, n, cons, con_mask):
-        rows = np.flatnonzero(con_mask & cons.is_eq & (cons.arity == 2))
+    def __init__(self, n, cons):
+        rows = np.flatnonzero(cons.is_eq & (cons.arity == 2))
         pos, a = cons.by_term(rows, 2)
         once = (np.bincount(pos.ravel(), minlength=n)[pos] == 1).all(axis=0)
         rows, pos, a = rows[once], pos[:, once], a[:, once]
@@ -397,7 +328,7 @@ class _Doubletons:
         lo, hi = np.maximum(ends.min(axis=0), 0.0), np.minimum(ends.max(axis=0), 1.0)
         keep = lo <= hi
         self._pairs(n, keep, rows, rep, sub, shift, scale, lo, hi)
-        others = con_mask.copy()
+        others = np.ones(cons.size, bool)
         others[rows] = False
         keep[np.flatnonzero(keep)[_holding_pairs(cons, self.pair, self.is_sub, others)[1]]] = False
         self._pairs(n, keep, rows, rep, sub, shift, scale, lo, hi)
@@ -416,17 +347,16 @@ class _Doubletons:
             self.rep, self.shift, self.scale
         )
 
-    def substitute(self, rows, select):
-        """``rows`` with the substitutions made. A row among ``select`` that
-        holds both variables of a pair has its terms merged as in
-        `fold_rows`; other rows are not compiled, and are not merged."""
+    def substitute(self, rows):
+        """``rows`` with the substitutions made. A row that holds both
+        variables of a pair has its terms merged as in `fold_rows`."""
         p, term_row = rows.positions, rows.term_row
         offsets = rows.offsets + np.bincount(
             term_row, rows.coeffs * self.shift_of[p], minlength=rows.size
         )
         positions, coeffs, arity = self.rep_of[p], rows.coeffs * self.scale_of[p], rows.arity
         merge = np.zeros(rows.size, bool)
-        merge[_holding_pairs(rows, self.pair, self.is_sub, select)[0]] = True
+        merge[_holding_pairs(rows, self.pair, self.is_sub)[0]] = True
         if merge.any():
             keep = ~merge[term_row]
             index, coeff, merged = _merge_terms(
@@ -455,16 +385,16 @@ class _Doubletons:
         return y
 
 
-def _two_sided(pots, select, n):
-    """``(partner, mu)``: for each selected potential row heading a
-    two-sided block, the row it is paired with (-1 elsewhere) and ``mu``.
-    Over the rows of one set of variables, in row order, the ``j``-th with
-    a positive leading coefficient (terms sorted by variable) heads a block
-    with the ``j``-th with a negative one, if the two meet the conditions
-    in the module docstring."""
+def _two_sided(pots, n):
+    """``(partner, mu)``: for each potential row heading a two-sided block,
+    the row it is paired with (-1 elsewhere) and ``mu``. Over the rows of
+    one set of variables, in row order, the ``j``-th with a positive leading
+    coefficient (terms sorted by variable) heads a block with the ``j``-th
+    with a negative one, if the two meet the conditions in the module
+    docstring."""
     partner, mu_of = np.full(pots.size, -1), np.zeros(pots.size)
     for arity in range(1, pots.arity.max(initial=0) + 1):
-        r = np.flatnonzero(select & (pots.arity == arity))
+        r = np.flatnonzero(pots.arity == arity)
         if r.size == 0 or 2 * r.size * n**arity >= 2**63:
             continue
         pos, a = pots.by_term(r, arity)
@@ -495,67 +425,77 @@ def _two_sided(pots, select, n):
     return partner, mu_of
 
 
-def _linear_objective(extra_linear, n):
-    """The raw linear objective terms as one coefficient per free variable."""
-    if extra_linear is None:
-        return np.zeros(n)
-    c = np.asarray(extra_linear, dtype=float)
-    if c.shape != (n,):
-        raise ModelError("extra linear objective must have one entry per free variable")
-    return c
+def _checked_vector(name: str, value, n: int):
+    """``value`` as a new array of ``n`` finite floats, or a `ModelError` naming ``name``."""
+    v = np.array(value, dtype=float)
+    if v.shape != (n,):
+        raise ModelError("%s must have one entry per free variable (%d), got shape %s"
+                         % (name, n, v.shape))
+    if not np.all(np.isfinite(v)):
+        raise ModelError("%s must be finite" % name)
+    return v
+
+
+def _inputs(mrf: HlMrf, extra_linear, initial=None):
+    """The raw linear terms, one coefficient per free variable, and the start ``y``."""
+    n = mrf.table.n_free
+    if n < 1:
+        raise ModelError("model has no free variables")
+    linear = np.zeros(n) if extra_linear is None else extra_linear
+    y = np.full(n, 0.5) if initial is None else initial
+    return _checked_vector("extra_linear", linear, n), _checked_vector("initial", y, n)
+
+
+def _check_constraints(cons):
+    """Reject a constant constraint that does not hold, and a zero normal."""
+    violated = (cons.arity == 0) & (cons.violations(cons.offsets) > 1e-9)
+    if violated.any():
+        raise ModelError("constraint %d is constant and violated" % violated.argmax())
+    if np.any((cons.arity > 0) & (cons.norm2 == 0.0)):
+        raise ModelError("constraint has an all-zero normal vector")
 
 
 class _CompiledModel:
-    """The model's selected non-constant rows as blocks, one group per arity.
+    """Every non-constant row given, as blocks, one group per arity.
 
-    Built once, with its buffers, from the rows, the masks ``pot_mask`` and
-    ``con_mask`` that select them, ``support``, the variables with a linear
-    term, and the start ``y``. The presolve (`_Doubletons`) first removes
+    Built once, with its buffers, from ``n`` free variables, the potential
+    rows ``pots``, the constraint rows ``cons`` and ``support``, the
+    variables with a linear term. The presolve (`_Doubletons`) first removes
     the two-variable equalities it can and substitutes them into the other
-    rows and linear terms; the blocks are built from those ``reduced`` rows,
-    and each representative's consensus is clipped to its own box ``lo``,
-    ``hi``. A group holds its arity's constraint rows, then its potential
-    rows, then its linear terms, each in row order, so the consensus sums,
-    and with them the iterates, do not depend on how the rows were selected.
-    Rows that `_two_sided` pairs form groups of their own after those.
-    `restart` sets the start, zero duals and each group's relaxation
-    ``alpha``, fixed from the structure (see the module docstring), and
-    `set_parameters` each block's gain and bounds. A solve leaves its
-    answer as ``y``. Energy, objective and violations are read from the
-    original rows, at ``y`` filled in by `_Doubletons.expand`.
+    rows and linear terms; the blocks are built from those rows, and each
+    representative's consensus is clipped to its own box ``lo``, ``hi``. A
+    group holds its arity's constraint rows, then its potential rows, then
+    its linear terms, each in row order; rows that `_two_sided` pairs form
+    groups of their own after those. Each group's relaxation ``alpha`` is
+    fixed from ``pots`` (see the module docstring). `restart` sets the start
+    and zero duals, and `set_parameters` each block's gain and bounds.
+    Violations are read from ``cons``, at ``y`` filled in by
+    `_Doubletons.expand`. Nothing here refers to ``pots``, so the model can
+    be kept with them.
     """
 
-    def __init__(self, mrf: HlMrf, support, y, pot_mask=None, con_mask=None):
-        self.n = mrf.table.n_free
-        self.rows = pots, cons = mrf.potential_rows, mrf.constraint_rows
-        self.support = support
-        pot_mask = np.ones(pots.size, bool) if pot_mask is None else pot_mask
-        self.con_mask = np.ones(cons.size, bool) if con_mask is None else con_mask
-
-        violated = self.con_mask & (cons.arity == 0) & (cons.violations(cons.offsets) > 1e-9)
-        if violated.any():
-            raise ModelError("constraint %d is constant and violated" % violated.argmax())
-        if np.any(self.con_mask & (cons.arity > 0) & (cons.norm2 == 0.0)):
-            raise ModelError("constraint has an all-zero normal vector")
-
-        self.doubletons = d = _Doubletons(self.n, cons, self.con_mask)
-        con_mask = self.con_mask.copy()
-        con_mask[d.rows] = False
-        self.reduced = d.substitute(pots, pot_mask), d.substitute(cons, con_mask)
+    def __init__(self, n: int, pots, cons, support):
+        _check_constraints(cons)
+        self.cons, self.support = cons, support
+        self.doubletons = d = _Doubletons(n, cons)
+        stay = np.ones(cons.size, bool)
+        stay[d.rows] = False
+        kept, reduced = d.substitute(cons.take(np.flatnonzero(stay))), d.substitute(pots)
         self.term_support = term_support = np.unique(d.rep_of[support])
-        reduced = self.reduced[0]
-        partner, mu = _two_sided(reduced, pot_mask, self.n)
+        partner, mu = _two_sided(reduced, n)
         heads = partner >= 0
         self.two_sided = int(heads.sum())
-        one_sided = pot_mask & ~heads
+        one_sided = ~heads
         one_sided[partner[heads]] = False
         ones = np.ones(term_support.size)
         terms = FoldedRows(term_support, ones, ones.astype(np.intp), np.zeros(term_support.size))
-        blocks = (con_mask, one_sided, np.ones(term_support.size, bool))  # selected, per kind
-        two_sided = (np.zeros(cons.size, bool), heads, np.zeros(term_support.size, bool))
+        blocks = (np.ones(kept.size, bool), one_sided, np.ones(term_support.size, bool))
+        two_sided = (np.zeros(kept.size, bool), heads, np.zeros(term_support.size, bool))
+        # Relax only where it was measured to pay (see the module docstring).
+        alpha = _RELAXATION if pots.size and not np.any(pots.exponent == 1) else 1.0
         self.groups, positions = [], [np.zeros(0, np.intp)]
         for masks in (blocks, two_sided):  # the one-sided groups, then the two-sided
-            kinds = list(zip((self.reduced[1], reduced, terms), masks))
+            kinds = list(zip((kept, reduced, terms), masks))
             arities = np.unique(np.concatenate([rows.arity[mask] for rows, mask in kinds]))
             for arity in arities[arities > 0]:
                 r = [np.flatnonzero(mask & (rows.arity == arity)) for rows, mask in kinds]
@@ -567,27 +507,25 @@ class _CompiledModel:
                 start = sum(p.size for p in positions)
                 if masks is blocks:
                     g = _Group(slice(start, start + idx.size), coeffs, offsets[None],
-                               (reduced, self.reduced[1], *r))
+                               (reduced, kept, *r))
                 else:  # each head row, then its partner row
                     other = partner[r[1]]
                     g = _Group(slice(start, start + idx.size), coeffs,
                                np.stack([offsets, reduced.offsets[other]]),
-                               (reduced, self.reduced[1], r[0], np.r_[r[1], other], r[2]),
+                               (reduced, kept, r[0], np.r_[r[1], other], r[2]),
                                mu[r[1]])
-                    g.partner_rows = cons.size + other
+                    g.partner_rows = other
+                g.alpha = alpha
                 self.groups.append(g)
                 positions.append(idx.ravel())
 
-        # Relax only where it was measured to pay (see the module docstring).
-        self.relax = pot_mask.any() and not np.any(pots.exponent == 1)
-
         self.idx = np.concatenate(positions)  # each copy's variable, group by group
-        counts = np.bincount(self.idx, minlength=self.n)
+        counts = np.bincount(self.idx, minlength=n)
         self.touched = slice(None) if counts.all() else np.flatnonzero(counts)
         slot = np.cumsum(counts > 0) - 1  # each touched variable's place among them
         self.slot = slot[self.idx]  # each copy's variable in the compact consensus
         self.counts = counts[self.touched].astype(float)  # copies of each touched variable
-        lo, hi = np.zeros(self.n), np.ones(self.n)
+        lo, hi = np.zeros(n), np.ones(n)
         lo[d.rep], hi[d.rep] = d.lo, d.hi
         self.lo, self.hi = lo[self.touched], hi[self.touched]  # each touched variable's box
         # Local copies, duals, the residual and target buffers, as rows of
@@ -598,68 +536,57 @@ class _CompiledModel:
         for g in self.groups:
             views = (b[g.span].reshape(g.coeffs.shape) for b in self.buffers)
             g.local, g.u, g.target, g.scratch = views
-        self.restart(y)
-        self.y = None
+        self.rho = None
 
     def restart(self, y):
         """Start from ``y`` with zero duals, as if just compiled."""
         self.stack[0], self.stack[1] = y[self.idx], 0.0
-        for g in self.groups:
-            g.alpha = _RELAXATION if self.relax else 1.0
         self.rho = None
 
-    def set_parameters(self, mrf: HlMrf, linear, rho):
-        """Each block's gain, bounds and their products from ``mrf``'s
-        weights, the linear terms and ``rho``, written in place; the scaled
-        duals ``u`` are rescaled to a new ``rho``."""
+    def set_parameters(self, weights, linear, rho):
+        """Each block's gain, bounds and their products from the template
+        ``weights``, the linear terms and ``rho``, written in place; the
+        scaled duals ``u`` are rescaled to a new ``rho``."""
         term_step = None
         if self.term_support.size:
             term_step = self.doubletons.linear(linear)[self.term_support] / rho
         for g in self.groups:
-            g.set_parameters(mrf.weights, term_step, rho)
+            g.set_parameters(weights, term_step, rho)
         if self.rho is not None and rho != self.rho:
             u = self.buffers[1]
             u *= self.rho / rho  # the same multipliers ``rho * u``
-        self.mrf, self.linear, self.rho = mrf, linear, rho
-
-    def objective(self, y):
-        return self.mrf.energy(y) + dot(self.linear, y)
+        self.rho = rho
 
     def max_violation(self, y):
-        """Largest selected hard-constraint violation at ``y`` (0 without any)."""
-        cons = self.rows[1]
-        return float(cons.violations(cons.values(y))[self.con_mask].max(initial=0.0))
+        """Largest violation of the compiled constraints at ``y`` (0 without any)."""
+        return float(self.cons.violations(self.cons.values(y)).max(initial=0.0))
 
-    def report(self, y, diag):
+    def report(self, mrf: HlMrf, linear, y, diag):
         """``diag`` with the features, energy, objective and largest
         violation at ``y``, its substituted variables filled in first, and
         the number of equalities the presolve eliminated."""
         self.doubletons.expand(y)
         diag.eliminated_constraints = self.doubletons.rows.size
         diag.two_sided_blocks = self.two_sided
-        _score(self.mrf, self.linear, y, diag)
+        _score(mrf, linear, y, diag)
         diag.max_violation = self.max_violation(y)
         return diag
 
 
 class WarmStart:
-    """The compiled model of one solve, to start the next of the same structure.
+    """The final state of one solve, to start the next of the same structure.
 
-    Empty until a `solve_map` call fills it. A filled warm start fits models
-    that share the folded rows (as `HlMrf.with_weights` copies do) and the
-    support of the linear terms. The next solve keeps the compiled
-    structure and its buffers; it resets only the gains and bounds, so the
-    weights, the linear coefficients and ``rho`` may change (the scaled
-    duals are rescaled to the new ``rho``), and starts from the last
-    solve's ``y``, local copies and duals.
+    Empty until a `solve_map` call fills it with that solve's answer ``y``,
+    its local copies and scaled duals (``state``) and the penalty it ended
+    at (``rho``), with the rows and the support of the linear terms they
+    belong to. A filled warm start fits models that share those folded rows
+    (as `HlMrf.with_weights` copies do) and that support. The weights, the
+    linear coefficients and ``rho`` may change; the scaled duals are
+    rescaled to the new ``rho``.
     """
 
     def __init__(self):
-        self.compiled = None
-
-    @property
-    def y(self):
-        return None if self.compiled is None else self.compiled.y
+        self.y = self.state = self.rho = self.rows = self.support = None
 
 
 def _balanced(rho, primal, dual):
@@ -681,15 +608,17 @@ def _score(mrf: HlMrf, linear, y, diag):
     diag.objective = diag.energy + dot(linear, y)
 
 
-def _run_admm(compiled: _CompiledModel, opts: SolveOptions, y):
-    """Iterate from ``y`` and ``compiled``'s local copies and duals.
+def _run_admm(compiled: _CompiledModel, mrf: HlMrf, linear, opts: SolveOptions, y):
+    """Iterate from ``y`` and ``compiled``'s local copies and duals, with
+    ``mrf``'s weights and the raw ``linear`` terms.
 
     The loop keeps the consensus of the touched variables only, compact,
     and writes it into ``y`` for the trace, the stall test and the answer.
     """
+    compiled.set_parameters(mrf.weights, linear, opts.rho)
     slot, touched, counts = compiled.slot, compiled.touched, compiled.counts
     if slot.size == 0:
-        return y, compiled.report(y, Diagnostics(converged=True, rho=opts.rho))
+        return y, compiled.report(mrf, linear, y, Diagnostics(converged=True, rho=opts.rho))
     local, u, target, scratch = compiled.buffers
     norms = compiled.stack[:3]  # local, u and scratch
     consensus = np.empty((2, counts.size))  # the touched variables' y and its last step
@@ -740,7 +669,8 @@ def _run_admm(compiled: _CompiledModel, opts: SolveOptions, y):
             eps_dual = opts.eps_abs * sqrt_copies + opts.eps_rel * rho * math.sqrt(u2)
 
             if opts.trace is not None:
-                opts.trace(it, primal, dual, compiled.objective(current()))
+                y_now = current()
+                opts.trace(it, primal, dual, mrf.energy(y_now) + dot(linear, y_now))
 
             diag.iterations = it
             diag.primal_residual = primal
@@ -779,7 +709,7 @@ def _run_admm(compiled: _CompiledModel, opts: SolveOptions, y):
                 new_rho = _balanced(rho, primal / eps_pri, dual / eps_dual)
                 if new_rho != rho:
                     rho = diag.rho = new_rho
-                    compiled.set_parameters(compiled.mrf, compiled.linear, rho)
+                    compiled.set_parameters(mrf.weights, linear, rho)
                     diag.rho_updates.append((it, rho))
         else:
             diag.message = "iteration limit reached (%d)" % opts.max_iter
@@ -788,14 +718,14 @@ def _run_admm(compiled: _CompiledModel, opts: SolveOptions, y):
             pool.shutdown()
 
     y[touched] = yc
-    return y, compiled.report(y, diag)
+    return y, compiled.report(mrf, linear, y, diag)
 
 
-# Each model's compiled model from its last solve without a warm start, for
-# the next such solve to reuse; an entry goes with its model. A solve takes
-# its entry out with one `pop`, so two threads solving one model never share
-# one compiled model's buffers.
-_last_compiled: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# The compiled model of the last solve of each structure is kept in its
+# potential rows' ``__dict__`` under this name, so it goes with them; it
+# refers to neither them nor its model. A solve takes it out with one atomic
+# ``dict.pop``, so two threads solving one structure never share buffers.
+_KEPT = "_kept_compiled"
 
 
 def solve_map(
@@ -807,9 +737,9 @@ def solve_map(
     free variables. ``extra_linear`` adds raw linear objective terms (used
     by loss-augmented inference); ``initial`` overrides the centered start.
     A `WarmStart` ``warm`` starts the solve from the state it holds, if
-    any, and keeps this solve's compiled model and final state. Otherwise
-    the compiled model that ``mrf``'s last solve without a warm start left
-    is restarted, if its linear terms were on the same variables.
+    any, and is filled with this solve's final state. The compiled model of
+    the last solve of ``mrf``'s rows is reused if its linear terms were on
+    the same variables.
     """
     opts = opts or SolveOptions()
     if opts.lazy or opts.activation_threshold != 0:
@@ -817,38 +747,29 @@ def solve_map(
             "SolveOptions.lazy and activation_threshold are read by solve_map_lazy only; "
             "call solve_map_lazy for lazy inference"
         )
-    if mrf.table.n_free < 1:
-        raise ModelError("model has no free variables")
-    linear = _linear_objective(extra_linear, mrf.table.n_free)
-    compiled = None if warm is None else warm.compiled
-    if compiled is None:
-        y = np.full(mrf.table.n_free, 0.5) if initial is None else np.array(initial, dtype=float)
-        support = np.flatnonzero(linear)
-        compiled = _last_compiled.pop(mrf, None)
-        if compiled is not None and np.array_equal(compiled.support, support):
-            compiled.restart(y)
-        else:
-            compiled = _CompiledModel(mrf, support, y)
-    else:
+    linear, y = _inputs(mrf, extra_linear, initial)
+    pots, cons = mrf.potential_rows, mrf.constraint_rows
+    support = np.flatnonzero(linear)
+    filled = warm is not None and warm.y is not None
+    if filled:
         if initial is not None:
             raise ModelError("a filled warm start cannot be combined with an initial point")
-        if not (
-            all(a is b for a, b in zip(compiled.rows, (mrf.potential_rows, mrf.constraint_rows)))
-            and np.array_equal(compiled.support, np.flatnonzero(linear))
-        ):
+        if not (warm.rows[0] is pots and warm.rows[1] is cons
+                and np.array_equal(warm.support, support)):
             raise ModelError("warm start belongs to a model of another structure")
-        warm.compiled = None  # until this solve's final state is complete
-        y = compiled.y.copy()  # the last answer, returned to its caller, stays as it was
-    compiled.set_parameters(mrf, linear, opts.rho)
-    y, diag = _run_admm(compiled, opts, y)
-    if warm is not None:
-        compiled.y, warm.compiled = y, compiled
+    compiled = vars(pots).pop(_KEPT, None)
+    if not (compiled and compiled.cons is cons and np.array_equal(compiled.support, support)):
+        compiled = _CompiledModel(mrf.table.n_free, pots, cons, support)
+    if filled:
+        compiled.stack[:2], compiled.rho = warm.state, warm.rho
+        y = warm.y.copy()  # the last answer, returned to its caller, stays as it was
     else:
-        # Kept for a restart, it needs neither the substituted rows, which
-        # only compiling reads, nor its model, which would keep its own key
-        # alive.
-        compiled.reduced = compiled.mrf = None
-        _last_compiled[mrf] = compiled
+        compiled.restart(y)
+    y, diag = _run_admm(compiled, mrf, linear, opts, y)
+    if warm is not None:
+        warm.y, warm.state, warm.rho = y, compiled.stack[:2].copy(), compiled.rho
+        warm.rows, warm.support = (pots, cons), support
+    vars(pots)[_KEPT] = compiled
     return y, diag
 
 
@@ -857,42 +778,46 @@ def solve_map_lazy(mrf: HlMrf, opts: SolveOptions | None = None, extra_linear=No
 
     Starts from the all-zeros assignment with nothing active, repeatedly
     activates potentials and constraints unsatisfied by more than the
-    activation threshold, and re-solves until nothing new activates. Linear
-    terms are always in the active set, so they get at least one round. With
-    threshold 0 the result matches the full solve; larger thresholds are a
-    speed heuristic without guarantees.
+    activation threshold, and re-solves until nothing new activates. Each
+    round compiles the active rows and starts from the last round's answer.
+    Linear terms are always in the active set, so they get at least one
+    round. With threshold 0 the result matches the full solve; larger
+    thresholds are a speed heuristic without guarantees.
     """
     opts = opts or SolveOptions()
-    if mrf.table.n_free < 1:
-        raise ModelError("model has no free variables")
+    linear, _ = _inputs(mrf, extra_linear)
     threshold = opts.activation_threshold
     pots, cons = mrf.potential_rows, mrf.constraint_rows
-    linear = _linear_objective(extra_linear, mrf.table.n_free)
+    _check_constraints(cons)  # here, so an error names the model's row
+    support = np.flatnonzero(linear)
 
-    pot_mask = np.zeros(pots.size, dtype=bool)
-    con_mask = np.zeros(cons.size, dtype=bool)
+    active_pots = np.zeros(pots.size, dtype=bool)
+    active_cons = np.zeros(cons.size, dtype=bool)
     y = np.zeros(mrf.table.n_free)
     diag = Diagnostics(converged=True, rho=opts.rho)
     total_iterations = 0
 
     for rounds in range(pots.size + cons.size + 1):
-        new_pots = ~pot_mask & (pots.hinges(pots.values(y)) > threshold)
-        new_cons = ~con_mask & (cons.violations(cons.values(y)) > threshold)
+        new_pots = ~active_pots & (pots.hinges(pots.values(y)) > threshold)
+        new_cons = ~active_cons & (cons.violations(cons.values(y)) > threshold)
         # Linear terms move y off zero even when nothing is violated there.
         if not (new_pots.any() or new_cons.any() or (rounds == 0 and linear.any())):
             break
-        pot_mask |= new_pots
-        con_mask |= new_cons
-        compiled = _CompiledModel(mrf, np.flatnonzero(linear), y, pot_mask, con_mask)
-        compiled.set_parameters(mrf, linear, opts.rho)
-        y, diag = _run_admm(compiled, opts, y)
+        active_pots |= new_pots
+        active_cons |= new_cons
+        compiled = _CompiledModel(
+            mrf.table.n_free, pots.take(np.flatnonzero(active_pots)),
+            cons.take(np.flatnonzero(active_cons)), support,
+        )
+        compiled.restart(y)
+        y, diag = _run_admm(compiled, mrf, linear, opts, y)
         total_iterations += diag.iterations
 
     diag.iterations = total_iterations
     _score(mrf, linear, y, diag)
     diag.max_violation = float(cons.violations(cons.values(y)).max(initial=0.0))
-    diag.activated_potentials = int(pot_mask.sum())
-    diag.activated_constraints = int(con_mask.sum())
+    diag.activated_potentials = int(active_pots.sum())
+    diag.activated_constraints = int(active_cons.sum())
     return y, diag
 
 

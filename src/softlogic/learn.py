@@ -9,10 +9,11 @@ loss-augmented separation oracle.
 Learning solves one MAP problem per gradient step, cutting-plane round or
 difference-of-convex iteration, each with the structure of the last and
 nearby weights. The perceptron and large-margin learners keep one
-`infer.WarmStart` per instance for the length of a call: the instance's
-ADMM structure is compiled once, and each solve resets only its gains and
-bounds and starts from the previous one's ADMM state; no state outlives
-the call. The features of each MAP state come with its solve
+`infer.WarmStart` per instance for the length of a call: each solve starts
+from the previous one's ADMM state, and the next call's first solve starts
+cold. The compiled ADMM model is kept with the instance's rows, so it is
+built once per structure, not once per call, and each solve rewrites only
+its gains and bounds. The features of each MAP state come with its solve
 (`infer.Diagnostics.features`), and those of each instance's truth are
 computed once per call and passed on as ``truth_features``.
 """

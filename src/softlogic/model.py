@@ -313,6 +313,14 @@ class FoldedRows:
         return cls(*(_concat([getattr(p, name) for p in parts], dtype)
                      for name, dtype in cls.FIELDS))
 
+    def take(self, rows):
+        """Rows ``rows`` of these, in that order, as rows of this class."""
+        arity = self.arity[rows]
+        terms = np.repeat(self.indptr[rows] - np.cumsum(arity) + arity, arity)
+        terms += np.arange(terms.size)
+        return type(self)(self.positions[terms], self.coeffs[terms], arity,
+                          *(getattr(self, name)[rows] for name, _ in self.FIELDS[3:]))
+
     @functools.cached_property
     def indptr(self):
         return np.concatenate(([0], np.cumsum(self.arity)))

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import os
 import subprocess
@@ -525,23 +526,29 @@ def scalar_iterations(state, mrf, linear, iterations, alpha=1.0, rho_updates=())
 NO_STOP = dict(eps_abs=1e-15, eps_rel=1e-15)
 
 
+def compiled_model(mrf, support=np.zeros(0, np.intp)):
+    """All of ``mrf``'s rows compiled, with linear terms on ``support``."""
+    return _CompiledModel(mrf.n_free, mrf.potential_rows, mrf.constraint_rows, support)
+
+
 def presolved(mrf, linear=None):
     """The model and raw linear terms that ADMM iterates on after the
     presolve, and the map that fills in the eliminated variables. The
     models here hold one ``(1, 1)`` doubleton summing to 1, which leaves the
     representative's box at [0, 1], the box of the reference consensus."""
     linear = np.zeros(mrf.n_free) if linear is None else linear
-    compiled = _CompiledModel(mrf, np.flatnonzero(linear), np.full(mrf.n_free, 0.5))
-    doubletons = compiled.doubletons
+    doubletons = compiled_model(mrf, np.flatnonzero(linear)).doubletons
     assert doubletons.rows.size == 1
     assert doubletons.lo.tolist() == [0.0] and doubletons.hi.tolist() == [1.0]
-    pots, cons = compiled.reduced
+    cons = mrf.constraint_rows
     kept = np.ones(cons.size, bool)
     kept[doubletons.rows] = False
+    pots = doubletons.substitute(mrf.potential_rows)
+    cons = doubletons.substitute(cons.take(np.flatnonzero(kept)))
     reduced = HlMrf(
         mrf.table,
         pots.objects(mrf.table, mrf.origins),
-        [c for c, k in zip(cons.objects(mrf.table), kept) if k],
+        cons.objects(mrf.table),
         mrf.templates,
         mrf.weights,
     )
@@ -729,8 +736,10 @@ class TestOverRelaxation:
         np.testing.assert_allclose(y, y_star, rtol=0, atol=1e-7)
 
     def relaxation_off(self, monkeypatch, mrf, opts, **kwargs):
+        # Relaxation is fixed when compiling, so the rows are built again:
+        # they do not share the compiled model that ``mrf``'s solves keep.
         monkeypatch.setattr(softlogic.infer, "_RELAXATION", 1.0)
-        y, diag = solve_map(mrf, opts, **kwargs)
+        y, diag = solve_map(rebuilt(mrf), opts, **kwargs)
         monkeypatch.undo()
         return y, diag
 
@@ -778,11 +787,9 @@ class TestOverRelaxation:
 
     def test_a_lazy_round_without_potentials_keeps_the_plain_step(self):
         mrf = squared_model(np.random.default_rng(0))
-        y, support = np.full(mrf.n_free, 0.5), np.zeros(0, np.intp)
-        selected = np.zeros(mrf.potential_rows.size, bool)
-        plain = _CompiledModel(mrf, support, y, selected)
-        selected[0] = True
-        relaxed = _CompiledModel(mrf, support, y, selected)
+        pots, cons, support = mrf.potential_rows, mrf.constraint_rows, np.zeros(0, np.intp)
+        plain = _CompiledModel(mrf.n_free, pots.take([]), cons, support)
+        relaxed = _CompiledModel(mrf.n_free, pots.take([0]), cons, support)
         assert [g.alpha for g in plain.groups] == [1.0] * len(plain.groups)
         assert [g.alpha for g in relaxed.groups] == [_RELAXATION] * len(relaxed.groups)
 
@@ -893,7 +900,7 @@ class TestPresolve:
         # The substituted variable is the one of larger |a|, the second on
         # ties, and its interval tightens the representative's box.
         mrf = make_mrf([], [eq([(0, 1.0), (1, -1.0)], -0.3), eq([(2, -0.5), (3, 2.0)], -1.2)], n=4)
-        d = _CompiledModel(mrf, np.zeros(0, np.intp), np.full(4, 0.5)).doubletons
+        d = compiled_model(mrf).doubletons
         np.testing.assert_array_equal(d.rows, [0, 1])
         np.testing.assert_array_equal(d.rep, [0, 2])
         np.testing.assert_array_equal(d.sub, [1, 3])
@@ -910,8 +917,7 @@ class TestPresolve:
             [hinge([(0, 1.0), (1, -1.0)], 0.0, exponent=2), hinge([(0, -1.0)], 0.8, exponent=2)],
             [eq([(0, 1.0), (1, 1.0)], -1.0)], weights=[1.0], n=2,
         )
-        compiled = _CompiledModel(mrf, np.zeros(0, np.intp), np.full(2, 0.5))
-        pots = compiled.reduced[0]
+        pots = compiled_model(mrf).doubletons.substitute(mrf.potential_rows)
         assert pots.arity.tolist() == [1, 1]
         np.testing.assert_array_equal(pots.positions, [0, 0])
         np.testing.assert_allclose(pots.coeffs, [2.0, -1.0])
@@ -962,17 +968,17 @@ class TestPresolve:
         assert "infeasible" in diag.message
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_warm_solves_across_new_weights(self, seed):
+    def test_warm_solves_across_new_weights(self, monkeypatch, seed):
         rng = np.random.default_rng(200 + seed)
         mrf, linear, eliminated = doubleton_model(rng, 2, chain=True)
+        built = record_compiles(monkeypatch)
         warm = WarmStart()
         solve_map(mrf, TIGHT, extra_linear=linear, warm=warm)
-        compiled = warm.compiled
         for _ in range(3):
             moved = mrf.with_weights(mrf.weights * rng.uniform(0.5, 1.5, size=mrf.weights.size))
             y_warm, diag = solve_map(moved, TIGHT, extra_linear=linear, warm=warm)
             _, best = smooth_optimum(moved, linear)
-            assert warm.compiled is compiled and warm.y is y_warm
+            assert len(built) == 1 and warm.y is y_warm
             assert diag.converged and diag.eliminated_constraints == eliminated.size
             assert diag.objective == pytest.approx(best, abs=1e-6)
             assert_eliminated_hold(mrf, y_warm, eliminated)
@@ -1010,8 +1016,8 @@ def opposing_network(users, seed, squared=True):
 def engine_step(mrf, z, rho):
     """The point one unrelaxed engine update moves the model's only block
     to from the target ``z``, zero duals, and the compiled model."""
-    compiled = _CompiledModel(mrf, np.zeros(0, np.intp), z)
-    compiled.set_parameters(mrf, np.zeros(mrf.n_free), rho)
+    compiled = compiled_model(mrf)
+    compiled.set_parameters(mrf.weights, np.zeros(mrf.n_free), rho)
     (group,) = compiled.groups
     group.alpha = 1.0
     local, u, target, scratch = compiled.buffers
@@ -1077,7 +1083,7 @@ class TestTwoSidedBlocks:
             weights=[1.0, 2.0, 0.5], n=2,
         )
         linear = np.array([0.3, -0.4])
-        compiled = _CompiledModel(mrf, np.zeros(0, np.intp), np.full(2, 0.5))
+        compiled = compiled_model(mrf)
         assert compiled.two_sided == 0 and compiled.idx.size == 5
         y, diag = solve_map(mrf, TIGHT, extra_linear=linear)
         best = smooth_optimum(mrf, linear)[1] if exponent == 2 else lp_optimum(mrf, linear)
@@ -1100,7 +1106,7 @@ class TestTwoSidedBlocks:
             hinge([(0, -1.0), (2, 2.0)], 0.0),
         ]
         mrf = make_mrf(rows, weights=[1.0], n=3)
-        compiled = _CompiledModel(mrf, np.zeros(0, np.intp), np.full(3, 0.5))
+        compiled = compiled_model(mrf)
         assert two_sided_pairs(mrf.potentials, mrf.table.position) == [(0, 2)]
         assert compiled.two_sided == 1 and compiled.idx.size == 12
         (group,) = [g for g in compiled.groups if g.mu is not None]
@@ -1226,8 +1232,8 @@ class TestPenaltyBalancing:
     def test_lazy_solves_report_the_last_round(self, monkeypatch):
         rounds = []
 
-        def recording(compiled, opts, y):
-            y, diag = run_admm(compiled, opts, y)
+        def recording(*args):
+            y, diag = run_admm(*args)
             rounds.append(diag)
             return y, diag
 
@@ -1325,25 +1331,46 @@ class TestWarmStart:
         np.testing.assert_array_equal(answers[0], kept)
         assert warm.y is answers[-1]
 
-    def test_new_weights_keep_the_compiled_structure(self):
+    def test_new_weights_keep_the_compiled_structure(self, monkeypatch):
         rng = np.random.default_rng(5)
         mrf = squared_model(rng)
+        built = record_compiles(monkeypatch)
         warm = WarmStart()
         solve_map(mrf, TIGHT, warm=warm)
-        compiled = warm.compiled
         moved = mrf.with_weights(mrf.weights * rng.uniform(0.5, 1.5, size=mrf.weights.size))
-        solve_map(moved, SolveOptions(rho=2.0, eps_abs=1e-10, eps_rel=1e-10), warm=warm)
-        assert warm.compiled is compiled
+        _, diag = solve_map(moved, SolveOptions(rho=2.0, eps_abs=1e-10, eps_rel=1e-10), warm=warm)
+        assert len(built) == 1
+        # The warm start holds the state, not the compiled model.
+        assert warm.rows == (mrf.potential_rows, mrf.constraint_rows)
+        assert warm.state.shape == (2, built[0]().idx.size) and warm.rho == diag.rho
+        assert not any(isinstance(v, _CompiledModel) for v in vars(warm).values())
+
+
+def record_compiles(monkeypatch):
+    """A list that gets a weak reference to each `_CompiledModel` built from now on."""
+    built = []
+
+    class Recorded(_CompiledModel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(softlogic.infer, "_CompiledModel", Recorded)
+    return built
+
+
+def rebuilt(mrf):
+    """``mrf`` with its rows built again, so it shares no compiled model."""
+    return HlMrf.from_json(mrf.to_json())
 
 
 class TestRepeatedSolves:
-    def test_a_repeated_solve_restarts_the_compiled_model(self):
+    def test_a_repeated_solve_restarts_the_compiled_model(self, monkeypatch):
         mrf = squared_model(np.random.default_rng(4))
-        fresh = [solve_map(mrf.with_weights(mrf.weights), TIGHT) for _ in range(2)]
-        answers = [solve_map(mrf, TIGHT)]
-        compiled = softlogic.infer._last_compiled[mrf]
-        answers.append(solve_map(mrf, TIGHT))
-        assert softlogic.infer._last_compiled[mrf] is compiled
+        fresh = [solve_map(rebuilt(mrf), TIGHT) for _ in range(2)]
+        built = record_compiles(monkeypatch)
+        answers = [solve_map(mrf, TIGHT) for _ in range(2)]
+        assert len(built) == 1
         for (y, diag), (y_fresh, diag_fresh) in zip(answers, fresh):
             np.testing.assert_array_equal(y, y_fresh)
             assert diag.iterations == diag_fresh.iterations
@@ -1359,12 +1386,12 @@ class TestRepeatedSolves:
         for kwargs in ({}, {"extra_linear": linear}, {"extra_linear": -linear, "initial": start},
                        {"extra_linear": other}, {"initial": start}):
             y, diag = solve_map(mrf, TIGHT, **kwargs)
-            y_fresh, fresh = solve_map(mrf.with_weights(mrf.weights), TIGHT, **kwargs)
+            y_fresh, fresh = solve_map(rebuilt(mrf), TIGHT, **kwargs)
             np.testing.assert_array_equal(y, y_fresh)
             assert diag.iterations == fresh.iterations
         mrf.weights = mrf.weights * 2.0
         y, _ = solve_map(mrf, TIGHT)
-        np.testing.assert_array_equal(y, solve_map(mrf.with_weights(mrf.weights), TIGHT)[0])
+        np.testing.assert_array_equal(y, solve_map(rebuilt(mrf), TIGHT)[0])
 
     def test_threads_solving_one_model_share_no_buffers(self):
         # More threads than cores, switching often: a compiled model taken
@@ -1383,17 +1410,34 @@ class TestRepeatedSolves:
             np.testing.assert_array_equal(y, y_ref)
             assert diag.iterations == ref.iterations
 
-    def test_the_kept_model_goes_with_its_model(self):
+    def test_with_weights_copies_share_the_kept_model(self, monkeypatch):
         mrf = squared_model(np.random.default_rng(1))
+        built = record_compiles(monkeypatch)
         solve_map(mrf, TIGHT)
-        copy = mrf.with_weights(mrf.weights)
-        solve_map(copy, TIGHT)
-        kept = softlogic.infer._last_compiled
-        assert kept[copy] is not kept[mrf]
-        gone = weakref.ref(mrf)
-        del mrf
-        gc.collect()
-        assert gone() is None and copy in kept
+        heavier = mrf.with_weights(mrf.weights * 2.0)
+        y, diag = solve_map(heavier, TIGHT)
+        assert len(built) == 1
+        y_fresh, fresh = solve_map(rebuilt(heavier), TIGHT)
+        np.testing.assert_array_equal(y, y_fresh)
+        assert diag.iterations == fresh.iterations
+
+    def test_the_kept_model_goes_with_its_model(self, monkeypatch):
+        # With the cycle collector off, reference counting alone must free
+        # the kept model once no model holds its rows, as a model built and
+        # dropped for every solve needs.
+        built = record_compiles(monkeypatch)
+        gc.disable()
+        try:
+            mrf = squared_model(np.random.default_rng(1))
+            solve_map(mrf, TIGHT)
+            copy = mrf.with_weights(mrf.weights)
+            del mrf
+            assert built[0]() is not None
+            solve_map(copy, TIGHT, warm=WarmStart())
+            del copy
+            assert len(built) == 1 and built[0]() is None
+        finally:
+            gc.enable()
 
 
 class TestLazyInference:
@@ -1452,6 +1496,41 @@ class TestLazyInference:
         assert lazy.objective == pytest.approx(full.objective, abs=1e-6)
         assert mrf.check_feasible(y_lazy, tol=1e-6)[0]
 
+    @pytest.mark.parametrize("squared", [False, True])
+    def test_each_round_solves_a_model_of_its_rows(self, monkeypatch, squared):
+        # A round's answer and iterations are, bit for bit, those of
+        # `solve_map` on a model of the rows active so far, started from the
+        # last round's answer.
+        mrf = opposing_network(30, 1, squared)
+        rounds = []
+
+        def recording(*args):
+            y, diag = run_admm(*args)
+            rounds.append((y.copy(), diag.iterations))
+            return y, diag
+
+        run_admm = softlogic.infer._run_admm
+        monkeypatch.setattr(softlogic.infer, "_run_admm", recording)
+        y_lazy, _ = solve_map_lazy(mrf, TIGHT)
+        monkeypatch.undo()
+        assert len(rounds) > 1
+        pots, cons = mrf.potential_rows, mrf.constraint_rows
+        active_pots, active_cons = np.zeros(pots.size, bool), np.zeros(cons.size, bool)
+        y = np.zeros(mrf.n_free)
+        for y_round, iterations in rounds:
+            active_pots |= pots.hinges(pots.values(y)) > 0.0
+            active_cons |= cons.violations(cons.values(y)) > 0.0
+            p, c = np.flatnonzero(active_pots), np.flatnonzero(active_cons)
+            counts = np.bincount(pots.template_id[p], minlength=len(mrf.templates))
+            templates = [dataclasses.replace(t, groundings=int(k))
+                         for t, k in zip(mrf.templates, counts)]
+            active = HlMrf.from_rows(mrf.table, pots.take(p), cons.take(c), templates,
+                                     mrf.weights, [mrf.origins[r] for r in p])
+            y, diag = solve_map(active, TIGHT, initial=y)
+            assert diag.iterations == iterations
+            np.testing.assert_array_equal(y, y_round)
+        np.testing.assert_array_equal(y, y_lazy)
+
     def test_matches_full_solve_on_random_sparse_models(self):
         rng = np.random.default_rng(19)
         for _ in range(5):
@@ -1459,6 +1538,23 @@ class TestLazyInference:
             _, lazy = solve_map_lazy(mrf, TIGHT)
             _, full = solve_map(mrf, TIGHT)
             assert lazy.objective == pytest.approx(full.objective, abs=1e-4)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("extra_linear", [0.5, np.nan]),
+    ("extra_linear", [-np.inf, 0.5]),
+    ("initial", [np.nan, 0.5]),
+    ("initial", [0.5, np.inf]),
+    ("initial", [0.5]),
+    ("initial", [0.5, 0.5, 0.5]),
+])
+def test_bad_linear_terms_and_starts_rejected(name, value):
+    mrf = make_mrf([hinge([(0, 1.0), (1, -1.0)], 0.0)], weights=[1.0], n=2)
+    with pytest.raises(ModelError, match=name):
+        solve_map(mrf, TIGHT, **{name: value})
+    if name == "extra_linear":
+        with pytest.raises(ModelError, match=name):
+            solve_map_lazy(mrf, TIGHT, extra_linear=value)
 
 
 class TestProjectFeasible:

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import softlogic.infer
 from softlogic.ground import ground_program, load_data
 from softlogic.infer import solve_map
 from softlogic.lang import parse_program
@@ -154,6 +155,32 @@ class TestPerceptron:
         learned = perceptron_train([inst], steps=40, step_size=0.5, opts=TIGHT)
         assert learned[0] > learned[1]
 
+
+    def test_a_second_call_compiles_nothing(self, monkeypatch):
+        # The compiled model outlives a call: it is kept with the instance's
+        # rows, and the next call's first solve restarts it cold.
+        mrf = make_mrf(
+            [hinge([(0, -1.0)], 0.7, exponent=2), hinge([(0, 1.0), (1, -1.0)], 0.0, exponent=2)],
+            weights=[1.0], n=2,
+        )
+        instance = TrainingInstance(mrf, np.array([0.6, 0.4]))
+        first = perceptron_train([instance], steps=3, opts=TIGHT)
+        built = []
+        compiled_model = softlogic.infer._CompiledModel
+
+        def counting(*args):
+            built.append(args)
+            return compiled_model(*args)
+
+        monkeypatch.setattr(softlogic.infer, "_CompiledModel", counting)
+        second = perceptron_train([instance], steps=3, opts=TIGHT)
+        assert built == []
+        np.testing.assert_array_equal(second, first)
+        # Loss-augmented solves have linear terms: another support, compiled once.
+        margin = lme_train([instance], max_rounds=3, opts=TIGHT).weights
+        assert len(built) == 1
+        np.testing.assert_array_equal(lme_train([instance], max_rounds=3, opts=TIGHT).weights, margin)
+        assert len(built) == 1
 
     def test_warm_started_training_matches_cold_loop(self):
         # Each instance keeps its own solver state across steps; at TIGHT the
