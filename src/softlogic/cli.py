@@ -20,10 +20,10 @@ import numpy as np
 from . import logic
 from .ground import ground_program, load_data
 from .ground.data import statement_error, statements
-from .infer import SolveOptions, _check_count, _check_real, solve_map, solve_map_lazy
+from .infer import SolveOptions, solve_map, solve_map_lazy
 from .lang import LangError, parse_program
 from .learn import TrainingInstance, lme_train, mple_log_and_gradient, perceptron_train
-from .model import GroundAtom, HlMrf, ModelError
+from .model import GroundAtom, HlMrf, ModelError, _check_count, _check_real
 from .synth import DEFAULT_ALPHA, DEFAULT_GAMMAS, SynthNetworkSpec, generate_network
 
 WEIGHTS_HEADER = "# softlogic-weights v1"
@@ -97,8 +97,7 @@ def _solve_options(args, config, trace_stream=None):
                 file=trace_stream or sys.stderr,
             )
 
-    solver = _given(args, config, rho=float, eps_abs=float, eps_rel=float, max_iter=int,
-                    workers=int)
+    solver = _given(args, config, rho=float, eps_abs=float, eps_rel=float, max_iter=int)
     return SolveOptions(trace=trace, **solver)
 
 
@@ -343,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps-abs", dest="eps_abs", type=float)
         p.add_argument("--eps-rel", dest="eps_rel", type=float)
         p.add_argument("--max-iter", dest="max_iter", type=int)
-        p.add_argument("--workers", type=int)
         p.add_argument("--trace", action="store_true", help="stream per-iteration diagnostics")
 
     p = sub.add_parser("validate", help="parse and type-check inputs")

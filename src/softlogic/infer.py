@@ -76,13 +76,11 @@ once into `Diagnostics.features`, and its energy is taken from them.
 from __future__ import annotations
 
 import math
-import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import FoldedRows, HlMrf, ModelError, _merge_terms, dot
+from .model import FoldedRows, HlMrf, ModelError, _check_count, _check_real, _merge_terms, dot
 
 _STALL_WINDOW = 1000
 _RELAXATION = 1.7  # alpha of the relaxed step on all-squared models
@@ -93,14 +91,22 @@ _BALANCE_STEP = 10.0  # one change multiplies rho by at most this, or divides
 _BALANCE_CHANGES = 6  # changes per solve; after them rho stays fixed
 
 
+# Fields that accept one value only, each with what replaced the others.
+_PINNED = {
+    "workers": (1, "each iteration updates its blocks in one serial sweep"),
+    "lazy": (False, "call solve_map_lazy for lazy inference"),
+    "activation_threshold": (0.0, "solve_map_lazy activates every row above 0, exactly"),
+}
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     """Solver knobs.
 
     ``rho`` is the starting penalty, which each solve balances on the
     residuals; tighten ``eps_abs`` and ``eps_rel`` for accurate objectives.
-    ``workers`` threads share each iteration's block updates. ``lazy`` and
-    ``activation_threshold`` belong to `solve_map_lazy`.
+    ``workers``, ``lazy`` and ``activation_threshold`` stay for callers that
+    still pass them and accept only their defaults (`_PINNED`).
     """
 
     rho: float = 1.0
@@ -109,33 +115,18 @@ class SolveOptions:
     max_iter: int = 25000
     workers: int = 1
     lazy: bool = False
-    # Activating only potentials unsatisfied by more than this threshold
-    # trades exactness for speed; nonzero values are a heuristic with no
-    # error bound. 0 keeps lazy inference exact.
     activation_threshold: float = 0.0
     trace: object = None  # callable(iteration, primal, dual, objective)
 
     def __post_init__(self):
         for name in ("rho", "eps_abs", "eps_rel"):
             _check_real(name, getattr(self, name))
-        if not math.isfinite(self.activation_threshold):
-            raise ModelError("activation_threshold must be finite")
         for name in ("max_iter", "workers"):
             _check_count(name, getattr(self, name))
-
-
-def _check_count(name: str, value):
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ModelError("%s must be an integer >= 1, got %r" % (name, value))
-
-
-def _check_real(name: str, value, zero_ok: bool = False):
-    """Raise a `ModelError` naming ``name`` unless ``value`` is a finite real
-    number > 0, or >= 0 if ``zero_ok``."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and math.isfinite(value) and (value > 0 or (zero_ok and value == 0))):
-        bound = ">= 0" if zero_ok else "> 0"
-        raise ModelError("%s must be finite and %s, got %r" % (name, bound, value))
+        for name, (value, instead) in _PINNED.items():
+            if getattr(self, name) != value:
+                raise ModelError("SolveOptions.%s must be %r, got %r: %s"
+                                 % (name, value, getattr(self, name), instead))
 
 
 @dataclass
@@ -225,8 +216,7 @@ class _Group:
     adds, times each block's ``mu``, its partner row's step at the same
     target. That row's ``l`` is ``mu * (a @ z) + b2``, so row 1 of
     ``gain`` holds ``mu * gain2``, one call steps both rows, and one more
-    adds them, times ``combine``, ``[1, mu]``. `update` slices its arrays
-    only for a thread's ``cols``.
+    adds them, times ``combine``, ``[1, mu]``.
     """
 
     mu = None  # set, with partner_rows, on a group of two-sided blocks
@@ -250,17 +240,11 @@ class _Group:
         np.multiply(self.offsets, self.raw, out=self.shift)
         np.multiply(self.combine, self.raw, out=self.gain)
 
-    def update(self, cols=None):
+    def update(self):
         a, local, u, target, scratch = self.coeffs, self.local, self.u, self.target, self.scratch
         step, gain, shift, floor, cap, steps, combine = (
             self.step, self.gain, self.shift, self.floor, self.cap, self.steps, self.combine
         )
-        if cols is not None:
-            a, local, u, target, scratch, gain, shift, floor, cap, steps, combine = (
-                x[:, cols]
-                for x in (a, local, u, target, scratch, gain, shift, floor, cap, steps, combine)
-            )
-            step = step[cols]
         u += scratch
         z = np.subtract(target, u, out=local)
         np.einsum("ij,ij->j", a, z, out=step)  # a @ z
@@ -634,88 +618,74 @@ def _run_admm(compiled: _CompiledModel, mrf: HlMrf, linear, opts: SolveOptions, 
 
     rho = opts.rho
     sqrt_copies = math.sqrt(slot.size)
-    pool = None
-    if opts.workers > 1:
-        pool = ThreadPoolExecutor(max_workers=opts.workers)
-        strides = [slice(k, None, opts.workers) for k in range(opts.workers)]
-        slices = [(g, cols) for g in compiled.groups for cols in strides]
-
     diag = Diagnostics(rho=rho)
     best_primal = np.inf
     last_improvement = 0
-    try:
-        for it in range(1, opts.max_iter + 1):
-            if pool is None:
-                for g in compiled.groups:
-                    g.update()
-            else:
-                for f in [pool.submit(g.update, cols) for g, cols in slices]:
-                    f.result()
+    for it in range(1, opts.max_iter + 1):
+        for g in compiled.groups:
+            g.update()
 
-            new = np.bincount(slot, np.add(local, u, out=scratch), minlength=counts.size)
-            new /= counts
-            np.minimum(np.maximum(new, compiled.lo, out=new), compiled.hi, out=new)
-            np.subtract(new, yc, out=delta)
-            yc[:] = new
-            # Every index is in range, so mode="clip" only skips the bounds check.
-            np.subtract(local, np.take(yc, slot, out=target, mode="clip"), out=scratch)
+        new = np.bincount(slot, np.add(local, u, out=scratch), minlength=counts.size)
+        new /= counts
+        np.minimum(np.maximum(new, compiled.lo, out=new), compiled.hi, out=new)
+        np.subtract(new, yc, out=delta)
+        yc[:] = new
+        # Every index is in range, so mode="clip" only skips the bounds check.
+        np.subtract(local, np.take(yc, slot, out=target, mode="clip"), out=scratch)
 
-            np.einsum("ij,ij->i", norms, norms, out=squares)
-            np.einsum("j,ij,ij->i", counts, consensus, consensus, out=weighted)
-            (local2, u2, residual2), (yc2, delta2) = squares.tolist(), weighted.tolist()
-            primal = math.sqrt(residual2)
-            dual = rho * math.sqrt(delta2)
-            eps_pri = opts.eps_abs * sqrt_copies + opts.eps_rel * math.sqrt(max(local2, yc2))
-            eps_dual = opts.eps_abs * sqrt_copies + opts.eps_rel * rho * math.sqrt(u2)
+        np.einsum("ij,ij->i", norms, norms, out=squares)
+        np.einsum("j,ij,ij->i", counts, consensus, consensus, out=weighted)
+        (local2, u2, residual2), (yc2, delta2) = squares.tolist(), weighted.tolist()
+        primal = math.sqrt(residual2)
+        dual = rho * math.sqrt(delta2)
+        eps_pri = opts.eps_abs * sqrt_copies + opts.eps_rel * math.sqrt(max(local2, yc2))
+        eps_dual = opts.eps_abs * sqrt_copies + opts.eps_rel * rho * math.sqrt(u2)
 
-            if opts.trace is not None:
-                y_now = current()
-                opts.trace(it, primal, dual, mrf.energy(y_now) + dot(linear, y_now))
+        if opts.trace is not None:
+            y_now = current()
+            opts.trace(it, primal, dual, mrf.energy(y_now) + dot(linear, y_now))
 
-            diag.iterations = it
-            diag.primal_residual = primal
-            diag.dual_residual = dual
-            if primal <= eps_pri and dual <= eps_dual:
-                diag.converged = True
-                break
+        diag.iterations = it
+        diag.primal_residual = primal
+        diag.dual_residual = dual
+        if primal <= eps_pri and dual <= eps_dual:
+            diag.converged = True
+            break
 
-            if primal < best_primal * (1.0 - 1e-9):
-                best_primal = primal
-                last_improvement = it
-            elif it - last_improvement >= _STALL_WINDOW and primal > eps_pri:
-                violation = compiled.max_violation(current())
-                diag.infeasible = violation > eps_pri
-                diag.message = (
-                    "primal residual stalled at %.3g for %d iterations; largest "
-                    "hard-constraint violation %.3g %s the primal tolerance %.3g%s"
-                    % (
-                        primal,
-                        _STALL_WINDOW,
-                        violation,
-                        "exceeds" if diag.infeasible else "is within",
-                        eps_pri,
-                        "; the hard constraints may be infeasible" if diag.infeasible else "",
-                    )
+        if primal < best_primal * (1.0 - 1e-9):
+            best_primal = primal
+            last_improvement = it
+        elif it - last_improvement >= _STALL_WINDOW and primal > eps_pri:
+            violation = compiled.max_violation(current())
+            diag.infeasible = violation > eps_pri
+            diag.message = (
+                "primal residual stalled at %.3g for %d iterations; largest "
+                "hard-constraint violation %.3g %s the primal tolerance %.3g%s"
+                % (
+                    primal,
+                    _STALL_WINDOW,
+                    violation,
+                    "exceeds" if diag.infeasible else "is within",
+                    eps_pri,
+                    "; the hard constraints may be infeasible" if diag.infeasible else "",
                 )
-                break
+            )
+            break
 
-            # No change after the last iteration, so the answer's residuals
-            # and its final rho agree.
-            if (
-                it % _BALANCE_EVERY == 0
-                and len(diag.rho_updates) < _BALANCE_CHANGES
-                and it < opts.max_iter
-            ):
-                new_rho = _balanced(rho, primal / eps_pri, dual / eps_dual)
-                if new_rho != rho:
-                    rho = diag.rho = new_rho
-                    compiled.set_parameters(mrf.weights, linear, rho)
-                    diag.rho_updates.append((it, rho))
-        else:
-            diag.message = "iteration limit reached (%d)" % opts.max_iter
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        # No change after the last iteration, so the answer's residuals
+        # and its final rho agree.
+        if (
+            it % _BALANCE_EVERY == 0
+            and len(diag.rho_updates) < _BALANCE_CHANGES
+            and it < opts.max_iter
+        ):
+            new_rho = _balanced(rho, primal / eps_pri, dual / eps_dual)
+            if new_rho != rho:
+                rho = diag.rho = new_rho
+                compiled.set_parameters(mrf.weights, linear, rho)
+                diag.rho_updates.append((it, rho))
+    else:
+        diag.message = "iteration limit reached (%d)" % opts.max_iter
 
     y[touched] = yc
     return y, compiled.report(mrf, linear, y, diag)
@@ -742,11 +712,6 @@ def solve_map(
     the same variables.
     """
     opts = opts or SolveOptions()
-    if opts.lazy or opts.activation_threshold != 0:
-        raise ModelError(
-            "SolveOptions.lazy and activation_threshold are read by solve_map_lazy only; "
-            "call solve_map_lazy for lazy inference"
-        )
     linear, y = _inputs(mrf, extra_linear, initial)
     pots, cons = mrf.potential_rows, mrf.constraint_rows
     support = np.flatnonzero(linear)
@@ -777,16 +742,14 @@ def solve_map_lazy(mrf: HlMrf, opts: SolveOptions | None = None, extra_linear=No
     """MAP inference over a lazily grown active set.
 
     Starts from the all-zeros assignment with nothing active, repeatedly
-    activates potentials and constraints unsatisfied by more than the
-    activation threshold, and re-solves until nothing new activates. Each
-    round compiles the active rows and starts from the last round's answer.
+    activates the potentials with a positive hinge and the violated
+    constraints, and re-solves until nothing new activates. Each round
+    compiles the active rows and starts from the last round's answer.
     Linear terms are always in the active set, so they get at least one
-    round. With threshold 0 the result matches the full solve; larger
-    thresholds are a speed heuristic without guarantees.
+    round. The result matches the full solve.
     """
     opts = opts or SolveOptions()
     linear, _ = _inputs(mrf, extra_linear)
-    threshold = opts.activation_threshold
     pots, cons = mrf.potential_rows, mrf.constraint_rows
     _check_constraints(cons)  # here, so an error names the model's row
     support = np.flatnonzero(linear)
@@ -798,8 +761,8 @@ def solve_map_lazy(mrf: HlMrf, opts: SolveOptions | None = None, extra_linear=No
     total_iterations = 0
 
     for rounds in range(pots.size + cons.size + 1):
-        new_pots = ~active_pots & (pots.hinges(pots.values(y)) > threshold)
-        new_cons = ~active_cons & (cons.violations(cons.values(y)) > threshold)
+        new_pots = ~active_pots & (pots.hinges(pots.values(y)) > 0.0)
+        new_cons = ~active_cons & (cons.violations(cons.values(y)) > 0.0)
         # Linear terms move y off zero even when nothing is violated there.
         if not (new_pots.any() or new_cons.any() or (rounds == 0 and linear.any())):
             break
@@ -823,8 +786,10 @@ def solve_map_lazy(mrf: HlMrf, opts: SolveOptions | None = None, extra_linear=No
 
 def project_feasible(mrf: HlMrf, y, tol: float = 1e-9, max_rounds: int = 10000):
     """Cyclic projection of an assignment onto the hard constraints and box."""
+    _check_real("tol", tol, zero_ok=True)
+    _check_count("max_rounds", max_rounds)
     rows = mrf.constraint_rows
-    y = np.clip(np.asarray(y, dtype=float).copy(), 0.0, 1.0)
+    y = np.clip(mrf.table.free_assignment(y), 0.0, 1.0)
     active = np.flatnonzero(rows.arity > 0)
     folded = [(*rows.row(k), rows.norm2[k], rows.is_eq[k]) for k in active]
     for _ in range(max_rounds):

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .infer import SolveOptions, WarmStart, _check_count, _check_real, solve_map
-from .model import HlMrf, ModelError
+from .infer import SolveOptions, WarmStart, solve_map
+from .model import HlMrf, ModelError, _check_count, _check_real, _checked_weights
 
 _QP_FTOL = 1e-12  # SLSQP's tolerance in the margin QP
 
@@ -179,10 +179,10 @@ def mple_log_and_gradient(
     expectation; simplex blocks use seeded uniform simplex sampling. The
     gradient is scaled by template grounding counts, like the MLE gradient.
     """
-    weights = np.asarray(weights, dtype=float)
-    if quadrature < 2:
-        raise ModelError("quadrature needs at least two points")
+    _check_count("quadrature", quadrature, least=2)
+    _check_count("block_samples", block_samples)
     mrf = instance.mrf
+    weights = _checked_weights(weights, len(mrf.templates))
     truth = instance.truth
     rows = mrf.potential_rows
     singletons, blocks = _partition_variables(mrf)

@@ -14,6 +14,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import sys
 import warnings
 from collections.abc import Sequence
@@ -27,6 +28,21 @@ FORMAT_VERSION = 1
 
 class ModelError(ValueError):
     """Raised for structurally invalid models or assignments."""
+
+
+def _check_count(name: str, value, least: int = 1):
+    """Raise a `ModelError` naming ``name`` unless ``value`` is an integer >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ModelError("%s must be an integer >= %d, got %r" % (name, least, value))
+
+
+def _check_real(name: str, value, zero_ok: bool = False):
+    """Raise a `ModelError` naming ``name`` unless ``value`` is a finite real
+    number > 0, or >= 0 if ``zero_ok``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and (value > 0 or (zero_ok and value == 0))):
+        bound = ">= 0" if zero_ok else "> 0"
+        raise ModelError("%s must be finite and %s, got %r" % (name, bound, value))
 
 
 @dataclass(frozen=True, order=True)
@@ -108,12 +124,14 @@ class VariableTable:
         return self._free.size
 
     def free_assignment(self, y) -> np.ndarray:
-        """``y`` as a float array, checked to hold one value per free variable."""
+        """``y`` as a float array, checked to hold one finite value per free variable."""
         y = np.asarray(y, dtype=float)
         if y.shape != (self.n_free,):
             raise ModelError(
                 "assignment has shape %s, expected (%d,)" % (y.shape, self.n_free)
             )
+        if not np.isfinite(y).all():
+            raise ModelError("assignment values must be finite")
         return y
 
     def full_values(self, y: np.ndarray) -> np.ndarray:
@@ -555,8 +573,7 @@ class HlMrf:
 
     def check_feasible(self, y, tol: float = 1e-9):
         """Return (feasible, violated) for the hard constraints at ``y``."""
-        if tol < 0:
-            raise ModelError("tolerance must be nonnegative")
+        _check_real("tol", tol, zero_ok=True)
         rows = self.constraint_rows
         gaps = rows.violations(rows.values(self.table.free_assignment(y)))
         violated = [self.constraints[k] for k in np.flatnonzero(gaps > tol)]

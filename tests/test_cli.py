@@ -64,6 +64,14 @@ class TestValidate:
             run_cli(["infer", "--bogus"])
         assert exc.value.code == 2
 
+    def test_workers_flag_is_gone(self, fixture_paths, capsys):
+        program, data = fixture_paths
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "infer", "--program", program, "--data", data, "--workers", "2")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "--workers" in err and "Traceback" not in err
+
 
 class TestGround:
     @pytest.mark.parametrize("command", ["ground", "learn"])

@@ -334,13 +334,6 @@ class TestSolveMap:
             lp_value = sum(logic.lcr_compact_value(c, [y[i] for i in c.variables]) for c in clauses)
             assert weights.sum() - mrf.energy(y) == pytest.approx(lp_value, abs=1e-4)
 
-    def test_schedule_independence(self):
-        rng = np.random.default_rng(7)
-        mrf = random_mrf(rng, n_vars=5, n_pots=12, constrained=True)
-        y1, _ = solve_map(mrf, SolveOptions(workers=1))
-        y4, _ = solve_map(mrf, SolveOptions(workers=4))
-        np.testing.assert_allclose(y1, y4, atol=1e-6)
-
     def test_iteration_limit_flagged(self):
         mrf = make_mrf(
             [hinge([(0, 1.0)], 0.0, exponent=2), hinge([(0, -1.0)], 1.0, exponent=2, template=1)],
@@ -384,9 +377,7 @@ class TestSolveMap:
         assert "stalled" in diag.message and "infeasible" not in diag.message
         assert mrf.check_feasible(y, tol=1e-9)[0]
 
-    @pytest.mark.parametrize(
-        "field", ["rho", "eps_abs", "eps_rel", "activation_threshold"]
-    )
+    @pytest.mark.parametrize("field", ["rho", "eps_abs", "eps_rel"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_options_rejected(self, field, bad):
         with pytest.raises(ModelError, match="finite"):
@@ -397,6 +388,26 @@ class TestSolveMap:
     def test_counts_must_be_positive_integers(self, field, bad):
         with pytest.raises(ModelError, match=field):
             SolveOptions(**{field: bad})
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("workers", 2), ("lazy", True), ("activation_threshold", 0.5),
+         ("activation_threshold", float("nan")), ("activation_threshold", float("inf"))],
+    )
+    def test_pinned_options_take_one_value(self, field, bad):
+        # The iteration is one serial sweep, lazy inference is
+        # solve_map_lazy, and its activation is exact.
+        with pytest.raises(ModelError, match="SolveOptions.%s must be" % field):
+            SolveOptions(**{field: bad})
+
+    def test_pinned_options_at_their_values_are_accepted(self):
+        # The keywords the benchmark's workloads pass.
+        opts = SolveOptions(rho=1.0, eps_abs=1e-5, eps_rel=1e-3, max_iter=25000, workers=1,
+                            lazy=False, activation_threshold=0.0)
+        assert opts == SolveOptions()
+        mrf = features_model()
+        for solver in (solve_map, solve_map_lazy):
+            assert solver(mrf, opts)[1].converged
 
     @pytest.mark.parametrize("solver", [solve_map, solve_map_lazy])
     def test_max_violation_reported(self, solver):
@@ -576,16 +587,15 @@ class TestEngineMatchesScalarOps:
         assert diag.primal_residual == pytest.approx(check.primal_residual, rel=0, abs=1e-12)
         assert diag.dual_residual == pytest.approx(check.dual_residual, rel=0, abs=1e-12)
 
-    @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("rho", [0.5, 1.0, 3.0])
     @pytest.mark.parametrize("seed", range(8))
-    def test_thirty_iterations_match_scalar_ops(self, seed, rho, workers):
-        # Long enough for every kind of block to leave its start, on both
-        # the serial and the threaded update. Where the consensus stops at
-        # a vertex, the dual residual reads 0, the penalty grows tenfold at
-        # each look, and the solve may stop before 30 even at NO_STOP.
+    def test_thirty_iterations_match_scalar_ops(self, seed, rho):
+        # Long enough for every kind of block to leave its start. Where the
+        # consensus stops at a vertex, the dual residual reads 0, the
+        # penalty grows tenfold at each look, and the solve may stop before
+        # 30 even at NO_STOP.
         mrf, linear = mixed_model(np.random.default_rng(seed))
-        opts = SolveOptions(rho=rho, max_iter=30, workers=workers, **NO_STOP)
+        opts = SolveOptions(rho=rho, max_iter=30, **NO_STOP)
         y_engine, diag = solve_map(mrf, opts, extra_linear=linear)
         assert diag.iterations == 30 or (diag.converged and diag.iterations > 20)
 
@@ -620,17 +630,15 @@ class TestEngineMatchesScalarOps:
         np.testing.assert_allclose(y_engine, expand(state.consensus), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("with_linear", [False, True])
-    @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("rho", [0.5, 1.0, 3.0])
     @pytest.mark.parametrize("seed", range(6))
-    def test_thirty_relaxed_iterations_match_scalar_ops(self, seed, rho, workers, with_linear):
+    def test_thirty_relaxed_iterations_match_scalar_ops(self, seed, rho, with_linear):
         # Squared hinges only and an EQ constraint, with or without linear
-        # terms: every block is relaxed, on both the serial and the
-        # threaded update.
+        # terms: every block is relaxed.
         rng = np.random.default_rng(seed)
         mrf = squared_model(rng)
         linear = rng.uniform(-1.0, 1.0, size=mrf.n_free) * with_linear
-        opts = SolveOptions(rho=rho, max_iter=30, workers=workers, **NO_STOP)
+        opts = SolveOptions(rho=rho, max_iter=30, **NO_STOP)
         y_engine, diag = solve_map(mrf, opts, extra_linear=linear)
         assert diag.iterations == 30
 
@@ -1569,6 +1577,26 @@ class TestProjectFeasible:
         mrf = make_mrf([], [leq([(0, 1.0), (1, 1.0)], -1.0)], weights=[], n=2)
         np.testing.assert_allclose(project_feasible(mrf, [0.2, 0.3]), [0.2, 0.3])
 
+    @pytest.mark.parametrize(
+        "y, match",
+        [([0.2, 0.3, 0.1, 0.1, 0.1], "shape"), ([0.2], "shape"),
+         ([float("nan"), 0.3], "finite"), ([0.2, float("inf")], "finite")],
+    )
+    def test_bad_assignments_rejected(self, y, match):
+        mrf = make_mrf([], [leq([(0, 1.0), (1, 1.0)], -1.0)], weights=[], n=2)
+        with pytest.raises(ModelError, match=match):
+            project_feasible(mrf, y)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("tol", float("nan")), ("tol", float("inf")), ("tol", -1e-9),
+         ("max_rounds", 0), ("max_rounds", 2.5), ("max_rounds", True)],
+    )
+    def test_bad_settings_rejected(self, name, value):
+        mrf = make_mrf([], [leq([(0, 1.0), (1, 1.0)], -1.0)], weights=[], n=2)
+        with pytest.raises(ModelError, match=name):
+            project_feasible(mrf, [0.9, 0.9], **{name: value})
+
 
 def test_import_loads_no_scipy():
     # scipy takes longer to import than the rest of the library; only the
@@ -1649,10 +1677,3 @@ class TestAnswerReport:
         assert y[0] == pytest.approx(0.5, abs=1e-6)
         assert "violation %.3g exceeds" % diag.max_violation in diag.message
 
-    @pytest.mark.parametrize("opts", [SolveOptions(lazy=True), SolveOptions(activation_threshold=0.1)])
-    def test_lazy_options_need_the_lazy_solver(self, opts):
-        mrf = features_model()
-        with pytest.raises(ModelError, match="solve_map_lazy"):
-            solve_map(mrf, opts)
-        _, diag = solve_map_lazy(mrf, opts)
-        assert diag.converged

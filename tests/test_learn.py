@@ -37,6 +37,11 @@ class TestTrainingInstance:
         with pytest.raises(ModelError):
             TrainingInstance(mrf, np.array([0.9, 0.9]))
 
+    def test_rejects_non_finite_truth(self):
+        mrf = make_mrf([], [eq([(0, 1.0), (1, 1.0)], -1.0)], weights=[], n=2)
+        with pytest.raises(ModelError, match="finite"):
+            TrainingInstance(mrf, np.array([np.nan, np.nan]))
+
 
 class TestMleGradient:
     def test_zero_when_map_equals_truth(self):
@@ -335,6 +340,30 @@ class TestMple:
         inst = TrainingInstance(mrf, np.array([0.5, 0.5, 0.5]))
         with pytest.raises(UnsupportedStructureError):
             mple_log_and_gradient(inst, np.array([]))
+
+    @pytest.mark.parametrize(
+        "weights, match",
+        [([1.0], "length"), ([1.0, np.nan], "finite"), ([1.0, -0.5], "nonnegative")],
+    )
+    def test_bad_weights_rejected(self, weights, match):
+        mrf = make_mrf([hinge([(0, 1.0)], 0.0), hinge([(0, -1.0)], 0.5, template=1)],
+                       weights=[1.0, 1.0])
+        inst = TrainingInstance(mrf, np.array([0.3]))
+        with pytest.raises(ModelError, match=match):
+            mple_log_and_gradient(inst, weights)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("quadrature", 1), ("quadrature", 2.5), ("quadrature", True),
+         ("block_samples", 0), ("block_samples", 2.5)],
+    )
+    def test_bad_sample_counts_rejected(self, name, value):
+        # A sum-to-one block, so that block_samples is read.
+        mrf = make_mrf([hinge([(0, 1.0)], -0.2)], [eq([(0, 1.0), (1, 1.0)], -1.0)],
+                       weights=[1.0], n=2)
+        inst = TrainingInstance(mrf, np.array([0.6, 0.4]))
+        with pytest.raises(ModelError, match=name):
+            mple_log_and_gradient(inst, [1.0], **{name: value})
 
     def test_matches_full_assignment_reference(self):
         # Each conditional only moves the potentials touching the varied

@@ -71,6 +71,12 @@ class TestVariableTable:
         with pytest.raises(ModelError):
             table.full_values(np.array([0.1, 0.2]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_assignment_rejected(self, bad):
+        table = VariableTable([GroundAtom("a"), GroundAtom("b"), GroundAtom("c")], {0: 1.0})
+        with pytest.raises(ModelError, match="finite"):
+            table.free_assignment([0.5, bad])
+
 
 class TestEnergy:
     def test_hinge_flat_region(self):
@@ -121,10 +127,17 @@ class TestFeasibility:
         mrf = make_mrf([hinge([(0, 1.0)], 0.0)], weights=[1.0])
         assert mrf.check_feasible([0.7])[0]
 
-    def test_negative_tolerance_rejected(self):
-        mrf = make_mrf([], [], weights=[], n=1)
-        with pytest.raises(ModelError):
-            mrf.check_feasible([0.5], tol=-1.0)
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_bad_tolerance_rejected(self, bad):
+        mrf = make_mrf([], [eq([(0, 1.0)], -0.5)], weights=[], n=1)
+        with pytest.raises(ModelError, match="tol"):
+            mrf.check_feasible([0.9], tol=bad)
+
+    def test_non_finite_assignment_rejected(self):
+        # NaN compares false with every tolerance, so it would read feasible.
+        mrf = make_mrf([], [eq([(0, 1.0), (1, 1.0)], -1.0)], weights=[], n=2)
+        with pytest.raises(ModelError, match="finite"):
+            mrf.check_feasible([float("nan"), float("nan")])
 
 
 class TestTemplateFeatures:
