@@ -16,6 +16,7 @@ from softlogic.ground import ground_program, load_data
 from softlogic.infer import (
     _BALANCE_CHANGES,
     _BALANCE_EVERY,
+    _KEPT,
     _RELAXATION,
     _CompiledModel,
     SolveOptions,
@@ -587,17 +588,20 @@ class TestEngineMatchesScalarOps:
         assert diag.primal_residual == pytest.approx(check.primal_residual, rel=0, abs=1e-12)
         assert diag.dual_residual == pytest.approx(check.dual_residual, rel=0, abs=1e-12)
 
+    @pytest.mark.parametrize("reused", [False, True])
     @pytest.mark.parametrize("rho", [0.5, 1.0, 3.0])
     @pytest.mark.parametrize("seed", range(8))
-    def test_thirty_iterations_match_scalar_ops(self, seed, rho):
+    def test_thirty_iterations_match_scalar_ops(self, seed, rho, reused):
         # Long enough for every kind of block to leave its start. Where the
         # consensus stops at a vertex, the dual residual reads 0, the
         # penalty grows tenfold at each look, and the solve may stop before
         # 30 even at NO_STOP.
         mrf, linear = mixed_model(np.random.default_rng(seed))
+        kept = keep_a_reweighted_compile(mrf, linear) if reused else None
         opts = SolveOptions(rho=rho, max_iter=30, **NO_STOP)
         y_engine, diag = solve_map(mrf, opts, extra_linear=linear)
         assert diag.iterations == 30 or (diag.converged and diag.iterations > 20)
+        assert not reused or vars(mrf.potential_rows)[_KEPT] is kept
 
         reduced, reduced_linear, expand = presolved(mrf, linear)
         state = scalar_iterations(
@@ -630,17 +634,20 @@ class TestEngineMatchesScalarOps:
         np.testing.assert_allclose(y_engine, expand(state.consensus), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("with_linear", [False, True])
+    @pytest.mark.parametrize("reused", [False, True])
     @pytest.mark.parametrize("rho", [0.5, 1.0, 3.0])
     @pytest.mark.parametrize("seed", range(6))
-    def test_thirty_relaxed_iterations_match_scalar_ops(self, seed, rho, with_linear):
+    def test_thirty_relaxed_iterations_match_scalar_ops(self, seed, rho, reused, with_linear):
         # Squared hinges only and an EQ constraint, with or without linear
         # terms: every block is relaxed.
         rng = np.random.default_rng(seed)
         mrf = squared_model(rng)
         linear = rng.uniform(-1.0, 1.0, size=mrf.n_free) * with_linear
+        kept = keep_a_reweighted_compile(mrf, linear) if reused else None
         opts = SolveOptions(rho=rho, max_iter=30, **NO_STOP)
         y_engine, diag = solve_map(mrf, opts, extra_linear=linear)
         assert diag.iterations == 30
+        assert not reused or vars(mrf.potential_rows)[_KEPT] is kept
 
         reduced, reduced_linear, expand = presolved(mrf, linear)
         state = scalar_iterations(
@@ -678,6 +685,15 @@ class TestEngineMatchesScalarOps:
         check = check_convergence(state, second.eps_abs, second.eps_rel)
         assert diag.primal_residual == pytest.approx(check.primal_residual, rel=0, abs=1e-12)
         assert diag.dual_residual == pytest.approx(check.dual_residual, rel=0, abs=1e-12)
+
+
+def keep_a_reweighted_compile(mrf, linear):
+    """Solve a copy of ``mrf`` at other weights and penalty, which leaves
+    its compiled model in the rows the copy shares with ``mrf``, for the
+    next solve of ``mrf`` to reuse. Returns that compiled model."""
+    copy = mrf.with_weights(mrf.weights[::-1] + 0.3)
+    solve_map(copy, SolveOptions(rho=2.0, max_iter=7), extra_linear=linear)
+    return vars(mrf.potential_rows)[_KEPT]
 
 
 def squared_model(rng, n=6):
