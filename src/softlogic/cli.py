@@ -5,7 +5,9 @@ codes: 0 on success, 1 on runtime failures (including errors in user
 files, reported with source locations), 2 on usage errors. Option values
 resolve as flags > config file > the library's defaults: an option that
 neither sets is not passed on. The config file is plain ``key = value``
-lines keyed by option names with dashes or underscores.
+lines keyed by option names with dashes or underscores; a key that no
+subcommand reads is an error, one that the running subcommand does not
+read is ignored.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ from .model import GroundAtom, HlMrf, ModelError, _check_count, _check_real
 from .synth import DEFAULT_ALPHA, DEFAULT_GAMMAS, SynthNetworkSpec, generate_network
 
 WEIGHTS_HEADER = "# softlogic-weights v1"
+# The options a config file may set; each subcommand reads the ones it uses.
+_CONFIG_KEYS = {"rho", "eps_abs", "eps_rel", "max_iter", "steps", "step_size", "C", "tol",
+                "users", "seed", "alpha"}
 
 
 class CliError(RuntimeError):
@@ -45,8 +50,11 @@ def _write(path, text: str):
     if path in (None, "-"):
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise CliError("cannot write %s: %s" % (path, exc.strerror))
 
 
 def _load_config(path):
@@ -60,7 +68,10 @@ def _load_config(path):
         if "=" not in line:
             raise CliError("%s:%d: expected key = value" % (path, lineno))
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip()
+        if key.replace("-", "_") not in _CONFIG_KEYS:
+            raise CliError("%s:%d: unknown option %s" % (path, lineno, key))
+        values[key.replace("-", "_")] = value.strip()
     return values
 
 
@@ -293,11 +304,9 @@ def _cmd_learn(args, config):
         for _ in range(steps):
             _, grad = mple_log_and_gradient(instance, weights)
             weights = np.maximum(weights + step_size * grad, 0.0)
-    elif method == "lme":
+    else:  # lme
         result = lme_train([instance], opts=opts, **_given(args, config, C=float, tol=float))
         weights = result.weights
-    else:
-        raise CliError("unknown learning method %r" % method)
     _write(args.out, _format_weights(mrf.with_weights(weights)))
     return 0
 
@@ -305,7 +314,10 @@ def _cmd_learn(args, config):
 def _cmd_synth(args, config):
     gammas = DEFAULT_GAMMAS
     if args.gammas:
-        gammas = tuple(float(g) for g in args.gammas.split(","))
+        try:
+            gammas = tuple(float(g) for g in args.gammas.split(","))
+        except ValueError:
+            raise CliError("--gammas must be comma-separated numbers, got %r" % args.gammas)
     alpha = _resolve(args, config, "alpha", default=DEFAULT_ALPHA)
     spec = SynthNetworkSpec(
         n_users=_resolve(args, config, "users", int, default=500),

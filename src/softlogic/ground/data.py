@@ -208,15 +208,12 @@ class _Rows:
             ranks = np.concatenate([r for r, _ in self._parts])
             values = np.concatenate([v for _, v in self._parts])
             (key,) = _keys(max(map(len, self.domains)), ranks)
-            if (key[1:] > key[:-1]).all():  # in order already, each atom once
-                self._table = ranks, values, np.arange(len(key))
-            else:
-                order = np.argsort(key, kind="stable")
-                key = key[order]
-                new = np.ones(len(key) + 1, dtype=bool)
-                new[1:-1] = key[1:] != key[:-1]
-                last = new[1:]
-                self._table = ranks[order[last]], values[order[last]], order[new[:-1]]
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            new = np.ones(len(key) + 1, dtype=bool)
+            new[1:-1] = key[1:] != key[:-1]
+            last = new[1:]
+            self._table = ranks[order[last]], values[order[last]], order[new[:-1]]
         return self._table
 
     def atoms(self) -> dict[tuple[str, ...], float]:
@@ -256,7 +253,7 @@ class DataSet:
     the one `coding` that grounding reads, rebuilt on first use after any change.
     """
 
-    def __init__(self, universe=None, predicates=(), functionals=None):
+    def __init__(self, universe=None, predicates=()):
         self.universe: dict[str, tuple[str, ...]] = {}
         self._rank: dict[str, dict[str, int]] = {}
         self._sorted: dict[str, tuple[str, ...]] = {}
@@ -270,7 +267,7 @@ class DataSet:
         self._coding: Coding | None = None
         # Functionally defined predicates: name -> fn(*constants) -> [0, 1].
         # They behave as closed predicates whose values are computed on use.
-        self.functionals: dict[str, callable] = dict(functionals or {})
+        self.functionals: dict[str, callable] = {}
 
     def define_type(self, name: str, constants):
         """Declare a type with its constants, in the order given."""
@@ -344,6 +341,7 @@ class DataSet:
         return self._coding
 
     def register_functional(self, name: str, arg_types, fn):
+        """Declare a closed predicate whose values ``fn(*constants)`` computes."""
         self.declare_predicate(name, arg_types, closed=True)
         self.functionals[name] = fn
 

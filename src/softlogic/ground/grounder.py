@@ -354,10 +354,9 @@ def _finish(rule, rule_id, names, subs, coding, rows, row_ground, errors, locati
 
     ``rows`` are ``(indices, coeffs, arity, offsets)`` in CSR form over
     table indices of free atoms, hard rows equalities if ``is_eq``. Row
-    ``r`` belongs to grounding ``row_ground[r]`` (ascending), or to
-    grounding ``r`` if ``row_ground`` is None; only the ``live`` groundings
-    emit rows. With pruning, a hinge that can never be active on the unit
-    box and a hard row without a free atom are dropped.
+    ``r`` belongs to grounding ``row_ground[r]`` (ascending); only the
+    ``live`` groundings emit rows. With pruning, a hinge that can never be
+    active on the unit box and a hard row without a free atom are dropped.
     A hard row without free atoms that the observations violate is an
     error. ``errors`` holds ``(grounding, rank, error)`` triples; the first
     in grounding order, then rank, is raised, after the ``(grounding,
@@ -376,7 +375,7 @@ def _finish(rule, rule_id, names, subs, coding, rows, row_ground, errors, locati
         excess = np.abs(offsets) if is_eq else offsets
         violated = keep & (arity == 0) & (excess > 1e-9)
         if violated.any():
-            k = violated.argmax() if row_ground is None else row_ground[violated.argmax()]
+            k = row_ground[violated.argmax()]
             errors.append((k, (np.inf,), GroundingError(
                 "hard rule is violated by the observations alone (%s)"
                 % _origin(rule_id, names, subs[k], coding.constants),
@@ -392,11 +391,10 @@ def _finish(rule, rule_id, names, subs, coding, rows, row_ground, errors, locati
         raise first[2]
 
     kept_terms = np.repeat(keep, arity)
-    if row_ground is None:  # one row per grounding: no sort needed
-        grounds = np.flatnonzero(keep)
-        row_ground = np.arange(grounds.size)
-    else:
-        grounds, row_ground = np.unique(row_ground[keep], return_inverse=True)
+    row_ground = row_ground[keep]
+    new = np.diff(row_ground, prepend=-1) != 0  # ascending: each grounding's first row
+    grounds = row_ground[new]
+    row_ground = np.cumsum(new) - 1
     folded = (coding.table.position[indices[kept_terms]], coeffs[kept_terms], arity[keep],
               offsets[keep])
     size = len(row_ground)
@@ -405,7 +403,7 @@ def _finish(rule, rule_id, names, subs, coding, rows, row_ground, errors, locati
     else:
         rows = PotentialRows(*folded, np.full(size, exponent, np.intp),
                              np.full(size, rule_id, np.intp))
-    return GroundRules(rule_id, names, subs[grounds], coding, rows, row_ground.ravel())
+    return GroundRules(rule_id, names, subs[grounds], coding, rows, row_ground)
 
 
 def ground_logical_rule(rule, data, rule_id=0, prune=False, location=(None, None)):
@@ -453,7 +451,8 @@ def ground_logical_rule(rule, data, rule_id=0, prune=False, location=(None, None
             term_coeff.append(np.full(term_row[-1].size, 1.0 if lit.negated else -1.0))
 
     rows = (*_row_terms(term_row, term_index, term_coeff, n), offsets)
-    return _finish(rule, rule_id, names, subs, coding, rows, None, errors, location, prune)
+    return _finish(rule, rule_id, names, subs, coding, rows, np.arange(n), errors, location,
+                   prune)
 
 
 def _row_terms(term_row, term_index, term_coeff, n):

@@ -172,12 +172,12 @@ class _Gains:
         gain[: c.size] = _inverse(cons.norm2[c])
         floor[: c.size] = np.where(cons.is_eq[c], -np.inf, 0.0)
         k, linear = gain.size, pots.exponent[p] == 1
-        at = _where(c.size + np.flatnonzero(linear), k)
+        at = c.size + np.flatnonzero(linear)
         gain[at] = _inverse(pots.norm2[p[linear]])
         self.linear = (at, pots.template_id[p[linear]])
         squared = p[~linear]
-        self.squared = (_where(c.size + np.flatnonzero(~linear), k),
-                        pots.template_id[squared], pots.norm2[squared])
+        self.squared = (c.size + np.flatnonzero(~linear), pots.template_id[squared],
+                        pots.norm2[squared])
         self.terms = (slice(k - t.size, k), t)
         self.capped = bool(linear.any() or t.size)
 
@@ -194,11 +194,6 @@ class _Gains:
         at, term = self.terms
         if term.size:
             self.floor[at] = self.cap[at] = term_step[term]
-
-
-def _where(at, size):
-    """The positions ``at`` among ``size``, as a slice if they are all of them."""
-    return slice(None) if at.size == size else at
 
 
 class _Group:
@@ -505,7 +500,7 @@ class _CompiledModel:
 
         self.idx = np.concatenate(positions)  # each copy's variable, group by group
         counts = np.bincount(self.idx, minlength=n)
-        self.touched = slice(None) if counts.all() else np.flatnonzero(counts)
+        self.touched = np.flatnonzero(counts)
         slot = np.cumsum(counts > 0) - 1  # each touched variable's place among them
         self.slot = slot[self.idx]  # each copy's variable in the compact consensus
         self.counts = counts[self.touched].astype(float)  # copies of each touched variable

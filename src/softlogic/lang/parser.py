@@ -331,10 +331,7 @@ class Parser:
             return node
         if tok.kind in ("IDENT", "STRING"):
             if tok.kind == "IDENT" and self._peek(1).kind == "LPAREN":
-                atom = self._parse_atom()
-                if atom.sum_variables:
-                    pass  # validated at the statement level
-                return atom
+                return self._parse_atom()  # sum variables are checked at the statement level
             left = self._parse_term()
             if self._peek().kind == "NEQ":
                 self._next()
@@ -412,7 +409,7 @@ def normalize_logical(rule: LogicalRule) -> LogicalRule:
     """
     if rule.kind != "logical":
         raise NormalizationError("only logical rules can be normalized")
-    literals = tuple(_flatten(_push(_rewrite_implications(rule.expression), False)))
+    literals = tuple(_literals(rule.expression))
     exprs = [Neg(lit.atom) if lit.negated else lit.atom for lit in literals]
     expression = exprs[0]
     for e in exprs[1:]:
@@ -420,38 +417,23 @@ def normalize_logical(rule: LogicalRule) -> LogicalRule:
     return LogicalRule(expression, rule.weight, rule.squared, literals)
 
 
-def _rewrite_implications(node):
+def _literals(node, negated=False):
+    """The literals of ``node``, negated if ``negated``, as one disjunction.
+
+    ``body -> head`` is ``!body | head``, a negation flips the polarity, and
+    an ``Or``, or a negated ``And``, is a disjunction of its two sides.
+    """
     if isinstance(node, Implies):
-        return Or(Neg(_rewrite_implications(node.body)), _rewrite_implications(node.head))
+        node = Or(Neg(node.body), node.head)
     if isinstance(node, Neg):
-        return Neg(_rewrite_implications(node.operand))
-    if isinstance(node, And):
-        return And(_rewrite_implications(node.left), _rewrite_implications(node.right))
-    if isinstance(node, Or):
-        return Or(_rewrite_implications(node.left), _rewrite_implications(node.right))
-    return node
-
-
-def _push(node, negated: bool):
-    if isinstance(node, Neg):
-        return _push(node.operand, not negated)
-    if isinstance(node, And):
-        cls = Or if negated else And
-        return cls(_push(node.left, negated), _push(node.right, negated))
-    if isinstance(node, Or):
-        cls = And if negated else Or
-        return cls(_push(node.left, negated), _push(node.right, negated))
+        return _literals(node.operand, not negated)
+    if isinstance(node, (And, Or)):
+        if isinstance(node, And) != negated:
+            raise NormalizationError(
+                "rule is not expressible as a single disjunctive clause "
+                "(a conjunction survives the implication rewrite)"
+            )
+        return _literals(node.left, negated) + _literals(node.right, negated)
     if isinstance(node, (Atom, ComparisonAtom)):
-        return Literal(node, negated)
+        return [Literal(node, negated)]
     raise NormalizationError("unexpected node %r in logical rule" % (node,))
-
-
-def _flatten(node):
-    if isinstance(node, Literal):
-        return [node]
-    if isinstance(node, Or):
-        return _flatten(node.left) + _flatten(node.right)
-    raise NormalizationError(
-        "rule is not expressible as a single disjunctive clause "
-        "(a conjunction survives the implication rewrite)"
-    )

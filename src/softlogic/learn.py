@@ -28,6 +28,7 @@ from .infer import SolveOptions, WarmStart, solve_map
 from .model import HlMrf, ModelError, _check_count, _check_real, _checked_weights
 
 _QP_FTOL = 1e-12  # SLSQP's tolerance in the margin QP
+_DCA_MAX_ITER = 50  # solves per separation oracle call, at most
 
 
 class UnsupportedStructureError(ModelError):
@@ -87,9 +88,6 @@ def mle_gradient(
     passed on to `solve_map`. ``truth_features``, the truth's template
     features, saves recomputing them on every call.
     """
-    weights = np.asarray(weights, dtype=float)
-    if np.any(weights < 0):
-        raise ModelError("weights must be nonnegative")
     model = instance.mrf.with_weights(weights)
     _, diag = solve_map(model, opts, warm=warm)
     if diag.infeasible:
@@ -251,53 +249,43 @@ def lme_separation_oracle(
     instance: TrainingInstance,
     weights,
     opts: SolveOptions | None = None,
-    dca_max_iter: int = 50,
     warm=None,
     *,
     truth_features=None,
 ):
     """Worst-violated margin constraint via loss-augmented inference.
 
-    The l1 loss enters as linear objective terms. For {0,1} truth those are
-    exact; interior truth values make the augmentation concave, handled by a
-    difference-of-convex iteration over the +/-1 subgradient directions,
-    initialized by rounding the truth. Every solve is warm-started from the
-    previous one: from ``warm``, a `WarmStart` passed to `solve_map`, or
-    from a new one for this call. The violator's features are the ones its
-    solve reports; ``truth_features``, the truth's, saves recomputing them.
+    The l1 loss enters as linear objective terms. Interior truth values make
+    the augmentation concave, handled by a difference-of-convex iteration
+    over the +/-1 subgradient directions, initialized by rounding the truth;
+    for {0,1} truth its first solve is exact and final. Every solve is
+    warm-started from the previous one: from ``warm``, a `WarmStart` passed
+    to `solve_map`, or from a new one for this call. The violator's features
+    are the ones its solve reports; ``truth_features``, the truth's, saves
+    recomputing them.
     """
-    weights = np.asarray(weights, dtype=float)
-    if np.any(weights < 0):
-        raise ModelError("weights must be nonnegative")
     model = instance.mrf.with_weights(weights)
+    weights = model.weights
     truth = instance.truth
     warm = WarmStart() if warm is None else warm
-    binary = np.all((truth == 0.0) | (truth == 1.0))
-
-    if binary:
-        coeff = np.where(truth == 1.0, 1.0, -1.0)
-        violator, diag = solve_map(model, opts, extra_linear=coeff, warm=warm)
-        features = diag.features
-        converged = True
-    else:
-        # Assume the violator sits opposite the rounded truth, then flip
-        # directions that the solution contradicts until a fixed point.
-        side = np.where(np.round(truth) == 0.0, 1.0, -1.0)
-        best = None
-        converged = False
-        for _ in range(dca_max_iter):
-            violator, diag = solve_map(model, opts, extra_linear=-side, warm=warm)
-            objective = float(weights @ diag.features - np.abs(truth - violator).sum())
-            if best is None or objective < best[0] - 1e-12:
-                best = (objective, violator, diag.features)
-            flipped = np.where(
-                side > 0, violator < truth - 1e-9, violator > truth + 1e-9
-            )
-            if not flipped.any():
-                converged = True
-                break
-            side = np.where(flipped, -side, side)
-        _, violator, features = best
+    # Assume the violator sits opposite the rounded truth, then flip
+    # directions that the solution contradicts until a fixed point.
+    side = np.where(np.round(truth) == 0.0, 1.0, -1.0)
+    best = None
+    converged = False
+    for _ in range(_DCA_MAX_ITER):
+        violator, diag = solve_map(model, opts, extra_linear=-side, warm=warm)
+        objective = float(weights @ diag.features - np.abs(truth - violator).sum())
+        if best is None or objective < best[0] - 1e-12:
+            best = (objective, violator, diag.features)
+        flipped = np.where(
+            side > 0, violator < truth - 1e-9, violator > truth + 1e-9
+        )
+        if not flipped.any():
+            converged = True
+            break
+        side = np.where(flipped, -side, side)
+    _, violator, features = best
 
     loss = float(np.abs(truth - violator).sum())
     if truth_features is None:

@@ -19,6 +19,7 @@ from .model import LinearFunction
 
 MAX_BRUTEFORCE_VARS = 20
 MAX_INNER_LP_LITERALS = 4
+_POLISH_PASSES = 4  # sweeps of polish_relaxed_solution, at most
 
 
 class ClauseError(ValueError):
@@ -233,7 +234,7 @@ def relaxed_total_score(clauses, y) -> float:
     return sum(c.weight * clause_value(c, y) for c in clauses)
 
 
-def polish_relaxed_solution(clauses, y, max_passes: int = 4):
+def polish_relaxed_solution(clauses, y):
     """Coordinate ascent on the relaxed objective.
 
     Each coordinate move is exact: the objective is concave and piecewise
@@ -248,7 +249,7 @@ def polish_relaxed_solution(clauses, y, max_passes: int = 4):
         for i in c.variables:
             if i < n:
                 touching[i].append(c)
-    for _ in range(max_passes):
+    for _ in range(_POLISH_PASSES):
         improved = False
         for i in range(n):
             candidates = {0.0, 1.0, y[i]}

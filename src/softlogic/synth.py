@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import ModelError, _check_count
+
 MAX_DEGREE = 50
 
 DEFAULT_GAMMAS = (2.0, 2.2, 2.4, 2.6, 2.8, 3.0)
@@ -33,15 +35,15 @@ class SynthNetworkSpec:
     lambda_edges: tuple = DEFAULT_EDGE_WEIGHTS
 
     def __post_init__(self):
-        if self.n_users < 2:
-            raise ValueError("need at least two users")
+        _check_count("n_users", self.n_users, least=2)
+        _check_count("seed", self.seed, least=0)
         if len(self.edge_params) != len(self.lambda_edges):
-            raise ValueError("one weight per edge type required")
+            raise ModelError("one weight per edge type required")
         for gamma, alpha in self.edge_params:
             if not 2.0 <= gamma <= 3.0:
-                raise ValueError("gamma must lie in [2, 3], got %r" % gamma)
+                raise ModelError("gamma must lie in [2, 3], got %r" % gamma)
             if not 0.0 < alpha <= 1.0:
-                raise ValueError("alpha must lie in (0, 1], got %r" % alpha)
+                raise ModelError("alpha must lie in (0, 1], got %r" % alpha)
 
 
 def _degree_distribution(gamma: float, alpha: float):
@@ -49,7 +51,7 @@ def _degree_distribution(gamma: float, alpha: float):
     tail = alpha * k**-gamma
     zero = 1.0 - tail.sum()
     if zero < 0:
-        raise ValueError(
+        raise ModelError(
             "alpha=%g puts more than unit mass on positive degrees for gamma=%g"
             % (alpha, gamma)
         )

@@ -252,6 +252,32 @@ class TestConfig:
         assert code == 1 and "eps_abs" in err and "finite" in err
 
 
+    @pytest.mark.parametrize("line", ["workers = 2", "epsabs = 5"])
+    def test_unknown_config_key_names_file_and_line(
+        self, fixture_paths, tmp_path, capsys, line
+    ):
+        program, data = fixture_paths
+        config = tmp_path / "stale.conf"
+        config.write_text("eps-abs = 1e-6\n%s\n" % line)
+        code, _, err = run(
+            capsys, "--config", config, "infer", "--program", program, "--data", data
+        )
+        key = line.split(" =")[0]
+        assert code == 1
+        assert err == "error: %s:2: unknown option %s\n" % (config, key)
+
+    def test_config_keys_of_other_subcommands_are_ignored(
+        self, fixture_paths, tmp_path, capsys
+    ):
+        program, data = fixture_paths
+        config = tmp_path / "shared.conf"
+        config.write_text("users = 40\nstep-size = 0.5\nC = 0.1\nmax_iter = 500\n")
+        code, out, _ = run(
+            capsys, "--config", config, "infer", "--program", program, "--data", data
+        )
+        assert code == 0 and out
+
+
 class TestWeightsFile:
     @pytest.mark.parametrize(
         "line", ["0\tnan\tsource", "0\tinf\tsource", "zero\t1.0\tsource", "0\tabc\tsource"]
@@ -264,6 +290,19 @@ class TestWeightsFile:
             capsys, "infer", "--program", program, "--data", data, "--weights", weights
         )
         assert code == 1 and "weights line 3" in err
+
+class TestOutput:
+    @pytest.mark.parametrize("command", ["ground", "infer"])
+    def test_unwritable_out_reported(self, fixture_paths, tmp_path, capsys, command):
+        program, data = fixture_paths
+        out = tmp_path / "missing" / "out.txt"
+        code, _, err = run(
+            capsys, command, "--program", program, "--data", data, "--out", out
+        )
+        assert code == 1
+        assert err.startswith("error: cannot write %s: " % out)
+        assert "Traceback" not in err
+
 
 class TestLearnCommand:
     def test_mle_writes_versioned_weights(self, fixture_paths, tmp_path, capsys):
@@ -489,3 +528,24 @@ class TestSynthCommand:
         )
         assert code == 0
         assert out.count("\n") >= 10
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--alpha", "5", "alpha must lie in (0, 1]"),
+            ("--users", "1", "n_users must be an integer >= 2"),
+            ("--gammas", "9", "gamma must lie in [2, 3]"),
+            ("--gammas", "x", "--gammas must be comma-separated numbers"),
+            ("--seed", "-1", "seed must be an integer >= 0"),
+        ],
+    )
+    def test_bad_values_reported(self, tmp_path, capsys, flag, value, message):
+        code, _, err = run(
+            capsys,
+            "synth-network", flag, value,
+            "--out-data", tmp_path / "net.data", "--out-program", tmp_path / "net.psl",
+        )
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "net.data").exists()

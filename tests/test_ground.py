@@ -448,6 +448,27 @@ class TestArithmeticGrounding:
             grounds = ground_arithmetic_rule(prog.rules[0], data)
         assert grounds == []
 
+    def test_weighted_equality_with_a_dropped_grounding(self):
+        # "b" has no friends, so its grounding divides by an empty sum and is
+        # dropped; the two hinges of "a" and of "c" stay with their groundings.
+        data = load_data(
+            'P = {"a", "b", "c"}\nFriends(P, P) (closed)\nExtroverted(P)\n'
+            'Friends("a", "c") = 1\nFriends("c", "a") = 1\n'
+        )
+        prog = parse_program(
+            "2 : Extroverted(X) = 1 / |Y| Extroverted(+Y)\n{Y : Friends(X, Y)}"
+        )
+        with pytest.warns(GroundingWarning, match="division by an empty sum"):
+            grounds = ground_arithmetic_rule(prog.rules[0], data)
+        _, index = build_variable_table(data)
+        assert [dict(g.substitution)["X"] for g in grounds] == ["a", "c"]
+        assert grounds.row_ground.tolist() == [0, 0, 1, 1]
+        for g, (own, other) in zip(grounds, [("a", "c"), ("c", "a")]):
+            first, second = g.potentials
+            own, other = (index[GroundAtom("Extroverted", (x,))] for x in (own, other))
+            assert dict(first.linfun.terms) == {own: 1.0, other: -1.0}
+            assert dict(second.linfun.terms) == {own: -1.0, other: 1.0}
+
     def test_min_builtin_with_cardinalities(self):
         data = load_data(
             'A = {"a1", "a2"}\nB = {"b1", "b2", "b3"}\nMatched(A, B)\n'

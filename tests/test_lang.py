@@ -257,6 +257,15 @@ class TestNormalization:
         rule = normalize_logical(prog.rules[0])
         assert self._literal_set(rule) == [("A(X)", True), ("B(X)", True), ("C(X)", False)]
 
+    def test_literal_order_kept(self):
+        # De Morgan on a negated conjunction holding a double negation, then
+        # a nested implication: literals come out left to right.
+        prog = parse_program("1 : !(A(X) & !B(X)) | (C(X) -> D(X))")
+        rule = normalize_logical(prog.rules[0])
+        assert [(lit.atom.predicate, lit.negated) for lit in rule.literals] == [
+            ("A", True), ("B", False), ("C", True), ("D", False),
+        ]
+
     def test_literal_multiset_preserved(self):
         prog = parse_program("1 : A(X) & B(X) & C(X) -> D(X) | A(X)")
         rule = normalize_logical(prog.rules[0])

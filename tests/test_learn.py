@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import softlogic.infer
+import softlogic.learn
 from softlogic.ground import ground_program, load_data
 from softlogic.infer import solve_map
 from softlogic.lang import parse_program
@@ -457,6 +458,27 @@ class TestSeparationOracle:
             )
             got = objective(result.violator)
             assert got <= best + 1e-3
+
+    def test_binary_truth_takes_one_solve(self, monkeypatch):
+        # The loss terms of a {0,1} truth are exact: the first solve pushes
+        # each variable away from its truth and no direction can flip.
+        mrf = make_mrf(
+            [hinge([(0, 1.0), (1, -1.0)], 0.1, exponent=2), hinge([(1, -1.0)], 0.4, template=1)],
+            weights=[1.0, 2.0],
+            n=2,
+        )
+        inst = TrainingInstance(mrf, np.array([1.0, 0.0]))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(np.array(kwargs["extra_linear"]))
+            return solve_map(*args, **kwargs)
+
+        monkeypatch.setattr(softlogic.learn, "solve_map", counted)
+        result = lme_separation_oracle(inst, np.array([0.6, 1.1]), TIGHT)
+        assert result.converged
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], [1.0, -1.0])
 
     @pytest.mark.parametrize("truth", [[1.0, 0.0], [0.3, 0.6]])
     def test_gap_is_read_from_the_solves(self, truth):

@@ -2,6 +2,7 @@ import pytest
 
 from softlogic.ground import ground_program, load_data
 from softlogic.lang import parse_program
+from softlogic.model import ModelError
 from softlogic.synth import SynthNetworkSpec, generate_edges, generate_network
 
 
@@ -24,6 +25,11 @@ class TestSpecValidation:
     def test_minimum_users(self):
         with pytest.raises(ValueError):
             SynthNetworkSpec(n_users=1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_must_be_a_count(self, seed):
+        with pytest.raises(ModelError, match="seed"):
+            SynthNetworkSpec(n_users=10, seed=seed)
 
 
 class TestGeneration:
