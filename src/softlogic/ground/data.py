@@ -28,7 +28,8 @@ an atom up.
 `load_data` walks the statements up to the first observation. From there
 it reads the plain observations (non-empty double-quoted constants without
 escapes, blanks between tokens, no comments) in one bulk pass: one
-`re.findall` with a group per constant, then every check of
+`re.Pattern.split`, whose flat list of strings holds names, constant
+columns and values as stride slices, then every check of
 `DataSet.add_observation` on whole columns, per predicate, before anything
 is stored: a constant's rank comes from its type's ``{constant: rank}``
 dict, where a miss fails the membership check, and the values must lie in
@@ -43,7 +44,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -76,7 +76,8 @@ class Coding:
 
     A constant's code is its rank in the sorted union of all types'
     constants, so code order is string order; ``radix`` exceeds every
-    code. ``types`` maps each type to its constants' codes, ascending.
+    code. ``types`` maps each type to its constants' codes, ascending; `ranks`
+    maps every code to its rank in a type, -1 outside it (``radix`` × 8 bytes).
     ``observed`` maps each predicate with observations to its rows as an
     argument-code matrix, in lexicographic order, and a value vector: the
     data set's type-local rank columns, each taken through its type's codes.
@@ -104,6 +105,7 @@ class Coding:
             types = data.predicates[name].arg_types
             codes = [self.types[t][column] for t, column in zip(types, ranks.T)]
             self.observed[name] = np.stack(codes, axis=1), values
+        self._ranks: dict[str, np.ndarray] = {}
         self.memo: dict = {}
 
         self.base: dict[str, int] = {}
@@ -131,16 +133,23 @@ class Coding:
             raise DataError("unknown type %s" % name)
         return self.types[name]
 
+    def ranks(self, name: str) -> np.ndarray:
+        """Each code's rank in type ``name``, -1 outside it, built when first used."""
+        if name not in self._ranks:
+            codes = self.type_codes(name)
+            self._ranks[name] = np.full(self.radix, -1, dtype=np.intp)
+            self._ranks[name][codes] = np.arange(len(codes))
+        return self._ranks[name]
+
     def indices(self, predicate, args) -> np.ndarray:
         """Table indices of open atoms (rows of argument codes).
 
         `DataSet.atoms_of` is a product over sorted type constants, so an
         atom's index is the mixed-radix number of its constants' ranks.
         """
-        types = [self.types[t] for t in self._arg_types[predicate]]
-        ranks = np.stack([np.searchsorted(constants, column)
-                          for constants, column in zip(types, args.T)], axis=1)
-        return _mixed_radix(ranks, map(len, types)) + self.base[predicate]
+        types = self._arg_types[predicate]
+        ranks = np.stack([self.ranks(t).take(column) for t, column in zip(types, args.T)], axis=1)
+        return _mixed_radix(ranks, (len(self.types[t]) for t in types)) + self.base[predicate]
 
 
 def _mixed_radix(rows, radixes) -> np.ndarray:
@@ -418,16 +427,16 @@ _ITEM = re.compile(r"%s|(%s|%s)" % (_COMMENT, STRING, IDENT), re.DOTALL)
 
 @functools.lru_cache(maxsize=None)
 def _plain(arity: int):
-    """A plain observation of up to ``arity`` arguments as (name, constant
-    1, ..., constant ``arity``, value), absent constants empty, or else the
-    first character of anything else, with an empty name. A plain constant
-    is double-quoted, not empty, and holds no escape or newline."""
+    """A plain observation of up to ``arity`` arguments and the blanks after
+    it, capturing (name, constant 1, ..., constant ``arity``, value); an
+    absent constant's group does not take part. A plain constant is
+    double-quoted, not empty, and holds no escape or newline."""
     constant, blank = r'"([^"\\\n]+)"', r"[ \t\r\n]*"
     constants = ""
     for _ in range(arity - 1):
         constants = r"(?:{b},{b}{c}{more})?".format(b=blank, c=constant, more=constants)
     return re.compile(
-        r"{b}({ident}){b}\({b}{c}{more}{b}\){b}={b}({number})|{b}[^ \t\r\n]".format(
+        r"({ident}){b}\({b}{c}{more}{b}\){b}={b}({number}){b}".format(
             b=blank, ident=IDENT, c=constant, more=constants, number=NUMBER
         )
     )
@@ -501,35 +510,40 @@ def _observe_plain(data: DataSet, text: str, offset: int) -> int:
     otherwise store nothing. Returns where the statement walk goes on: after
     the stored observations, or at ``offset``.
 
-    Each argument column maps to type-local ranks through its type's
-    ``{constant: rank}`` dict, where a miss fails the membership check, and
-    the values become one array checked against [0, 1].
+    `_plain`'s split is one flat list: the text before each observation
+    (empty between plain ones), then its groups, so columns are stride slices.
     """
     arity = max((p.arity for p in data.predicates.values()), default=0)
     if not arity:
         return offset
-    plain = _plain(arity)
-    end = len(text)
-    runs: dict[str, list] = {}
-    for name, run in itertools.groupby(plain.findall(text, offset), operator.itemgetter(0)):
-        if not name:  # some text is no plain observation: read up to it
-            end = next(m.start() for m in plain.finditer(text, offset) if not m[1])
-            break
-        runs.setdefault(name, []).append(tuple(zip(*run))[1:])
+    plain, stride = _plain(arity), arity + 3
+    parts = plain.split(text[offset:])
+    gaps = parts[::stride]
+    count, end = len(gaps) - 1, len(text)
+    if any(gaps):  # other text ends the plain observations
+        count = next(k for k, gap in enumerate(gaps) if gap)
+        matches = itertools.islice(plain.finditer(text, offset), count)
+        end = max((m.end() for m in matches), default=offset)
+    names, *columns = (parts[k:count * stride:stride] for k in range(1, stride))
+    runs: dict[str, list[slice]] = {}
+    at = 0
+    for name, run in itertools.groupby(names):
+        runs.setdefault(name, []).append(slice(at, at := at + len(list(run))))
     read = []
-    for name, parts in runs.items():
+    for name, spans in runs.items():
         pred = data.predicates.get(name)
         if pred is None:
             return offset
-        *columns, values = (tuple(itertools.chain.from_iterable(c)) for c in zip(*parts))
-        # A plain constant is not empty, so an empty one is an absent
-        # argument, even where a type declares the constant "".
-        if not all(map(all, columns[:pred.arity])) or any(map(any, columns[pred.arity:])):
+        *args, values = (
+            list(itertools.chain.from_iterable(map(column.__getitem__, spans))) for column in columns
+        )
+        # An absent constant is None: too few or too many arguments fail here.
+        if not all(map(all, args[:pred.arity])) or any(map(any, args[pred.arity:])):
             return offset
         try:
             ranks = np.stack([
                 np.fromiter(map(data._rank[t].__getitem__, column), np.intp)
-                for t, column in zip(pred.arg_types, columns)
+                for t, column in zip(pred.arg_types, args)
             ], axis=1)
         except KeyError:  # an unknown constant
             return offset

@@ -9,25 +9,25 @@ then constants), so grounding the same inputs twice yields byte-identical
 models.
 
 Every rule is grounded set at a time, bottom up, as in Tuffy and in PSL's
-database grounding. `DataSet.coding` is the data set's one cached
-`Coding`: it gives every constant an integer code, its rank in the sorted
-union of all constants, so code order is string order, keeps each
-predicate's observations as an argument-code matrix and a value vector,
-and holds the variable table, ``Coding.table``. A rule's substitutions
-are a join over those arrays: with pruning, a negated closed atom of a
-logical rule contributes only its nonzero observations, joined on sorted
-integer keys, and every other variable ranges over its typed domain (the
-intersection of its types, computed only when they differ); one integer
-key per row then gives the lexicographic order. The substitutions depend
-only on the pruned atoms and the variables' types, so they are kept in
-``Coding.memo`` and rules that share them, such as the two rules of one
-edge type, share one read-only matrix until the data changes. Each ground
-atom is looked up set at a time too (observations by sorted keys, open
-atoms' table indices as mixed-radix codes over the sorted type constants,
+database grounding. `DataSet.coding` is the data set's one cached `Coding`:
+it gives every constant an integer code, its rank in the sorted union of
+all constants, so code order is string order, keeps each predicate's
+observations as an argument-code matrix and a value vector, and holds the
+variable table, ``Coding.table``. A rule's substitutions are a join over
+those arrays: with pruning, a negated closed atom of a logical rule
+contributes only its nonzero observations whose constants rank
+(`Coding.ranks`) in their variables' types, joined on sorted integer keys,
+and every other variable ranges over its typed domain (the intersection of
+its types); one integer key per row then gives the lexicographic order. The
+substitutions depend only on the pruned atoms and the variables' types, so
+they are kept in ``Coding.memo`` and rules that share them, such as the two
+rules of one edge type, share one read-only matrix until the data changes.
+Each ground atom is looked up set at a time too (observations by sorted
+keys, open atoms' table indices as mixed-radix numbers of those ranks,
 functional predicates once per distinct atom), and the offsets and the
 prune test are array expressions. A logical rule's terms come at most one
-per literal and row; where no table index repeats within a row, a
-row-wise sort of those few terms replaces the general merge.
+per literal and row; where no table index repeats within a row, a row-wise
+sort of those few terms replaces the general merge.
 
 An arithmetic rule pairs every substitution with every candidate of each
 sum variable; its select clause is a mask over those pairs, its
@@ -236,15 +236,14 @@ def _substitutions(literals, domains, data, prune):
     )
     key = pruned, tuple(sorted(domains.items()))
     if key not in coding.memo:
-        codes = {name: _domain(coding, types) for name, types in domains.items()}
-        rows = _join_all(pruned, codes, coding)
+        rows = _join_all(pruned, domains, coding)
         rows.flags.writeable = False
         coding.memo[key] = rows
     return coding.memo[key]
 
 
 def _join_all(pruned, domains, coding):
-    """The substitutions of `_substitutions`, ``domains`` holding each variable's codes."""
+    """The substitutions of `_substitutions`, ``domains`` holding each variable's types."""
     relations = []
     for atom in pruned:
         codes, values = coding.observed.get(
@@ -260,7 +259,8 @@ def _join_all(pruned, domains, coding):
                 keep &= column == codes[:, columns[arg.name]]
             else:
                 columns[arg.name] = position
-                keep &= _find(domains[arg.name], column)[1]
+                for type_name in domains[arg.name]:
+                    keep &= coding.ranks(type_name).take(column) >= 0
         relations.append((tuple(columns), codes[keep][:, list(columns.values())]))
 
     names, rows = (), np.zeros((1, 0), dtype=np.intp)
@@ -277,7 +277,8 @@ def _join_all(pruned, domains, coding):
     ordered = sorted(domains)
     for name in ordered:
         if name not in names:
-            names, rows = _join((names, rows), ((name,), domains[name][:, None]), coding.radix)
+            codes = _domain(coding, domains[name])[:, None]
+            names, rows = _join((names, rows), ((name,), codes), coding.radix)
     rows = rows[:, [names.index(v) for v in ordered]]
     if ordered:  # the rows are distinct, so one key per row orders them
         rows = rows[np.argsort(_keys(coding.radix, rows)[0], kind="stable")]

@@ -210,6 +210,15 @@ def plain_data(draw):
 @settings(max_examples=300, deadline=None)
 @given(text=plain_data())
 @example('T = {"a"}\nP(T)\nP("a") = 1\nP("a") = 0.5\nP("a")=1E0')
+# A one-argument predicate beside a three-argument one (groups that take no
+# part), CRLF line ends, no final newline, a trailing comment or blank lines,
+# a value with an exponent, and constants holding "," "/*" or "'".
+@example('T = {"a", "b"}\nP(T)\nQ(T, T, T)\nP("a") = 1\nQ("a", "b", "a") = 0.5\nP("b") = 0\n')
+@example('T = {"a", "b"}\r\nP(T, T)\r\nP("a", "b") = 1\r\nP("b", "a") = 0.5\r\n')
+@example('T = {"a", "b"}\nP(T)\nQ(T, T)\nQ("a", "b") = 1\nP("b") = 0.5')
+@example('T = {"a"}\nP(T)\nP("a") = 1\n// end')
+@example('T = {"a"}\nP(T)\nP("a") = 1\n\n \t\n\n')
+@example('T = {"a,b", "/*", "it\'s"}\nP(T, T)\nP("a,b", "/*") = 2.5e-1\nP("it\'s", "a,b") = 1\n')
 def test_plain_observations_read_in_bulk(text):
     def walk(*args):
         raise AssertionError("an observation was read one statement at a time")
@@ -227,6 +236,16 @@ def test_plain_observations_read_in_bulk(text):
 @given(text=plain_data(), tail=st.sampled_from(["comment", "quoted"]))
 @example('T = {"a"}\nP(T)\nP("a") = 1\nP("a") = 0.5\n', "comment")
 @example('T = {"a", "b"}\nP(T)\nP("a") = 1\nP("b") = 0.5\n', "quoted")
+# The cases of test_plain_observations_read_in_bulk's examples, each
+# before a comment and before a single-quoted observation.
+@example('T = {"a", "b"}\nP(T)\nQ(T, T, T)\nQ("a", "b", "a") = 0.5\nP("b") = 0\n', "quoted")
+@example('T = {"a", "b"}\nP(T)\nQ(T, T, T)\nP("a") = 1\nQ("a", "b", "a") = 0.5\n', "comment")
+@example('T = {"a", "b"}\r\nP(T, T)\r\nP("a", "b") = 1\r\nP("b", "a") = 0.5\r\n', "quoted")
+@example('T = {"a", "b"}\r\nP(T, T)\r\nP("a", "b") = 1\r\nP("b", "a") = 0.5\r\n', "comment")
+@example('T = {"a", "b"}\nP(T)\nQ(T, T)\nQ("a", "b") = 1\nP("b") = 0.5', "quoted")
+@example('T = {"a"}\nP(T)\nP("a") = 1\n\n \t\n\n', "comment")
+@example('T = {"a,b", "/*", "it\'s"}\nP(T, T)\nP("it\'s", "a,b") = 2.5e-1\nP("a,b", "/*") = 1\n', "quoted")
+@example('T = {"a,b", "/*", "it\'s"}\nP(T, T)\nP("a,b", "/*") = 2.5e-1\n', "comment")
 def test_plain_prefix_read_in_bulk(text, tail):
     # Only the statements from the first non-plain one on are read one at
     # a time: none after a trailing comment; the single-quoted observation

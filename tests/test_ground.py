@@ -1,3 +1,5 @@
+import gc
+import itertools
 import warnings
 
 import numpy as np
@@ -16,9 +18,10 @@ from softlogic.ground import (
     ground_program,
     load_data,
 )
-from softlogic.ground.grounder import _find, _keys
+from softlogic.ground.grounder import _find, _join_all, _keys
 from softlogic.infer import SolveOptions, solve_map
 from softlogic.lang import parse_program
+from softlogic.lang.ast import Atom, Variable
 from softlogic.model import ConstraintRows, GroundAtom, HlMrf, PotentialRows, Relation
 from softlogic.synth import DEFAULT_EDGE_WEIGHTS, SynthNetworkSpec, generate_network
 
@@ -213,6 +216,25 @@ class TestObservationRows:
             np.testing.assert_array_equal(codes, np.array([r[0] for r in rows], dtype=np.intp))
             np.testing.assert_array_equal(values, np.array([r[1] for r in rows]))
 
+    def test_bulk_read_builds_no_container_per_observation(self):
+        # A tuple per observation filled generation 0 every 700 allocations:
+        # about 30 collections per read of this network.
+        text = generate_network(SynthNetworkSpec(n_users=2000, seed=1))[0]
+        collections = []
+
+        def count(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            data = load_data(text)
+        finally:
+            gc.callbacks.remove(count)
+        assert len(data.observations) > 10_000
+        assert len(collections) <= 2, collections
+
 
 class TestVariableTable:
     def test_open_atoms_indexed_closed_folded(self):
@@ -248,6 +270,73 @@ class TestCachedCoding:
         assert second.table.labels == first.table.labels
         assert [p.linfun.offset for p in second.potentials[:3]] == [1.0, 0.5, 0.5]
         assert second.potentials[1].linfun.terms == ((1, -1.0),)
+
+
+# Three overlapping types whose codes interleave (a0 b1 c2 e3 f4 g5): "g" is
+# in every type, "a" in one only, and T3 holds one constant.
+RANKED_DATA = """
+T1 = {"g", "e", "c", "a"}
+T2 = {"b", "c", "f", "g"}
+T3 = {"g"}
+P(T1, T2)
+Q(T3, T1)
+R(T1, T2) (closed)
+"""
+
+
+class TestRankTables:
+    @staticmethod
+    def _member(coding, types, column):
+        """Whether each code has every type in ``types``, by sorted search."""
+        keep = np.ones(len(column), dtype=bool)
+        for name in types:
+            codes = coding.type_codes(name)
+            at = np.minimum(np.searchsorted(codes, column), len(codes) - 1)
+            keep &= codes[at] == column
+        return keep
+
+    def test_ranks_match_a_sorted_search(self):
+        coding = load_data(RANKED_DATA).coding()
+        every = np.arange(coding.radix)
+        for name in ("T1", "T2", "T3"):
+            codes = coding.type_codes(name)
+            expected = np.where(self._member(coding, (name,), every),
+                                np.searchsorted(codes, every), -1)
+            np.testing.assert_array_equal(coding.ranks(name), expected)
+            assert coding.ranks(name) is coding.ranks(name)  # built once
+
+    @pytest.mark.parametrize("predicate", ["P", "Q"])
+    def test_indices_match_a_sorted_search_and_the_labels(self, predicate):
+        data = load_data(RANKED_DATA)
+        coding = data.coding()
+        types = data.predicates[predicate].arg_types
+        atoms = list(itertools.product(*map(data.constants_of, types)))
+        args = np.array([[coding.code[c] for c in atom] for atom in atoms], dtype=np.intp)
+        index = coding.indices(predicate, args)
+        ranks = [np.searchsorted(coding.type_codes(t), column) for t, column in zip(types, args.T)]
+        expected = coding.base[predicate] + ranks[0] * len(coding.type_codes(types[1])) + ranks[1]
+        np.testing.assert_array_equal(index, expected)
+        assert [coding.table.labels[k] for k in index.tolist()] == [
+            GroundAtom(predicate, atom) for atom in atoms
+        ]
+
+    def test_join_keeps_the_rows_in_each_variables_domain(self):
+        observed = "".join(
+            'R("%s", "%s") = 0.5\n' % (x, y)
+            for x in ("a", "c", "e", "g") for y in ("b", "c", "f", "g")
+        )
+        coding = load_data(RANKED_DATA + observed).coding()
+        # X ranges over T1 and T2 ({c, g}), Y over T2 and T3 ({g}); Z,
+        # unbound, over T1 and T3.
+        domains = {"X": ("T1", "T2"), "Y": ("T2", "T3"), "Z": ("T1", "T3")}
+        pruned = (Atom("R", (Variable("X"), Variable("Y"))),)
+        rows = _join_all(pruned, domains, coding)
+        codes, _ = coding.observed["R"]
+        keep = self._member(coding, domains["X"], codes[:, 0])
+        keep &= self._member(coding, domains["Y"], codes[:, 1])
+        c, g = coding.code["c"], coding.code["g"]
+        assert rows.tolist() == [[x, y, g] for x, y in codes[keep].tolist()]
+        assert rows.tolist() == [[c, g, g], [g, g, g]]
 
 
 SHARED_DATA = """
